@@ -21,7 +21,7 @@ from .errors import (
     ConfigError,
     FdvkError,
     FluxChange,
-    NonIntegralFlux,
+    NonExactForm,
     SnapshotError,
 )
 from .fields import (
@@ -34,15 +34,7 @@ from .fields import (
     plaquette_curvature,
 )
 from .flow import FlowConfig, minimize
-from .invariants import (
-    _raw_fluxes,
-    chern_simons,
-    degree,
-    fluxes,
-    homotopy_record,
-    hopf_charge,
-    modulus,
-)
+from .invariants import _classify, chern_simons, degree, homotopy_record, modulus
 from .lattice import Grid, form_norm
 
 MAGIC = b"FDVK1"
@@ -200,22 +192,20 @@ def _json_line(obj):
 
 def _sphere_class(psi):
     """Flux/charge block shared by init records and reports."""
-    out = {}
-    try:
-        p, raw = fluxes(psi)
-        out["fluxes"] = list(p)
-        out["raw_fluxes"] = list(raw)
-        if p == (0, 0, 0):
-            out["hopf"] = hopf_charge(psi)
-        else:
-            out["hopf"] = None
-            out["hopf_reason"] = "nonzero fluxes"
-    except NonIntegralFlux as exc:
-        out["fluxes"] = None
-        out["fluxes_reason"] = str(exc)
-        out["raw_fluxes"] = list(_raw_fluxes(psi))
-        out["hopf"] = None
-        out["hopf_reason"] = "fluxes not classifiable"
+    c = _classify(psi)
+    if c.hopf_error is not None:
+        raise NonExactForm(c.hopf_error)
+    if c.flux_error is not None:
+        return {
+            "fluxes": None,
+            "fluxes_reason": c.flux_error,
+            "raw_fluxes": list(c.raw),
+            "hopf": None,
+            "hopf_reason": "fluxes not classifiable",
+        }
+    out = {"fluxes": list(c.rounded), "raw_fluxes": list(c.raw), "hopf": c.hopf}
+    if not c.hopf_sector:
+        out["hopf_reason"] = "nonzero fluxes"
     return out
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
 from .fields import SphereField, energy
-from .invariants import FLUX_ROUND_TOL, _raw_fluxes, hopf_charge
+from .invariants import _classify
+from .lattice import diff, form_norm
 
 MODES = ("map-class", "hopf-class", "flux-only")
 
@@ -45,6 +46,10 @@ class FlowConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown flow mode {self.mode!r}")
+        for name in ("max_iters", "grad_tol", "step0", "backtrack",
+                     "monitor_every", "charge_drift_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_iters < 0 or self.grad_tol <= 0 or self.step0 <= 0:
             raise ValueError("max_iters, grad_tol and step0 must be positive")
         if not 0.0 < self.backtrack < 1.0:
@@ -59,7 +64,8 @@ class FlowConfig:
 class FlowRow:
     """One monitor record.
 
-    hopf_charge is present only when the rounded fluxes vanish;
+    hopf_charge is present only in the Hopf sector (every raw flux
+    within FLUX_ROUND_TOL of 0) and when solve_alpha accepts the form;
     vk_ratio = total / |Q|^(3/4) is present only when the charge also
     rounds to a nonzero integer, since the ratio against a near-zero
     charge is noise, not a bound.
@@ -95,27 +101,17 @@ def grad_energy(psi: SphereField) -> np.ndarray:
     """
     g = psi.grid
     v = psi.values
-    h2 = 2.0 * g.h
-
-    def A(f, ax):
-        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / h2
-
-    dv = [A(v, ax) for ax in range(3)]
+    dv = [diff(g, v, mu) for mu in (1, 2, 3)]
     grad = np.zeros_like(v)
-    for ax in range(3):
-        grad -= 2.0 * A(dv[ax], ax)
+    for mu in range(3):
+        grad -= 2.0 * diff(g, dv[mu], mu + 1)
     for mu in range(3):
         for nu in range(mu + 1, 3):
             w = np.cross(dv[mu], dv[nu])
-            grad -= 2.0 * A(np.cross(dv[nu], w), mu)
-            grad -= 2.0 * A(np.cross(w, dv[mu]), nu)
+            grad -= 2.0 * diff(g, np.cross(dv[nu], w), mu + 1)
+            grad -= 2.0 * diff(g, np.cross(w, dv[mu]), nu + 1)
     grad -= np.sum(grad * v, axis=-1, keepdims=True) * v
     return grad
-
-
-def grad_norm(psi: SphereField, grad: np.ndarray) -> float:
-    """L2 norm of a gradient field."""
-    return float(np.sqrt(np.sum(grad * grad) * psi.grid.h**3))
 
 
 def step_ceiling(psi: SphereField) -> float:
@@ -131,11 +127,9 @@ def step_ceiling(psi: SphereField) -> float:
     field is ruined.
     """
     g = psi.grid
-    v = psi.values
-    h2 = 2.0 * g.h
     g2 = 0.0
-    for ax in range(3):
-        dv = (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / h2
+    for mu in (1, 2, 3):
+        dv = diff(g, psi.values, mu)
         g2 = max(g2, float(np.max(np.sum(dv * dv, axis=-1))))
     return g.h ** 2 / (3.0 * (1.0 + 4.0 * g2))
 
@@ -167,26 +161,24 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float, _grad=None):
 
 def _monitor(psi, iteration, gnorm):
     en = energy(psi)
-    raw = _raw_fluxes(psi)
-    rounded = tuple(int(round(v)) for v in raw)
-    q = None
+    c = _classify(psi)
+    # a refused charge is bad input at the start; later it is an undefined
+    # charge, which the drift guard reports with the partial trace
+    if c.hopf_error is not None and iteration == 0:
+        raise NonExactForm(c.hopf_error)
     vk = None
-    if rounded == (0, 0, 0) and all(
-        abs(raw[k] - rounded[k]) <= FLUX_ROUND_TOL for k in range(3)
-    ):
-        q = hopf_charge(psi)
-        if round(q) != 0:
-            vk = en.total / abs(q) ** 0.75
+    if c.hopf is not None and round(c.hopf) != 0:
+        vk = en.total / abs(c.hopf) ** 0.75
     return FlowRow(
         iteration=iteration,
         e2=en.e2,
         e4=en.e4,
         total=en.total,
         grad_norm=gnorm,
-        raw_fluxes=raw,
-        hopf_charge=q,
+        raw_fluxes=c.raw,
+        hopf_charge=c.hopf,
         vk_ratio=vk,
-    ), rounded
+    ), c
 
 
 def minimize(
@@ -218,22 +210,21 @@ def minimize(
 
     psi = psi0
     grad = grad_energy(psi)
-    gnorm = grad_norm(psi, grad)
-    row, flux_ref = _monitor(psi, 0, gnorm)
+    gnorm = form_norm(psi.grid, grad)
+    row, start = _monitor(psi, 0, gnorm)
     record(row)
+    flux_ref = start.rounded
 
-    if cfg.mode == "hopf-class" and flux_ref != (0, 0, 0):
-        raise NonExactForm(
-            f"hopf-class flow needs vanishing fluxes, got {flux_ref}"
-        )
+    if cfg.mode == "hopf-class" and not start.hopf_sector:
+        raise NonExactForm(f"hopf-class flow needs vanishing fluxes, got {start.raw}")
     charge_ref = None
     if row.hopf_charge is not None:
         charge_ref = round(row.hopf_charge)
 
-    def check_guards(row, rounded):
-        if cfg.mode in ("flux-only", "map-class") and rounded != flux_ref:
+    def check_guards(row, c):
+        if cfg.mode in ("flux-only", "map-class") and c.rounded != flux_ref:
             raise FluxChange(
-                f"rounded fluxes moved from {flux_ref} to {rounded} "
+                f"rounded fluxes moved from {flux_ref} to {c.rounded} "
                 f"at iteration {row.iteration}",
                 trace=trace,
             )
@@ -250,7 +241,7 @@ def minimize(
                     trace=trace,
                 )
 
-    check_guards(row, flux_ref)
+    check_guards(row, start)
 
     step = min(cfg.step0, step_ceiling(psi))
     it = 0
@@ -262,13 +253,13 @@ def minimize(
         step = min(used / cfg.backtrack, step_ceiling(psi))
         it += 1
         grad = grad_energy(psi)
-        gnorm = grad_norm(psi, grad)
+        gnorm = form_norm(psi.grid, grad)
         if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
-            row, rounded = _monitor(psi, it, gnorm)
+            row, c = _monitor(psi, it, gnorm)
             record(row)
-            check_guards(row, rounded)
+            check_guards(row, c)
     if trace.last().iteration != it:
-        row, rounded = _monitor(psi, it, gnorm)
+        row, c = _monitor(psi, it, gnorm)
         record(row)
-        check_guards(row, rounded)
+        check_guards(row, c)
     return psi, trace

@@ -10,11 +10,11 @@ number.  homotopy_record bundles the complete classification data.
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonIntegralFlux
+from .errors import NonExactForm, NonIntegralFlux
 from .fields import (
     Connection,
     GroupField,
@@ -28,10 +28,48 @@ from .lattice import d, integrate, slice_flux, solve_alpha
 FLUX_ROUND_TOL = 0.1
 
 
-def _raw_fluxes(psi: SphereField):
+class _SphereClass(NamedTuple):
+    raw: tuple  # slice fluxes through the tori {x_k = l/2}
+    rounded: tuple
+    flux_error: Optional[str]  # why rounded is no class: a reading off its integer
+    hopf_sector: bool
+    hopf: Optional[float]
+    hopf_error: Optional[str]  # solve_alpha's refusal of a Hopf-sector charge
+
+
+def _helicity(grid, F):
+    alpha = solve_alpha(grid, F)
+    dalpha = d(grid, alpha, 1)
+    # volume coefficient: alpha_1 (da)_23 + alpha_2 (da)_31 + alpha_3 (da)_12,
+    # and the dual-vector storage of 2-forms pairs components directly
+    wedge = np.einsum("...k,...k->...", alpha, dalpha)
+    return float(integrate(grid, wedge))
+
+
+def _classify(psi: SphereField, charge=True) -> _SphereClass:
+    """Fluxes of psi and, in the Hopf sector, its charge, from one area form.
+
+    The Hopf sector is the one rule for when the charge exists: every
+    raw flux within FLUX_ROUND_TOL of an integer, all of them 0.
+    """
     F = pullback_area(psi)
-    mid = psi.grid.n // 2
-    return tuple(float(slice_flux(psi.grid, F, k, mid)) for k in (1, 2, 3))
+    raw = tuple(slice_flux(psi.grid, F, k, psi.grid.n // 2) for k in (1, 2, 3))
+    rounded = tuple(int(v) for v in np.rint(raw))
+    off = [k for k in range(3) if abs(raw[k] - rounded[k]) > FLUX_ROUND_TOL]
+    flux_error = None
+    if off:
+        flux_error = (
+            f"flux {raw[off[0]]:.4f} along direction {off[0] + 1} is not within "
+            f"{FLUX_ROUND_TOL} of an integer; field is under-resolved"
+        )
+    sector = not off and rounded == (0, 0, 0)
+    hopf = hopf_error = None
+    if charge and sector:
+        try:
+            hopf = _helicity(psi.grid, F)
+        except NonExactForm as exc:
+            hopf_error = str(exc)
+    return _SphereClass(raw, rounded, flux_error, sector, hopf, hopf_error)
 
 
 def fluxes(psi: SphereField):
@@ -42,16 +80,10 @@ def fluxes(psi: SphereField):
     that far from an integer means the field is too coarse to classify,
     and guessing would silently misfile the homotopy class.
     """
-    raw = np.array(_raw_fluxes(psi))
-    p = np.rint(raw).astype(int)
-    bad = np.abs(raw - p) > FLUX_ROUND_TOL
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NonIntegralFlux(
-            f"flux {raw[k]:.4f} along direction {k + 1} is not within "
-            f"{FLUX_ROUND_TOL} of an integer; field is under-resolved"
-        )
-    return tuple(int(v) for v in p), tuple(float(v) for v in raw)
+    c = _classify(psi, charge=False)
+    if c.flux_error is not None:
+        raise NonIntegralFlux(c.flux_error)
+    return c.rounded, c.raw
 
 
 def hopf_charge(psi: SphereField) -> float:
@@ -62,13 +94,7 @@ def hopf_charge(psi: SphereField) -> float:
     Nonzero fluxes make F non-exact and solve_alpha raises NonExactForm,
     which is the honest answer: the invariant does not exist there.
     """
-    F = pullback_area(psi)
-    alpha = solve_alpha(psi.grid, F)
-    dalpha = d(psi.grid, alpha, 1)
-    # volume coefficient: alpha_1 (da)_23 + alpha_2 (da)_31 + alpha_3 (da)_12,
-    # and the dual-vector storage of 2-forms pairs components directly
-    wedge = np.einsum("...k,...k->...", alpha, dalpha)
-    return float(integrate(psi.grid, wedge))
+    return _helicity(psi.grid, pullback_area(psi))
 
 
 def _det3(a1, a2, a3):
@@ -136,9 +162,10 @@ def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
     vanish (elsewhere it is undefined).
     """
     phi.grid.same(u.grid)
-    psi = conjugate_field(u, phi)
-    p, raw = fluxes(psi)
-    m = modulus(p)
+    c = _classify(conjugate_field(u, phi))
+    if c.flux_error is not None:
+        raise NonIntegralFlux(c.flux_error)
+    m = modulus(c.rounded)
     deg = degree(u)
     cls = int(np.rint(deg))
     if abs(deg - cls) > FLUX_ROUND_TOL:
@@ -147,5 +174,6 @@ def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
         )
     if m > 0:
         cls %= 2 * m
-    hopf = hopf_charge(psi) if p == (0, 0, 0) else None
-    return HomotopyRecord(p, raw, m, deg, cls, hopf)
+    if c.hopf_error is not None:
+        raise NonExactForm(c.hopf_error)
+    return HomotopyRecord(c.rounded, c.raw, m, deg, cls, c.hopf)

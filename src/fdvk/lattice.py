@@ -33,10 +33,10 @@ class Grid:
     l: float = 2.0 * np.pi
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("grid needs at least 4 sites per axis")
-        if not self.l > 0:
-            raise ValueError("period must be positive")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 4):
+            raise ValueError("grid needs an integer count of at least 4 sites per axis")
+        if not (np.isfinite(self.l) and self.l > 0):
+            raise ValueError("period must be finite and positive")
 
     @property
     def h(self):
@@ -152,11 +152,6 @@ def slice_flux(grid, F, axis, index):
     return float(np.sum(comp)) * grid.h**2
 
 
-def mean_fluxes(grid, F):
-    """Slice fluxes averaged over all parallel slices, one per axis."""
-    return np.array([np.mean(F[..., ax]) for ax in range(3)]) * grid.l**2
-
-
 def solve_alpha(grid, F, closed_tol=None):
     """The delta-closed 1-form alpha with d(alpha) = F, no harmonic part.
 
@@ -166,7 +161,10 @@ def solve_alpha(grid, F, closed_tol=None):
     residue of smooth closed forms from genuinely non-closed data.
     """
     nF = form_norm(grid, F)
-    flux = mean_fluxes(grid, F)
+    Fh = np.fft.fftn(F, axes=(0, 1, 2))
+    # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
+    # averaged over the parallel slices
+    flux = Fh[0, 0, 0].real * grid.l**2 / grid.n**3
     if np.any(np.abs(flux) > 0.5):
         raise NonExactForm(f"fluxes {flux.round(3).tolist()} obstruct a global potential")
     if closed_tol is None:
@@ -176,7 +174,6 @@ def solve_alpha(grid, F, closed_tol=None):
         raise NonExactForm("2-form is not closed")
     kx, ky, kz = _kgrids(grid)
     k2 = kx**2 + ky**2 + kz**2
-    Fh = np.fft.fftn(F, axes=(0, 1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         Gh = Fh / k2[..., None]
     Gh[k2 == 0] = 0.0

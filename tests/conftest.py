@@ -1,4 +1,10 @@
-"""Terminal summary hook: one pass/fail line per acceptance criterion."""
+"""Terminal summary hook: one pass/fail line per acceptance criterion,
+and a fixture that makes the Hopf charge solve refuse its form."""
+
+import pytest
+
+from fdvk import invariants
+from fdvk.errors import NonExactForm
 
 CRITERIA = {
     1: "calculus kernel",
@@ -40,3 +46,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(seen):
         label = CRITERIA.get(num, "?")
         terminalreporter.write_line(f"criterion {num:2d} ({label}): {seen[num]}")
+
+
+@pytest.fixture
+def refuse_charge(monkeypatch):
+    """refuse_charge(k): the k-th Hopf charge solve raises NonExactForm,
+    as solve_alpha does for a 2-form it finds not closed."""
+
+    def arm(k):
+        real = invariants._helicity
+        calls = []
+
+        def helicity(grid, F):
+            calls.append(None)
+            if len(calls) == k:
+                raise NonExactForm("2-form is not closed")
+            return real(grid, F)
+
+        monkeypatch.setattr(invariants, "_helicity", helicity)
+
+    return arm

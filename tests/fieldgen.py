@@ -22,20 +22,29 @@ class TrigPoly:
                     if (mx, my, mz) == (0, 0, 0):
                         continue
                     modes.append((mx, my, mz))
-        self.modes = np.array(modes)
-        weight = np.sum(self.modes**2, axis=1) ** -1.5
+        modes = np.array(modes)
+        weight = np.sum(modes**2, axis=1) ** -1.5
         # scale so each output component has pointwise std == amp
         weight *= amp / np.sqrt(0.5 * np.sum(weight**2))
-        self.coeff = rng.normal(size=(len(modes), comps)) * weight[:, None]
-        self.phase = rng.uniform(0, 2 * np.pi, size=(len(modes), comps))
+        coeff = rng.normal(size=(len(modes), comps)) * weight[:, None]
+        phase = rng.uniform(0, 2 * np.pi, size=(len(modes), comps))
+        # complex amplitudes c e^{ip} on the full mode cube, zero at the origin
+        side = 2 * mmax + 1
+        self.cube = np.zeros((side, side, side, comps), dtype=complex)
+        mx, my, mz = (modes + mmax).T
+        self.cube[mx, my, mz] = coeff * np.exp(1j * phase)
+        self.mmax = mmax
 
     def sample(self, grid):
-        x, y, z = grid.axes()
-        out = np.zeros(x.shape + (self.coeff.shape[1],))
-        for (mx, my, mz), c, p in zip(self.modes, self.coeff, self.phase):
-            arg = 2 * np.pi * (mx * x + my * y + mz * z) / grid.l
-            out += c * np.cos(arg[..., None] + p)
-        return out
+        # c cos(k.x + p) = Re(c e^{ip} e^{i kx x} e^{i ky y} e^{i kz z}):
+        # contract the mode cube one axis at a time, so no temporary holds
+        # one grid-sized array per mode
+        m = np.arange(-self.mmax, self.mmax + 1)
+        c = np.arange(grid.n) * grid.h
+        wave = np.exp(2j * np.pi / grid.l * np.outer(m, c))
+        t = np.einsum("cz,abcq->abzq", wave, self.cube)
+        t = np.einsum("by,abzq->ayzq", wave, t)
+        return np.einsum("ax,ayzq->xyzq", wave, t).real.copy()
 
 
 def smooth_sphere_field(grid, seed, amp=0.25):

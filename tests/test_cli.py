@@ -280,3 +280,40 @@ def test_minimize_guard_abort_exits_4(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2
     assert not (tmp_path / "d.fdk").exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["flow.grad_tol = nan", "flow.step0 = inf", "flow.charge_drift_tol = nan", "grid.l = inf"]
+)
+def test_minimize_nonfinite_config_exits_2(tmp_path, line):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        f"grid.n = 8\ninit.kind = constant\n{line}\n"
+        f"out.field = {tmp_path / 'f.fdk'}\nout.trace = {tmp_path / 't.csv'}\n"
+    )
+    assert main(["minimize", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("refused_row, code", [(1, 2), (2, 4)])
+def test_minimize_refused_charge_exit_code(tmp_path, capsys, refuse_charge, refused_row, code):
+    cfg = tmp_path / "refuse.cfg"
+    cfg.write_text(
+        "grid.n = 20\n"
+        "init.kind = hopfion\n"
+        "flow.mode = hopf-class\n"
+        "flow.max_iters = 10\n"
+        "flow.monitor_every = 5\n"
+        "flow.charge_drift_tol = 0.3\n"
+        f"out.field = {tmp_path / 'r.fdk'}\n"
+        f"out.trace = {tmp_path / 'r.csv'}\n"
+    )
+    refuse_charge(refused_row)
+    assert main(["minimize", "--config", str(cfg)]) == code
+    assert not (tmp_path / "r.fdk").exists()
+    if code == 4:
+        record = json.loads(capsys.readouterr().out)
+        assert record["abort"] == "ChargeDrift" and record["iterations"] == 5
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert len(lines) == 3  # header + rows at 0 and 5
+        assert lines[2].split(",")[8] == ""  # the refused charge is empty

@@ -32,6 +32,11 @@ def test_config_validation():
         FlowConfig(backtrack=1.0)
     with pytest.raises(ValueError):
         FlowConfig(monitor_every=0)
+    for name in ("max_iters", "grad_tol", "step0", "backtrack", "monitor_every",
+                 "charge_drift_tol"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                FlowConfig(**{name: bad})
     assert MODES == ("map-class", "hopf-class", "flux-only")
 
 
@@ -184,3 +189,19 @@ def test_vk_ratio_present_in_unit_charge_sector():
         assert row.vk_ratio == pytest.approx(
             row.total / abs(row.hopf_charge) ** 0.75, rel=1e-12
         )
+
+
+def test_refused_charge_mid_flow_is_charge_drift(refuse_charge):
+    # n = 20 reads the unit charge as 0.80; the guard width keeps the
+    # drift test quiet so only the refusal can stop the run
+    g = Grid(20, TWO_PI)
+    psi0 = generate(AnsatzSpec(kind="hopfion", charge=1), g)
+    cfg = FlowConfig(mode="hopf-class", max_iters=10, monitor_every=5, charge_drift_tol=0.3)
+    refuse_charge(2)
+    with pytest.raises(ChargeDrift, match="undefined") as err:
+        minimize(psi0, cfg)
+    rows = err.value.trace.rows
+    assert [r.iteration for r in rows] == [0, 5]
+    assert rows[0].hopf_charge is not None
+    assert rows[1].hopf_charge is None and rows[1].vk_ratio is None
+    assert rows[1].raw_fluxes == pytest.approx((0.0, 0.0, 0.0), abs=0.1)

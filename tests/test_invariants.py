@@ -13,8 +13,10 @@ from fdvk.fields import (
     connection_of,
     constant_group,
     constant_sphere,
+    pullback_area,
 )
 from fdvk.invariants import (
+    _classify,
     chern_simons,
     degree,
     fluxes,
@@ -22,9 +24,17 @@ from fdvk.invariants import (
     hopf_charge,
     modulus,
 )
-from fdvk.lattice import Grid
+from fdvk.lattice import Grid, slice_flux
 
 TWO_PI = 2.0 * np.pi
+
+
+def decayed_tube(g):
+    """Tube blended toward a constant: its flux reads about 0.70."""
+    tube = generate(AnsatzSpec(kind="tube", charge=1), g)
+    v = 0.52 * tube.values + 0.48 * np.array([0.0, 0.0, 1.0])
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return SphereField(g, v)
 
 
 def test_trivial_field_invariants():
@@ -48,12 +58,36 @@ def test_tube_fluxes_follow_axis_not_twist():
 
 
 def test_nonintegral_flux_raises():
+    with pytest.raises(NonIntegralFlux):
+        fluxes(decayed_tube(Grid(24, TWO_PI)))
+
+
+def test_classifier_matches_public_readings():
     g = Grid(24, TWO_PI)
     tube = generate(AnsatzSpec(kind="tube", charge=1), g)
-    v = 0.52 * tube.values + 0.48 * np.array([0.0, 0.0, 1.0])
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    with pytest.raises(NonIntegralFlux):
-        fluxes(SphereField(g, v))
+    c = _classify(tube)
+    assert (c.rounded, c.raw) == fluxes(tube)
+    assert c.flux_error is None and not c.hopf_sector
+    assert c.hopf is None and c.hopf_error is None
+
+    hopfion = generate(AnsatzSpec(kind="hopfion", charge=1), g)
+    ball = generate(AnsatzSpec(kind="ballmap", charge=1), g)
+    for psi in (hopfion, conjugate_field(ball, constant_sphere(g))):
+        c = _classify(psi)
+        assert (c.rounded, c.raw) == fluxes(psi)
+        assert c.hopf_sector and c.flux_error is None
+        assert c.hopf == hopf_charge(psi)  # bit-equal: one area form, one solve
+        assert _classify(psi, charge=False).hopf is None
+
+    blend = decayed_tube(g)
+    c = _classify(blend)
+    with pytest.raises(NonIntegralFlux) as err:
+        fluxes(blend)
+    assert c.flux_error == str(err.value)
+    F = pullback_area(blend)
+    assert c.raw == tuple(slice_flux(g, F, k, g.n // 2) for k in (1, 2, 3))
+    assert c.raw[0] == pytest.approx(0.70, abs=0.01)
+    assert not c.hopf_sector and c.hopf is None
 
 
 def test_hopf_needs_vanishing_fluxes():
