@@ -9,7 +9,10 @@ violation during flow.
 """
 
 import argparse
+import errno
 import json
+import os
+import secrets
 import struct
 import sys
 
@@ -46,6 +49,11 @@ CSV_HEADER = "iter,e2,e4,energy,grad_norm,flux1,flux2,flux3,hopf,vk_ratio"
 
 TWO_PI = 2.0 * np.pi
 
+# float64 arrays of n^3 x 3 values budgeted per run when refusing grids
+# that cannot fit: minimize and init/report of every ansatz peak at about
+# 13 (tracemalloc, n = 32), numpy temporaries included
+WORKING_FIELDS = 24
+
 
 def _kind_of(obj):
     if isinstance(obj, SphereField):
@@ -71,12 +79,23 @@ def save_snapshot(path, obj):
     if kind == KIND_CONNECTION:
         v = v.reshape(g.n, g.n, g.n, 9)
     payload = np.ascontiguousarray(v.transpose(2, 1, 0, 3), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", kind))
-        fh.write(struct.pack("<I", g.n))
-        fh.write(struct.pack("<d", g.l))
-        fh.write(payload.tobytes())
+    # written beside the target and renamed over it, so a failed write
+    # never leaves a truncated snapshot under the target's name
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<B", kind))
+            fh.write(struct.pack("<I", g.n))
+            fh.write(struct.pack("<d", g.l))
+            fh.write(payload.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_snapshot(path):
@@ -209,11 +228,36 @@ def _sphere_class(psi):
     return out
 
 
+def _check_grid_fits(n):
+    """Refuse, before anything is allocated, a grid too large for memory."""
+    need = WORKING_FIELDS * 3 * 8 * n**3
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ConfigError(
+            f"a grid of n = {n} needs about {need / 2**30:.3g} GiB of field arrays, "
+            f"more than the {have / 2**30:.3g} GiB of memory here"
+        )
+
+
+def _check_writable(path):
+    """Fail with an I/O error now, not after the work, if path cannot be written."""
+    head = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(head):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", head)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+
+
 def cmd_init(args):
     spec = AnsatzSpec(
         kind=args.ansatz, charge=args.charge, axis=args.axis, radius=args.radius
     )
     grid = Grid(args.n, args.l)
+    _check_grid_fits(grid.n)
+    _check_writable(args.out)
     field = generate(spec, grid)
     save_snapshot(args.out, field)
     if isinstance(field, GroupField):
@@ -285,6 +329,8 @@ def cmd_minimize(args):
     with open(args.config, "r") as fh:
         text = fh.read()
     grid, spec, cfg, out_field, out_trace = parse_run_config(text)
+    _check_grid_fits(grid.n)
+    _check_writable(out_field)
     psi0 = generate(spec, grid)
     if not isinstance(psi0, SphereField):
         raise ConfigError(f"init.kind {spec.kind!r} does not generate a sphere field")
@@ -328,13 +374,15 @@ def cmd_minimize(args):
     _json_line(
         {
             "abort": None,
+            "stop_reason": trace.stop_reason,
             "iterations": last.iteration,
             "energy": last.total,
             "grad_norm": last.grad_norm,
         }
     )
     print(
-        f"minimized {spec.kind} for {last.iteration} iterations, "
+        f"minimized {spec.kind} for {last.iteration} iterations "
+        f"(stopped on {trace.stop_reason}), "
         f"energy {last.total:.6f}, field in {out_field}, trace in {out_trace}",
         file=sys.stderr,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quat
 from .errors import GridMismatch, UnresolvableField
-from .lattice import Grid, avg_back, diff
+from .lattice import Grid, _cross, avg_back, diff
 
 FOUR_PI = 4.0 * np.pi
 
@@ -108,8 +108,14 @@ def conjugate_field(u, phi):
     return SphereField(u.grid, psi)
 
 
-def _gradients(grid, values):
-    return [diff(grid, values, mu) for mu in (1, 2, 3)]
+def _comp_first(values):
+    """Site-last (n, n, n, 3) values as a contiguous (3, n, n, n) array."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
+
+
+def _differences(grid, v):
+    """Central differences of component-first values along 1, 2, 3."""
+    return [diff(grid, v, mu, lead=1) for mu in (1, 2, 3)]
 
 
 def pullback_area(psi):
@@ -117,23 +123,29 @@ def pullback_area(psi):
 
     F_k = psi . (d_i psi x d_j psi) / 4 pi for (i, j, k) cyclic; the
     total flux through a slice counts preimages of a regular value.
+    Returned site-last, as a view of the component-first array built.
     """
     g = psi.grid
-    dv = _gradients(g, psi.values)
-    out = np.empty((g.n, g.n, g.n, 3))
+    v = _comp_first(psi.values)
+    dv = _differences(g, v)
+    out = np.empty_like(v)
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        out[..., k] = np.sum(psi.values * np.cross(dv[i], dv[j]), axis=-1) / FOUR_PI
-    return out
+        c = _cross(dv[i], dv[j])
+        out[k] = (v[0] * c[0] + v[1] * c[1] + v[2] * c[2]) / FOUR_PI
+    return np.moveaxis(out, 0, -1)
 
 
 def _energy_of(grid, d1, d2, d3):
-    """Energy from the three directional derivatives, d psi or D_a phi."""
-    e2 = float(np.sum(d1 * d1 + d2 * d2 + d3 * d3)) * grid.h**3
-    c12 = np.cross(d1, d2)
-    c23 = np.cross(d2, d3)
-    c31 = np.cross(d3, d1)
-    e4 = float(np.sum(np.sum(c12 * c12 + c23 * c23 + c31 * c31, axis=-1))) * grid.h**3
-    return Energy(e2, e4, e2 + e4)
+    """Energy from the three component-first derivatives, d psi or D_a phi.
+
+    Also returns the cross products (d1 x d2, d1 x d3, d2 x d3) it
+    integrates, which the descent gradient reuses.
+    """
+    h3 = grid.h**3
+    e2 = float(np.sum(d1 * d1 + d2 * d2 + d3 * d3)) * h3
+    w = (_cross(d1, d2), _cross(d1, d3), _cross(d2, d3))
+    e4 = float(np.sum(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])) * h3
+    return Energy(e2, e4, e2 + e4), w
 
 
 def energy(psi):
@@ -143,7 +155,7 @@ def energy(psi):
     of |d psi^a ^ d psi^b|^2 over the three component pairs, which
     collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2.
     """
-    return _energy_of(psi.grid, *_gradients(psi.grid, psi.values))
+    return _energy_of(psi.grid, *_differences(psi.grid, _comp_first(psi.values)))[0]
 
 
 def connection_of(u):
@@ -186,7 +198,7 @@ def covariant_derivative(a, phi):
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
     D = covariant_derivative(a, phi)
-    return _energy_of(phi.grid, D[..., 0, :], D[..., 1, :], D[..., 2, :])
+    return _energy_of(phi.grid, *(_comp_first(D[..., mu, :]) for mu in range(3)))[0]
 
 
 def decompose(a, phi):
@@ -248,7 +260,7 @@ def flatness_residuals(a, phi):
     g = phi.grid
     ab = a.site_values()
     p = phi.values
-    dphi = _gradients(g, p)
+    dphi = [diff(g, p, mu) for mu in (1, 2, 3)]
     s = np.sum(ab * p[..., None, :], axis=-1)
     t = ab - s[..., None] * p[..., None, :]
     D = covariant_derivative(a, phi)

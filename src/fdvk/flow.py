@@ -14,9 +14,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
-from .fields import SphereField, energy
+from .fields import SphereField, _comp_first, _differences, _energy_of
 from .invariants import _classify
-from .lattice import diff, form_norm
+from .lattice import _cross, diff, form_norm
 
 MODES = ("map-class", "hopf-class", "flux-only")
 
@@ -83,10 +83,82 @@ class FlowRow:
 
 @dataclass
 class FlowTrace:
+    """Monitor rows of one descent, and why it stopped.
+
+    stop_reason is "grad_tol" when the gradient norm reached the target,
+    "max_iters" when the iterations ran out first, and
+    "line_search_stalled" when no step short of double-precision noise
+    lowered the energy; it stays None on a trace cut short by a guard.
+    """
+
     rows: List[FlowRow] = field(default_factory=list)
+    stop_reason: Optional[str] = None
 
     def last(self) -> FlowRow:
         return self.rows[-1]
+
+
+def _kernel(grid, v):
+    """Energy, differences and cross products of component-first values.
+
+    The one pass over a field that the energy, the gradient and the step
+    ceiling share: (Energy, [d_1 v, d_2 v, d_3 v], (d_1 v x d_2 v,
+    d_1 v x d_3 v, d_2 v x d_3 v)).
+    """
+    dv = _differences(grid, v)
+    en, w = _energy_of(grid, *dv)
+    return en, dv, w
+
+
+def _gradient(grid, v, dv, w):
+    """grad_energy on the component-first layout, from _kernel's output."""
+    grad = np.zeros_like(v)
+    for mu in range(3):
+        grad -= 2.0 * diff(grid, dv[mu], mu + 1, lead=1)
+    for (mu, nu), wmn in zip(((0, 1), (0, 2), (1, 2)), w):
+        grad -= 2.0 * diff(grid, _cross(dv[nu], wmn), mu + 1, lead=1)
+        grad -= 2.0 * diff(grid, _cross(wmn, dv[mu]), nu + 1, lead=1)
+    grad -= (grad[0] * v[0] + grad[1] * v[1] + grad[2] * v[2]) * v
+    return grad
+
+
+def _ceiling(grid, dv):
+    """step_ceiling from the component-first differences."""
+    g2 = max(float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])) for d in dv)
+    return grid.h**2 / (3.0 * (1.0 + 4.0 * g2))
+
+
+def _search(grid, v, e0, grad, step, backtrack):
+    """Backtracking line search from component-first v with energy e0.
+
+    Returns (step, (candidate, *_kernel output)) for the first
+    normalized candidate whose energy does not exceed e0, or
+    (step, None) once the step cannot change the field at double
+    precision.
+
+    Candidates are unit vectors by construction and are not revalidated.
+    The one way construction fails is a squared norm that is not finite:
+    an overflowed one would scale its site to the zero vector, so such a
+    candidate is rejected unevaluated.  Any other non-finite candidate
+    has a NaN energy, which the <= test rejects.
+    """
+    gmax = float(np.max(np.abs(grad)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step * gmax > 1e-16:
+            cand = v - step * grad
+            n2 = cand[0] * cand[0] + cand[1] * cand[1] + cand[2] * cand[2]
+            if np.isfinite(np.max(n2)):
+                cand /= np.sqrt(n2)
+                found = _kernel(grid, cand)
+                if found[0].total <= e0:
+                    return step, (cand, *found)
+            step *= backtrack
+    return step, None
+
+
+def _field(grid, v):
+    """Validated SphereField of component-first values, stored site-last."""
+    return SphereField(grid, np.ascontiguousarray(np.moveaxis(v, 0, -1)))
 
 
 def grad_energy(psi: SphereField) -> np.ndarray:
@@ -97,21 +169,12 @@ def grad_energy(psi: SphereField) -> np.ndarray:
     stencil is its own adjoint up to sign) and the quartic part
     contributes -2 sum_{mu<nu} [A_mu(A_nu psi x w) + A_nu(w x A_mu psi)]
     with w = A_mu psi x A_nu psi.  The pointwise projection g - (g.psi)psi
-    makes it the gradient of the constrained functional.
+    makes it the gradient of the constrained functional.  Returned
+    site-last, as a view of the component-first array computed.
     """
-    g = psi.grid
-    v = psi.values
-    dv = [diff(g, v, mu) for mu in (1, 2, 3)]
-    grad = np.zeros_like(v)
-    for mu in range(3):
-        grad -= 2.0 * diff(g, dv[mu], mu + 1)
-    for mu in range(3):
-        for nu in range(mu + 1, 3):
-            w = np.cross(dv[mu], dv[nu])
-            grad -= 2.0 * diff(g, np.cross(dv[nu], w), mu + 1)
-            grad -= 2.0 * diff(g, np.cross(w, dv[mu]), nu + 1)
-    grad -= np.sum(grad * v, axis=-1, keepdims=True) * v
-    return grad
+    v = _comp_first(psi.values)
+    _, dv, w = _kernel(psi.grid, v)
+    return np.moveaxis(_gradient(psi.grid, v, dv, w), 0, -1)
 
 
 def step_ceiling(psi: SphereField) -> float:
@@ -126,15 +189,10 @@ def step_ceiling(psi: SphereField) -> float:
     anti-aligns the classes is invisible to the line search until the
     field is ruined.
     """
-    g = psi.grid
-    g2 = 0.0
-    for mu in (1, 2, 3):
-        dv = diff(g, psi.values, mu)
-        g2 = max(g2, float(np.max(np.sum(dv * dv, axis=-1))))
-    return g.h ** 2 / (3.0 * (1.0 + 4.0 * g2))
+    return _ceiling(psi.grid, _differences(psi.grid, _comp_first(psi.values)))
 
 
-def relax_step(psi: SphereField, cfg: FlowConfig, step: float, _grad=None):
+def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     """One backtracking descent step.
 
     Renormalizes psi - step*grad pointwise and shrinks the step by
@@ -144,23 +202,20 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float, _grad=None):
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    grad = grad_energy(psi) if _grad is None else _grad
-    e0 = energy(psi).total
-    gmax = float(np.max(np.abs(grad)))
-    if gmax == 0.0:
+    g = psi.grid
+    v = _comp_first(psi.values)
+    en, dv, w = _kernel(g, v)
+    grad = _gradient(g, v, dv, w)
+    del dv, w
+    if not np.any(grad):
         return psi, step, True
-    while step * gmax > 1e-16:
-        cand = psi.values - step * grad
-        norms = np.sqrt(np.sum(cand * cand, axis=-1, keepdims=True))
-        cand = SphereField(psi.grid, cand / norms)
-        if energy(cand).total <= e0:
-            return cand, step, True
-        step *= cfg.backtrack
-    return psi, step, False
+    step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
+    if found is None:
+        return psi, step, False
+    return _field(g, found[0]), step, True
 
 
-def _monitor(psi, iteration, gnorm):
-    en = energy(psi)
+def _monitor(psi, iteration, gnorm, en):
     c = _classify(psi)
     # a refused charge is bad input at the start; later it is an undefined
     # charge, which the drift guard reports with the partial trace
@@ -209,9 +264,14 @@ def minimize(
             on_row(row)
 
     psi = psi0
-    grad = grad_energy(psi)
-    gnorm = form_norm(psi.grid, grad)
-    row, start = _monitor(psi, 0, gnorm)
+    g = psi0.grid
+    v = _comp_first(psi0.values)
+    en, dv, w = _kernel(g, v)
+    grad = _gradient(g, v, dv, w)
+    ceiling = _ceiling(g, dv)
+    del dv, w
+    gnorm = form_norm(g, grad)
+    row, start = _monitor(psi, 0, gnorm, en)
     record(row)
     flux_ref = start.rounded
 
@@ -243,23 +303,34 @@ def minimize(
 
     check_guards(row, start)
 
-    step = min(cfg.step0, step_ceiling(psi))
+    step = min(cfg.step0, ceiling)
     it = 0
+    stop = None
     while it < cfg.max_iters and gnorm > cfg.grad_tol:
-        psi_next, used, accepted = relax_step(psi, cfg, step, _grad=grad)
-        if not accepted:
+        step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
+        if found is None:
+            stop = "line_search_stalled"
             break
-        psi = psi_next
-        step = min(used / cfg.backtrack, step_ceiling(psi))
+        # the accepted candidate's energy, differences and cross products
+        # carry forward; the old gradient goes first to keep the peak low
+        v, en, dv, w = found
+        del found, grad
+        step = min(step / cfg.backtrack, _ceiling(g, dv))
         it += 1
-        grad = grad_energy(psi)
-        gnorm = form_norm(psi.grid, grad)
+        grad = _gradient(g, v, dv, w)
+        del dv, w
+        gnorm = form_norm(g, grad)
         if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
-            row, c = _monitor(psi, it, gnorm)
+            psi = _field(g, v)
+            row, c = _monitor(psi, it, gnorm, en)
             record(row)
             check_guards(row, c)
     if trace.last().iteration != it:
-        row, c = _monitor(psi, it, gnorm)
+        psi = _field(g, v)
+        row, c = _monitor(psi, it, gnorm, en)
         record(row)
         check_guards(row, c)
+    if stop is None:
+        stop = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
+    trace.stop_reason = stop
     return psi, trace

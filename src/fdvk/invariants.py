@@ -23,7 +23,7 @@ from .fields import (
     connection_of,
     pullback_area,
 )
-from .lattice import d, integrate, slice_flux, solve_alpha
+from .lattice import _cross, _potential, d, integrate, slice_flux
 
 FLUX_ROUND_TOL = 0.1
 
@@ -38,12 +38,18 @@ class _SphereClass(NamedTuple):
 
 
 def _helicity(grid, F):
-    alpha = solve_alpha(grid, F)
-    dalpha = d(grid, alpha, 1)
-    # volume coefficient: alpha_1 (da)_23 + alpha_2 (da)_31 + alpha_3 (da)_12,
-    # and the dual-vector storage of 2-forms pairs components directly
-    wedge = np.einsum("...k,...k->...", alpha, dalpha)
-    return float(integrate(grid, wedge))
+    """Integral of alpha ^ d(alpha), summed in Fourier space.
+
+    d(alpha) has the transform i K x alpha_hat; Parseval turns the site
+    sum of alpha . d(alpha) into a sum over the half spectrum of
+    Re(conj(alpha_hat) . d(alpha)_hat), weighted for the conjugate modes
+    rfftn leaves out. The volume coefficient of alpha ^ d(alpha) is
+    that dot product, since 2-forms are stored as dual vectors.
+    """
+    Ah, K, weight = _potential(grid, F)
+    dAh = 1j * _cross(K, Ah)
+    dot = np.sum((Ah.conj() * dAh).real, axis=0)
+    return float(np.sum(weight * dot)) * grid.h**3 / grid.n**3
 
 
 def _classify(psi: SphereField, charge=True) -> _SphereClass:
@@ -89,7 +95,7 @@ def fluxes(psi: SphereField):
 def hopf_charge(psi: SphereField) -> float:
     """Helicity integral of the area pullback; defined when fluxes vanish.
 
-    With F = pullback_area(psi) exact, alpha the coexact potential from
+    With F = pullback_area(psi) exact, alpha the coexact potential of
     solve_alpha, the charge is the integral of alpha wedge d(alpha).
     Nonzero fluxes make F non-exact and solve_alpha raises NonExactForm,
     which is the honest answer: the invariant does not exist there.

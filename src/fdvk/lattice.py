@@ -11,6 +11,11 @@ Forms are realized componentwise:
                               coefficient for (i, j, k) cyclic
     3-form  (n, n, n)         coefficient of dx^1 dx^2 dx^3
 
+The descent and the area form work internally on the component-first
+layout (3, n, n, n): each component is one contiguous scalar field, so
+rolls and products stream through memory. diff(..., lead=1) and _cross
+act on that layout; public functions take and return the site-last one.
+
 Two derivative backends coexist on purpose. Central differences keep
 the discrete energy an explicit smooth function of site values, so its
 gradient is exact. Fourier multipliers make d compose to zero and the
@@ -57,11 +62,29 @@ def check_direction(mu):
         raise ValueError("direction must be 1, 2 or 3")
 
 
-def diff(grid, f, mu):
-    """Central difference along direction mu, periodic."""
+def diff(grid, f, mu, lead=0):
+    """Central difference along direction mu, periodic.
+
+    lead counts the per-site component axes stored before the three site
+    axes: 0 for site-last values, 1 for the component-first layout.
+    """
     check_direction(mu)
-    ax = mu - 1
+    ax = mu - 1 + lead
     return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * grid.h)
+
+
+def _cross(a, b):
+    """a x b of component-first vectors, index 0 running over components.
+
+    Written out as np.cross computes it, a_i b_j - a_j b_i, so the two
+    agree bit for bit; a and b may be arrays or triples that broadcast.
+    """
+    shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
+    out = np.empty((3,) + shape, dtype=np.result_type(a[0], b[0]))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[i], b[j], out=out[k])
+        out[k] -= a[j] * b[i]
+    return out
 
 
 def avg_back(grid, f, mu):
@@ -152,6 +175,50 @@ def slice_flux(grid, F, axis, index):
     return float(np.sum(comp)) * grid.h**2
 
 
+def _half_spectrum(grid):
+    """Wavevector triple on the rfftn half spectrum and Parseval weights.
+
+    The weight is 2 where a stored mode stands for itself and its
+    conjugate partner, 1 on the planes kz = 0 and (even n) kz = Nyquist,
+    which rfftn stores whole.
+    """
+    k = _kvec(grid)
+    m = grid.n // 2 + 1
+    weight = np.full(m, 2.0)
+    weight[0] = 1.0
+    if grid.n % 2 == 0:
+        weight[-1] = 1.0
+    return (k[:, None, None], k[None, :, None], k[None, None, :m]), weight
+
+
+def _potential(grid, F, closed_tol=None):
+    """Half-spectrum transform of solve_alpha's potential, component-first.
+
+    Returns (alpha_hat, K, weight) with K and weight from _half_spectrum,
+    after the flux and closedness guards, which read F's one rfftn.
+    """
+    Fh = np.fft.rfftn(np.moveaxis(F, -1, 0), axes=(1, 2, 3))
+    # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
+    # averaged over the parallel slices
+    flux = Fh[:, 0, 0, 0].real * grid.l**2 / grid.n**3
+    if np.any(np.abs(flux) > 0.5):
+        raise NonExactForm(f"fluxes {flux.round(3).tolist()} obstruct a global potential")
+    if closed_tol is None:
+        closed_tol = 0.5
+    K, weight = _half_spectrum(grid)
+    # ||dF|| by Parseval: dF has the transform i K . F_hat
+    div = K[0] * Fh[0] + K[1] * Fh[1] + K[2] * Fh[2]
+    ndF = np.sqrt(np.sum(weight * np.abs(div) ** 2) * grid.h**3 / grid.n**3)
+    if ndF > closed_tol * (2.0 * np.pi / grid.l) * form_norm(grid, F) + 1e-12:
+        raise NonExactForm("2-form is not closed")
+    k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / k2
+    inv[k2 == 0] = 0.0
+    # alpha = curl of the componentwise Poisson preimage; div-free by construction
+    return 1j * _cross(K, Fh) * inv, K, weight
+
+
 def solve_alpha(grid, F, closed_tol=None):
     """The delta-closed 1-form alpha with d(alpha) = F, no harmonic part.
 
@@ -160,24 +227,5 @@ def solve_alpha(grid, F, closed_tol=None):
     ||dF|| relative to (2 pi / l)||F||, which separates discretization
     residue of smooth closed forms from genuinely non-closed data.
     """
-    nF = form_norm(grid, F)
-    Fh = np.fft.fftn(F, axes=(0, 1, 2))
-    # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
-    # averaged over the parallel slices
-    flux = Fh[0, 0, 0].real * grid.l**2 / grid.n**3
-    if np.any(np.abs(flux) > 0.5):
-        raise NonExactForm(f"fluxes {flux.round(3).tolist()} obstruct a global potential")
-    if closed_tol is None:
-        closed_tol = 0.5
-    dF = d(grid, F, 2)
-    if form_norm(grid, dF) > closed_tol * (2.0 * np.pi / grid.l) * nF + 1e-12:
-        raise NonExactForm("2-form is not closed")
-    kx, ky, kz = _kgrids(grid)
-    k2 = kx**2 + ky**2 + kz**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Gh = Fh / k2[..., None]
-    Gh[k2 == 0] = 0.0
-    # alpha = curl of the componentwise Poisson preimage; div-free by construction
-    K = np.stack([kx, ky, kz], axis=-1)
-    Ah = 1j * np.cross(K, Gh)
-    return np.fft.ifftn(Ah, axes=(0, 1, 2)).real
+    Ah, _, _ = _potential(grid, F, closed_tol)
+    return np.moveaxis(np.fft.irfftn(Ah, s=(grid.n,) * 3, axes=(1, 2, 3)), 0, -1)

@@ -1,9 +1,10 @@
 """Terminal summary hook: one pass/fail line per acceptance criterion,
-and a fixture that makes the Hopf charge solve refuse its form."""
+a fixture that makes the Hopf charge solve refuse its form, and one that
+makes the line search read NaN energies."""
 
 import pytest
 
-from fdvk import invariants
+from fdvk import flow, invariants
 from fdvk.errors import NonExactForm
 
 CRITERIA = {
@@ -64,5 +65,28 @@ def refuse_charge(monkeypatch):
             return real(grid, F)
 
         monkeypatch.setattr(invariants, "_helicity", helicity)
+
+    return arm
+
+
+@pytest.fixture
+def nan_candidates(monkeypatch):
+    """nan_candidates(): every descent-kernel evaluation after the first,
+    that is every line-search candidate, reads a NaN energy, as a
+    candidate that left the finite numbers would.  Returns the call log."""
+
+    def arm():
+        real = flow._kernel
+        calls = []
+
+        def kernel(grid, v):
+            en, dv, w = real(grid, v)
+            calls.append(None)
+            if len(calls) > 1:
+                en = en._replace(total=float("nan"))
+            return en, dv, w
+
+        monkeypatch.setattr(flow, "_kernel", kernel)
+        return calls
 
     return arm

@@ -5,6 +5,13 @@ counting stereographic winding numbers around lattice faces, Hopf charges
 from linking numbers of traced preimage curves, and degrees from point
 containment in a Kuhn triangulation.  Slow and blunt on purpose; these
 routines only ever see plain numpy arrays.
+
+The last section is of another kind: site-last reference versions of the
+descent gradient, step ceiling, energy, area form and Hopf helicity, in
+the arithmetic the component-first production kernel replaced (np.cross,
+last-axis sums, three inverse FFTs).  The kernel must agree with them
+bit for bit where the arithmetic is the same and within stated
+tolerances where only the summation order or the FFT path differs.
 """
 
 import numpy as np
@@ -299,3 +306,90 @@ def line_winding(zvals):
     if abs(w - r) > 1e-6:
         raise OracleAmbiguity("loop winding is not an integer")
     return int(r)
+
+
+# ---------------------------------------------------------------------------
+# site-last references for the descent kernel and the helicity
+
+
+def _ref_diff(f, ax, h):
+    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * h)
+
+
+def ref_energy(values, h):
+    """(e2, e4, total) of sphere values (n, n, n, 3) on spacing h."""
+    d = [_ref_diff(values, ax, h) for ax in range(3)]
+    e2 = float(np.sum(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])) * h**3
+    c = [np.cross(d[0], d[1]), np.cross(d[1], d[2]), np.cross(d[2], d[0])]
+    e4 = float(np.sum(np.sum(c[0] * c[0] + c[1] * c[1] + c[2] * c[2], axis=-1))) * h**3
+    return e2, e4, e2 + e4
+
+
+def ref_grad_energy(values, h):
+    """Tangent gradient of the discrete energy, site-last."""
+    dv = [_ref_diff(values, ax, h) for ax in range(3)]
+    grad = np.zeros_like(values)
+    for mu in range(3):
+        grad -= 2.0 * _ref_diff(dv[mu], mu, h)
+    for mu in range(3):
+        for nu in range(mu + 1, 3):
+            w = np.cross(dv[mu], dv[nu])
+            grad -= 2.0 * _ref_diff(np.cross(dv[nu], w), mu, h)
+            grad -= 2.0 * _ref_diff(np.cross(w, dv[mu]), nu, h)
+    grad -= np.sum(grad * values, axis=-1, keepdims=True) * values
+    return grad
+
+
+def ref_step_ceiling(values, h):
+    g2 = 0.0
+    for ax in range(3):
+        dv = _ref_diff(values, ax, h)
+        g2 = max(g2, float(np.max(np.sum(dv * dv, axis=-1))))
+    return h**2 / (3.0 * (1.0 + 4.0 * g2))
+
+
+def ref_pullback_area(values, h):
+    """Dual-vector area form psi . (d_i psi x d_j psi) / 4 pi."""
+    dv = [_ref_diff(values, ax, h) for ax in range(3)]
+    out = np.empty(values.shape)
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        out[..., k] = np.sum(values * np.cross(dv[i], dv[j]), axis=-1) / (4.0 * np.pi)
+    return out
+
+
+def _ref_partial(f, ax, k):
+    shape = [1, 1, 1]
+    shape[ax] = len(k)
+    return np.fft.ifftn(1j * k.reshape(shape) * np.fft.fftn(f)).real
+
+
+def ref_helicity(F, l):
+    """Integral of alpha ^ d(alpha) for an exact dual-vector 2-form F.
+
+    alpha is the coexact potential, built on the full spectrum with one
+    inverse FFT per component; d(alpha) takes six spectral partials.
+    The Nyquist wavenumber of even n is dropped, as for any first
+    derivative of a real field.
+    """
+    n = F.shape[0]
+    k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
+    k2 = kx**2 + ky**2 + kz**2
+    Fh = np.fft.fftn(F, axes=(0, 1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Gh = Fh / k2[..., None]
+    Gh[k2 == 0] = 0.0
+    Ah = 1j * np.cross(np.stack([kx, ky, kz], axis=-1), Gh)
+    alpha = np.fft.ifftn(Ah, axes=(0, 1, 2)).real
+    a = [alpha[..., c] for c in range(3)]
+    curl = np.stack(
+        [
+            _ref_partial(a[2], 1, k) - _ref_partial(a[1], 2, k),
+            _ref_partial(a[0], 2, k) - _ref_partial(a[2], 0, k),
+            _ref_partial(a[1], 0, k) - _ref_partial(a[0], 1, k),
+        ],
+        axis=-1,
+    )
+    return float(np.sum(np.einsum("...k,...k->...", alpha, curl))) * (l / n) ** 3

@@ -1,10 +1,12 @@
 """Snapshot format, run configs, subcommands, exit codes."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fdvk import cli
 from fdvk.ansatz import AnsatzSpec, generate
 from fdvk.cli import (
     CSV_HEADER,
@@ -97,6 +99,30 @@ def test_snapshot_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(scaled))
     with pytest.raises(SnapshotError):
         load_snapshot(bad)
+
+
+def test_failed_snapshot_write_keeps_the_old_file(tmp_path, monkeypatch):
+    g = Grid(6, TWO_PI)
+    old = SphereField(g, np.broadcast_to([1.0, 0.0, 0.0], (6, 6, 6, 3)).copy())
+    path = tmp_path / "s.fdk"
+    save_snapshot(path, old)
+    blob = path.read_bytes()
+    calls = []
+
+    def pack(fmt, value):
+        # fail after the magic and the kind byte are on disk
+        calls.append(fmt)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return struct_pack(fmt, value)
+
+    struct_pack = cli.struct.pack
+    monkeypatch.setattr(cli, "struct", SimpleNamespace(pack=pack))
+    new = SphereField(g, np.broadcast_to([0.0, 1.0, 0.0], (6, 6, 6, 3)).copy())
+    with pytest.raises(OSError, match="disk full"):
+        save_snapshot(path, new)
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["s.fdk"]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +266,7 @@ def test_minimize_pipeline(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert code == 0
     assert record["abort"] is None
+    assert record["stop_reason"] == "max_iters"
     assert record["iterations"] == 10
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -317,3 +344,44 @@ def test_minimize_refused_charge_exit_code(tmp_path, capsys, refuse_charge, refu
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert len(lines) == 3  # header + rows at 0 and 5
         assert lines[2].split(",")[8] == ""  # the refused charge is empty
+
+
+def _run_config(tmp_path, field, *lines, n=20):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "\n".join((f"grid.n = {n}", "init.kind = tube", "flow.mode = flux-only") + lines)
+        + f"\nout.field = {field}\nout.trace = {tmp_path / 't.csv'}\n"
+    )
+    return ["minimize", "--config", str(cfg)]
+
+
+def test_minimize_stall_is_in_the_summary(tmp_path, capsys, nan_candidates):
+    nan_candidates()
+    assert main(_run_config(tmp_path, tmp_path / "f.fdk", "flow.max_iters = 5")) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["stop_reason"] == "line_search_stalled"
+    assert record["iterations"] == 0
+    assert (tmp_path / "t.csv").read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_missing_output_directory_fails_before_the_descent(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("descent started")
+
+    monkeypatch.setattr(cli, "minimize", never)
+    assert main(_run_config(tmp_path, tmp_path / "nope" / "f.fdk")) == 3
+    assert not (tmp_path / "t.csv").exists()
+    assert main(_run_config(tmp_path, tmp_path)) == 3  # a directory, not a file
+    out = tmp_path / "nope" / "u.fdk"
+    assert main(["init", "--ansatz", "ballmap", "--n", "8", "-o", str(out)]) == 3
+
+
+@pytest.mark.parametrize("n", [5000, 100000])
+def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, n):
+    # both sizes need terabytes: refused by arithmetic, nothing is allocated
+    assert main(_run_config(tmp_path, tmp_path / "f.fdk", n=n)) == 2
+    assert "GiB" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    out = tmp_path / "h.fdk"
+    assert main(["init", "--ansatz", "hopfion", "--n", str(n), "-o", str(out)]) == 2
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fdvk import flow
 from fdvk.ansatz import AnsatzSpec, generate
 from fdvk.errors import ChargeDrift, FluxChange, NonExactForm
 from fdvk.fields import SphereField, constant_sphere, energy
@@ -106,6 +107,7 @@ def test_minimize_constant_stops_immediately():
     assert row.raw_fluxes == (0.0, 0.0, 0.0)
     assert row.hopf_charge == 0.0
     assert row.vk_ratio is None  # charge rounds to zero, no quotient
+    assert trace.stop_reason == "grad_tol"
 
 
 def test_tilted_equator_flows_to_constant():
@@ -135,6 +137,7 @@ def test_monitor_cadence_and_monotonicity():
         on_row=seen.append,
     )
     assert [r.iteration for r in trace.rows] == [0, 10, 20, 30]
+    assert trace.stop_reason == "max_iters"
     assert seen == trace.rows
     totals = [r.total for r in trace.rows]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
@@ -205,3 +208,43 @@ def test_refused_charge_mid_flow_is_charge_drift(refuse_charge):
     assert rows[0].hopf_charge is not None
     assert rows[1].hopf_charge is None and rows[1].vk_ratio is None
     assert rows[1].raw_fluxes == pytest.approx((0.0, 0.0, 0.0), abs=0.1)
+
+
+def test_stalled_line_search_is_reported(nan_candidates):
+    g = Grid(12, TWO_PI)
+    psi0 = smooth_sphere_field(g, 5)
+    calls = nan_candidates()
+    psi, trace = minimize(psi0, FlowConfig(mode="flux-only", max_iters=20))
+    assert trace.stop_reason == "line_search_stalled"
+    assert [r.iteration for r in trace.rows] == [0]
+    assert len(calls) > 2  # the search backtracked before giving up
+    assert psi is psi0
+
+
+def test_nonfinite_candidate_is_never_accepted(monkeypatch, nan_candidates):
+    g = Grid(12, TWO_PI)
+    psi = smooth_sphere_field(g, 5)
+    e0 = energy(psi).total
+    real = flow._kernel
+    seen = []
+
+    def kernel(grid, v):
+        seen.append(np.max(np.abs(np.sum(v * v, axis=0) - 1.0)))
+        return real(grid, v)
+
+    monkeypatch.setattr(flow, "_kernel", kernel)
+    # a step this long overflows psi - step * grad, and its squared norm
+    # overflows before that: such candidates are dropped unevaluated
+    # until backtracking brings the step into range
+    out, used, ok = relax_step(psi, FlowConfig(), 1e308)
+    tried = round(np.log2(1e308) - np.log2(used)) + 1
+    assert ok and used < 1e154
+    assert len(seen) - 1 < tried / 2  # psi itself, then evaluated candidates
+    assert all(dev <= 1e-14 for dev in seen)
+    assert np.all(np.isfinite(out.values))
+    assert energy(out).total <= e0
+    # a NaN energy alone never passes the test either
+    monkeypatch.undo()
+    nan_candidates()
+    out, _, ok = relax_step(psi, FlowConfig(), 1e-3)
+    assert not ok and out is psi

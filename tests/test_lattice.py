@@ -114,14 +114,16 @@ def test_slice_flux_of_constant_form():
 
 
 def test_solve_alpha_inverts_d_on_exact_forms():
-    g = Grid(16, TWO_PI)
     rng = np.random.default_rng(7)
-    al = rng.standard_normal((16, 16, 16, 3))
-    F = d(g, al, 1)
-    sol = solve_alpha(g, F)
-    assert form_norm(g, d(g, sol, 1) - F) <= 1e-9 * form_norm(g, F)
-    assert form_norm(g, codiff(g, sol, 1)) <= 1e-9 * form_norm(g, sol)
-    assert np.allclose(sol.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
+    for n in (15, 16):
+        g = Grid(n, TWO_PI)
+        al = rng.standard_normal((n, n, n, 3))
+        F = d(g, al, 1)
+        sol = solve_alpha(g, F)
+        assert sol.shape == (n, n, n, 3)
+        assert form_norm(g, d(g, sol, 1) - F) <= 1e-9 * form_norm(g, F)
+        assert form_norm(g, codiff(g, sol, 1)) <= 1e-9 * form_norm(g, sol)
+        assert np.allclose(sol.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
 
 
 def test_solve_alpha_rejects_flux_and_nonclosed():
@@ -133,5 +135,16 @@ def test_solve_alpha_rejects_flux_and_nonclosed():
             with pytest.raises(NonExactForm, match="obstruct"):
                 solve_alpha(g, F)
     rng = np.random.default_rng(9)
-    with pytest.raises(NonExactForm):
-        solve_alpha(g, rng.standard_normal((8, 8, 8, 3)))
+    for n in (8, 9):
+        g = Grid(n, TWO_PI)
+        F = rng.standard_normal((n, n, n, 3))
+        F -= F.mean(axis=(0, 1, 2))  # no flux: only closedness can refuse it
+        # the closedness norm read from the spectrum is the real-space one
+        ndF = form_norm(g, d(g, F, 2))
+        ratio = ndF / ((2.0 * np.pi / g.l) * form_norm(g, F))
+        assert ratio > 0.5
+        with pytest.raises(NonExactForm, match="not closed"):
+            solve_alpha(g, F)
+        solve_alpha(g, F, closed_tol=1.001 * ratio)
+        with pytest.raises(NonExactForm, match="not closed"):
+            solve_alpha(g, F, closed_tol=0.999 * ratio)
