@@ -158,6 +158,19 @@ def energy(psi):
     return _energy_of(psi.grid, *_differences(psi.grid, _comp_first(psi.values)))[0]
 
 
+def _edge_connection(grid, steps, refusal):
+    """Connection of the edge logarithms log(step_mu) / h, steps component-first.
+
+    A step with Re <= 0 has no principal logarithm: UnresolvableField(refusal).
+    """
+    out = np.empty((grid.n,) * 3 + (3, 3))
+    for mu, step in enumerate(steps, 1):
+        if np.any(step[0] <= 0.0):
+            raise UnresolvableField(refusal.format(mu=mu))
+        out[..., mu - 1, :] = np.moveaxis(quat._log_unit(step) / grid.h, 0, -1)
+    return Connection(grid, out)
+
+
 def connection_of(u):
     """a = u* du via edge logarithms.
 
@@ -165,17 +178,10 @@ def connection_of(u):
     through the developing map is the design property; the price is the
     half-edge offset documented on Connection.
     """
-    g = u.grid
-    out = np.empty((g.n, g.n, g.n, 3, 3))
-    for mu in (1, 2, 3):
-        ahead = np.roll(u.values, -1, axis=mu - 1)
-        step = quat.mul(quat.conj(u.values), ahead)
-        if np.any(step[..., 0] <= 0.0):
-            raise UnresolvableField(
-                f"adjacent sites along direction {mu} differ by 90 degrees or more; refine the grid"
-            )
-        out[..., mu - 1, :] = quat.log_unit(step) / g.h
-    return Connection(g, out)
+    ubar = quat.conj(u.values)
+    steps = (np.moveaxis(quat.mul(ubar, np.roll(u.values, -1, axis=ax)), -1, 0) for ax in range(3))
+    return _edge_connection(u.grid, steps, "adjacent sites along direction {mu} differ by "
+                            "90 degrees or more; refine the grid")
 
 
 def covariant_derivative(a, phi):

@@ -9,13 +9,14 @@ push its harmonic coefficients into the fundamental window [0, 1).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import quat
-from .errors import NontrivialHolonomy, NotFlat, UnresolvableField
-from .fields import Connection, GroupField, SphereField
-from .lattice import _kgrids, codiff, form_norm
+from .errors import NontrivialHolonomy, NotFlat
+from .fields import Connection, GroupField, SphereField, _edge_connection
+from .lattice import _half_spectrum, _parseval_norm, _spectrum
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
@@ -68,12 +69,36 @@ def holonomy(a: Connection) -> Holonomy:
     out = np.empty((3, 4))
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
-        steps = quat.exp_im(a.values[take + (ax,)] * g.h)
-        p = quat.ONE
-        for s in steps:
-            p = quat.mul(p, s)
+        steps = quat._exp_im(np.moveaxis(a.values[take + (ax,)] * g.h, -1, 0))
+        p = reduce(quat._mul, steps.T, quat.ONE)
         out[ax] = p / quat.norm(p)
     return Holonomy(out)
+
+
+def _transports(a: Connection):
+    """Edge transports exp(h a), contiguous (3, 4, n, n, n): direction, component."""
+    v = np.ascontiguousarray(np.moveaxis(a.values, (3, 4), (0, 1))) * a.grid.h
+    return np.stack([quat._exp_im(vmu) for vmu in v])
+
+
+def _plaquette_deviation(t):
+    worst = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            fwd = quat._mul(t[i], np.roll(t[j], -1, axis=i + 1))
+            bwd = quat._mul(t[j], np.roll(t[i], -1, axis=j + 1))
+            p = quat._mul(fwd, bwd * quat._CONJ)
+            worst = max(worst, float(np.max(np.abs(p - quat.ONE[:, None, None, None]))))
+    return worst
+
+
+def _flat_transports(a: Connection, flat_tol):
+    """_transports(a), after checking the plaquettes against flat_tol."""
+    t = _transports(a)
+    dev = _plaquette_deviation(t)
+    if dev > flat_tol:
+        raise NotFlat(f"plaquette transport deviates from 1 by {dev:.3e}")
+    return t
 
 
 def plaquette_deviation(a: Connection) -> float:
@@ -84,16 +109,7 @@ def plaquette_deviation(a: Connection) -> float:
     matter how coarse the grid, while the finite-difference curvature
     of fields.plaquette_curvature only vanishes at O(h^2).
     """
-    t = quat.exp_im(a.values * a.grid.h)
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ti, tj = t[..., i, :], t[..., j, :]
-            fwd = quat.mul(ti, np.roll(tj, -1, axis=i))
-            bwd = quat.mul(tj, np.roll(ti, -1, axis=j))
-            p = quat.mul(fwd, quat.conj(bwd))
-            worst = max(worst, float(np.max(np.abs(p - quat.ONE))))
-    return worst
+    return _plaquette_deviation(_transports(a))
 
 
 def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
@@ -104,26 +120,23 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     plane, then along the third everywhere.  Flatness makes the result
     path-independent, so the tree choice only fixes the rounding.
     """
-    dev = plaquette_deviation(a)
-    if dev > flat_tol:
-        raise NotFlat(f"plaquette transport deviates from 1 by {dev:.3e}")
+    t = _flat_transports(a, flat_tol)
     hol = holonomy(a)
     if hol.deviation() > HOLONOMY_TOL:
         raise NontrivialHolonomy(
             f"loop holonomy deviates from (1,1,1) by {hol.deviation():.3e}"
         )
-    g = a.grid
-    n = g.n
-    t = quat.exp_im(a.values * g.h)
-    u = np.empty((n, n, n, 4))
-    u[0, 0, 0] = quat.ONE
+    n = a.grid.n
+    u = np.empty((4, n, n, n))
+    u[:, 0, 0, 0] = quat.ONE
     for i in range(n - 1):
-        u[i + 1, 0, 0] = quat.mul(u[i, 0, 0], t[i, 0, 0, 0])
+        u[:, i + 1, 0, 0] = quat._mul(u[:, i, 0, 0], t[0, :, i, 0, 0])
     for j in range(n - 1):
-        u[:, j + 1, 0] = quat.mul(u[:, j, 0], t[:, j, 0, 1])
+        u[:, :, j + 1, 0] = quat._mul(u[:, :, j, 0], t[1, :, :, j, 0])
     for k in range(n - 1):
-        u[:, :, k + 1] = quat.mul(u[:, :, k], t[:, :, k, 2])
-    return GroupField(g, u / quat.norm(u)[..., None])
+        u[:, :, :, k + 1] = quat._mul(u[:, :, :, k], t[2, :, :, :, k])
+    u = quat._site_last(u)
+    return GroupField(a.grid, u / quat.norm(u)[..., None])
 
 
 def circle_field(grid, theta) -> GroupField:
@@ -132,6 +145,14 @@ def circle_field(grid, theta) -> GroupField:
     zero = np.zeros_like(th)
     vals = np.stack([np.cos(th), np.sin(th), zero, zero], axis=-1)
     return GroupField(grid, vals)
+
+
+def _transformed(grid, t, gval):
+    """The connection with transports g* t_mu g(. + e_mu), t and g = gval component-first."""
+    gbar = gval * quat._CONJ
+    steps = (quat._mul(gbar, quat._mul(t[mu], np.roll(gval, -1, axis=mu + 1))) for mu in range(3))
+    return _edge_connection(grid, steps, "gauge factor rotates an edge by 90 degrees or more; "
+                            "the transformed connection has no principal logarithm")
 
 
 def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connection:
@@ -143,20 +164,8 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     """
     a.grid.same(phi.grid)
     a.grid.same(lam.grid)
-    gval = quat.qmap(phi.values, lam.values)
-    g = a.grid
-    out = np.empty_like(a.values)
-    for mu in range(3):
-        step = quat.exp_im(a.values[..., mu, :] * g.h)
-        ahead = np.roll(gval, -1, axis=mu)
-        combined = quat.mul(quat.conj(gval), quat.mul(step, ahead))
-        if np.any(combined[..., 0] <= 0.0):
-            raise UnresolvableField(
-                "gauge factor rotates an edge by 90 degrees or more; "
-                "the transformed connection has no principal logarithm"
-            )
-        out[..., mu, :] = quat.log_unit(combined) / g.h
-    return Connection(g, out)
+    gval = np.moveaxis(quat.qmap(phi.values, lam.values), -1, 0)
+    return _transformed(a.grid, _transports(a), gval)
 
 
 def hodge_parts(grid, omega):
@@ -173,43 +182,9 @@ def hodge_parts(grid, omega):
     mean = w.mean(axis=(0, 1, 2))
     coeffs = tuple(float(grid.l * m) for m in mean)
     rest = w - mean
-    kx, ky, kz = _kgrids(grid)
-    kvec = np.stack([kx, ky, kz], axis=-1)
-    k2 = kx**2 + ky**2 + kz**2
-    k2 = np.where(k2 == 0.0, 1.0, k2)
-    rh = np.fft.fftn(rest, axes=(0, 1, 2))
-    proj = np.einsum("...k,...k->...", kvec, rh) / k2
-    eh = kvec * proj[..., None]
-    exact = np.fft.ifftn(eh, axes=(0, 1, 2)).real
+    _, div, K, k2, _ = _spectrum(grid, np.moveaxis(rest, -1, 0))
+    exact = np.fft.irfftn(np.stack([k * div / k2 for k in K], -1), s=w.shape[:3], axes=(0, 1, 2))
     return exact, rest - exact, coeffs
-
-
-def _cancelling_angle(grid, omega):
-    """Angle field whose realized gauge shift kills the exact part of omega.
-
-    The shift a stabilizer rotation exp(i theta) produces in the
-    site-averaged longitudinal 1-form is not the spectral gradient of
-    theta: the edge logarithm followed by the two-edge average carries
-    the central-difference symbol i sin(k_j h)/h.  Solving against that
-    symbol instead of ik makes the cancellation exact at linear order
-    for every mode; with the plain Poisson solve, modes near the grid
-    scale only contract by 1 - sinc(kh) per pass and stall the
-    iteration at a resolution-independent rate.
-    """
-    w = np.asarray(omega, dtype=float) - np.mean(omega, axis=(0, 1, 2))
-    kx, ky, kz = _kgrids(grid)
-    kvec = np.stack([kx, ky, kz], axis=-1)
-    svec = np.sin(kvec * grid.h) / grid.h
-    ks = np.einsum("...k,...k->...", kvec, svec)
-    ks = np.where(ks == 0.0, 1.0, ks)
-    wh = np.fft.fftn(w, axes=(0, 1, 2))
-    th = 1j * np.einsum("...k,...k->...", kvec, wh) / ks
-    return np.fft.ifftn(th, axes=(0, 1, 2)).real
-
-
-def _longitudinal(a: Connection, phi: SphereField):
-    ab = a.site_values()
-    return np.einsum("...mk,...k->...m", ab, phi.values)
 
 
 def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
@@ -218,61 +193,66 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     Repeatedly removes the exact part of <a, phi> with a stabilizer
     rotation exp(i theta) and shifts each harmonic coefficient into
     [0, 1) with integer loop windings; the discrete gauge shift only
-    matches d(theta) to O(h^2), so passes repeat until the removed part
-    is below 1e-8.  The circle factor is pinned to 1 at the origin,
-    which keeps develop of the result aligned with develop of the
-    input.  Coefficients within 1e-9 of an integer round to the window
-    endpoint 0 and are flagged.
+    matches d(theta) to O(h^2), so up to MAX_PASSES passes repeat until
+    the removed part is below 1e-8.  The circle factor is pinned to 1
+    at the origin, which keeps develop of the result aligned with
+    develop of the input.  Coefficients within 1e-9 of an integer round
+    to the window endpoint 0 and are flagged.
+
+    The circle group is abelian, so the rotations compose to exp(i angle),
+    angle the sum of the pass angles: each pass moves the input
+    transports by qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi.
     """
     a.grid.same(phi.grid)
-    dev = plaquette_deviation(a)
-    if dev > flat_tol:
-        raise NotFlat(f"plaquette transport deviates from 1 by {dev:.3e}")
+    t = _flat_transports(a, flat_tol)
     g = a.grid
-    x1, x2, x3 = g.axes()
-    axes = (x1, x2, x3)
-
-    long0 = _longitudinal(a, phi)
-    exact0, _, _ = hodge_parts(g, long0)
-    removed = form_norm(g, exact0)
+    p = np.ascontiguousarray(np.moveaxis(phi.values, -1, 0))
+    # a rotation exp(i theta) shifts the site-averaged longitudinal form
+    # by the central-difference symbol i sin(k_j h)/h, not by ik: solving
+    # against it cancels every mode at linear order, where the plain
+    # Poisson solve stalls the modes near the grid scale
+    ks = sum(k * np.sin(k * g.h) / g.h for k in _half_spectrum(g)[0])
+    ks = np.where(ks == 0.0, 1.0, ks)
 
     current = a
+    angle = 0.0
     windings = np.zeros(3, dtype=int)
-    ties = [False, False, False]
     passes = 0
-    while passes < MAX_PASSES:
-        long = _longitudinal(current, phi)
-        _, _, coeffs = hodge_parts(g, long)
+    while True:
+        # <a, phi> at sites, component-first
+        long = np.moveaxis(current.site_values(), (3, 4), (0, 1))
+        long = long[:, 0] * p[0] + long[:, 1] * p[1] + long[:, 2] * p[2]
+        coeffs = g.l * long.mean(axis=(1, 2, 3)) / (2.0 * np.pi)
+        _, div, _, k2, weight = _spectrum(g, long)
+        if passes == 0:
+            removed = _parseval_norm(g, weight, div / np.sqrt(k2))
         # the canonical condition is on the codifferential, which weighs
         # the exact part by a wavenumber; gate on that, not on its L2 norm
-        resid = form_norm(g, codiff(g, long, 1))
-        norm_coeffs = np.array(coeffs) / (2.0 * np.pi)
-        steps = -np.floor(norm_coeffs + TIE_EPS).astype(int)
+        resid = _parseval_norm(g, weight, div)
+        steps = -np.floor(coeffs + TIE_EPS).astype(int)
         if resid <= EXACT_PART_TOL and np.all(steps == 0):
             break
+        if passes == MAX_PASSES:
+            raise NotFlat(
+                "canonical gauge did not converge; longitudinal residual "
+                f"{resid:.3e} after {MAX_PASSES} passes"
+            )
         passes += 1
-        theta = _cancelling_angle(g, long)
+        theta = np.fft.irfftn(1j * div / ks, s=p.shape[1:], axes=(0, 1, 2))
         for k in range(3):
             if steps[k]:
-                theta = theta + 2.0 * np.pi * steps[k] * axes[k] / g.l
-        theta = theta - theta[0, 0, 0]
-        current = gauge_transform(current, phi, circle_field(g, theta))
+                theta = theta + 2.0 * np.pi * steps[k] * g.axes()[k] / g.l
+        angle += theta - theta[0, 0, 0]
+        gval = np.concatenate([np.cos(angle)[None], np.sin(angle) * p])
+        current = _transformed(g, t, gval)
         windings += steps
-    else:
-        raise NotFlat(
-            "canonical gauge did not converge; longitudinal residual "
-            f"{resid:.3e} after {MAX_PASSES} passes"
-        )
 
-    final = np.array(coeffs) / (2.0 * np.pi)
-    for k in range(3):
-        if abs(final[k] - round(final[k])) <= TIE_EPS:
-            ties[k] = True
-            final[k] = 0.0
+    ties = np.abs(coeffs - np.round(coeffs)) <= TIE_EPS
+    coeffs[ties] = 0.0
     return current, GaugeFixReport(
-        harmonic_coeffs=tuple(float(v) for v in final),
+        harmonic_coeffs=tuple(float(v) for v in coeffs),
         windings=tuple(int(w) for w in windings),
         exact_part_norm=float(removed),
-        ties=tuple(ties),
+        ties=tuple(ties.tolist()),
         passes=passes,
     )

@@ -23,7 +23,7 @@ from .fields import (
     connection_of,
     pullback_area,
 )
-from .lattice import _cross, _potential, d, integrate, slice_flux
+from .lattice import _cross, _half_spectrum, _potential, integrate, slice_flux
 
 FLUX_ROUND_TOL = 0.1
 
@@ -37,19 +37,21 @@ class _SphereClass(NamedTuple):
     hopf_error: Optional[str]  # solve_alpha's refusal of a Hopf-sector charge
 
 
-def _helicity(grid, F):
-    """Integral of alpha ^ d(alpha), summed in Fourier space.
+def _wedge_d(grid, Ah, K, weight):
+    """Integral of alpha ^ d(alpha) by Parseval from alpha's component-first rfftn Ah.
 
-    d(alpha) has the transform i K x alpha_hat; Parseval turns the site
-    sum of alpha . d(alpha) into a sum over the half spectrum of
-    Re(conj(alpha_hat) . d(alpha)_hat), weighted for the conjugate modes
-    rfftn leaves out. The volume coefficient of alpha ^ d(alpha) is
-    that dot product, since 2-forms are stored as dual vectors.
+    d(alpha) has the transform i K x Ah; Re(conj(Ah) . dAh), the volume
+    coefficient of alpha ^ d(alpha), is summed over the half spectrum
+    with lattice._half_spectrum's K and weights.
     """
-    Ah, K, weight = _potential(grid, F)
     dAh = 1j * _cross(K, Ah)
     dot = np.sum((Ah.conj() * dAh).real, axis=0)
     return float(np.sum(weight * dot)) * grid.h**3 / grid.n**3
+
+
+def _helicity(grid, F):
+    """Integral of alpha ^ d(alpha) for the coexact potential alpha of F."""
+    return _wedge_d(grid, *_potential(grid, F))
 
 
 def _classify(psi: SphereField, charge=True) -> _SphereClass:
@@ -128,13 +130,13 @@ def chern_simons(a: Connection) -> float:
     connections.
     """
     ab = a.site_values()
-    ada = 0.0
-    for i in range(3):
-        curl_i = d(a.grid, ab[..., :, i], 1)
-        ada = ada - sum(ab[..., k, i] * curl_i[..., k] for k in range(3))
+    # Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms
+    # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
+    K, weight = _half_spectrum(a.grid)
+    forms = (np.moveaxis(ab[..., c], -1, 0) for c in range(3))
+    ada = -sum(_wedge_d(a.grid, np.fft.rfftn(w, axes=(1, 2, 3)), K, weight) for w in forms)
     det = _det3(ab[..., 0, :], ab[..., 1, :], ab[..., 2, :])
-    dens = ada - 4.0 * det
-    return float(integrate(a.grid, dens) / (4 * np.pi**2))
+    return float((ada - 4.0 * integrate(a.grid, det)) / (4 * np.pi**2))
 
 
 def modulus(p) -> int:

@@ -107,11 +107,6 @@ def _kvec(grid):
     return k
 
 
-def _kgrids(grid):
-    k = _kvec(grid)
-    return np.meshgrid(k, k, k, indexing="ij")
-
-
 def _spectral_partial(grid, f, ax):
     fh = np.fft.fftn(f, axes=(0, 1, 2))
     k = _kvec(grid)
@@ -191,13 +186,31 @@ def _half_spectrum(grid):
     return (k[:, None, None], k[None, :, None], k[None, None, :m]), weight
 
 
+def _spectrum(grid, w):
+    """(w_hat, K . w_hat, K, k2, weight) from one rfftn of component-first w.
+
+    K and weight are from _half_spectrum, k2 = |K|^2 is set to 1 where K
+    vanishes; i K . w_hat transforms d of a 2-form, -codiff of a 1-form.
+    """
+    wh = np.fft.rfftn(w, axes=(1, 2, 3))
+    K, weight = _half_spectrum(grid)
+    k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
+    div = K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]
+    return wh, div, K, np.where(k2 == 0.0, 1.0, k2), weight
+
+
+def _parseval_norm(grid, weight, fh):
+    """form_norm of the real field whose rfftn transform is fh."""
+    return float(np.sqrt(np.sum(weight * np.abs(fh) ** 2) * grid.h**3 / grid.n**3))
+
+
 def _potential(grid, F, closed_tol=None):
     """Half-spectrum transform of solve_alpha's potential, component-first.
 
     Returns (alpha_hat, K, weight) with K and weight from _half_spectrum,
     after the flux and closedness guards, which read F's one rfftn.
     """
-    Fh = np.fft.rfftn(np.moveaxis(F, -1, 0), axes=(1, 2, 3))
+    Fh, div, K, k2, weight = _spectrum(grid, np.moveaxis(F, -1, 0))
     # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
     # averaged over the parallel slices
     flux = Fh[:, 0, 0, 0].real * grid.l**2 / grid.n**3
@@ -205,18 +218,12 @@ def _potential(grid, F, closed_tol=None):
         raise NonExactForm(f"fluxes {flux.round(3).tolist()} obstruct a global potential")
     if closed_tol is None:
         closed_tol = 0.5
-    K, weight = _half_spectrum(grid)
-    # ||dF|| by Parseval: dF has the transform i K . F_hat
-    div = K[0] * Fh[0] + K[1] * Fh[1] + K[2] * Fh[2]
-    ndF = np.sqrt(np.sum(weight * np.abs(div) ** 2) * grid.h**3 / grid.n**3)
+    ndF = _parseval_norm(grid, weight, div)
     if ndF > closed_tol * (2.0 * np.pi / grid.l) * form_norm(grid, F) + 1e-12:
         raise NonExactForm("2-form is not closed")
-    k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / k2
-    inv[k2 == 0] = 0.0
-    # alpha = curl of the componentwise Poisson preimage; div-free by construction
-    return 1j * _cross(K, Fh) * inv, K, weight
+    # alpha = curl of the componentwise Poisson preimage; div-free by
+    # construction (the cross product vanishes where K does)
+    return 1j * _cross(K, Fh) * (1.0 / k2), K, weight
 
 
 def solve_alpha(grid, F, closed_tol=None):

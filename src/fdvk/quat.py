@@ -25,20 +25,35 @@ IM_I = np.array([1.0, 0.0, 0.0])
 IM_J = np.array([0.0, 1.0, 0.0])
 IM_K = np.array([0.0, 0.0, 1.0])
 
+# conj as a factor on component-first fields (3-D, index 0 over components)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None, None]
+
+
+def _site_last(q):
+    """Component-first values as a contiguous array with components last."""
+    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+
+
+def _hamilton(p, q):
+    """The four components of the Hamilton product, p and q component-first."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return [
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ]
+
+
+def _mul(p, q):
+    """Hamilton product of component-first quaternions, index 0 over components."""
+    return np.stack(_hamilton(p, q))
+
 
 def mul(p, q):
     """Hamilton product, broadcasting over leading axes."""
-    pw, px, py, pz = np.moveaxis(p, -1, 0)
-    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ],
-        axis=-1,
-    )
+    return np.stack(_hamilton(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)), axis=-1)
 
 
 def conj(q):
@@ -76,13 +91,29 @@ def im(q):
     return q[..., 1:]
 
 
-def exp_im(v):
-    """exp of an imaginary quaternion: cos|v| + sin|v| v/|v|."""
-    theta = np.sqrt(np.sum(v * v, axis=-1))
+def _exp_im(v):
+    """exp_im of component-first imaginary quaternions, index 0 over components."""
+    vx, vy, vz = v
+    theta = np.sqrt(vx * vx + vy * vy + vz * vz)
     small = theta < 1e-12
     # sin(t)/t with a series fallback so t = 0 is exact
     factor = np.where(small, 1.0 - theta * theta / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-    return np.concatenate([np.cos(theta)[..., None], v * factor[..., None]], axis=-1)
+    return np.concatenate([np.cos(theta)[None], v * factor])
+
+
+def exp_im(v):
+    """exp of an imaginary quaternion: cos|v| + sin|v| v/|v|."""
+    return _site_last(_exp_im(np.moveaxis(v, -1, 0)))
+
+
+def _log_unit(q):
+    """log_unit of component-first quaternions, index 0 over components."""
+    w, vx, vy, vz = q
+    s = np.sqrt(vx * vx + vy * vy + vz * vz)
+    theta = np.arctan2(s, w)
+    small = s < 1e-12
+    factor = np.where(small, 1.0 / np.where(np.abs(w) > 1e-12, w, 1.0), theta / np.where(small, 1.0, s))
+    return q[1:] * factor
 
 
 def log_unit(q):
@@ -91,13 +122,7 @@ def log_unit(q):
     Valid for Re q > 0 (rotation angle below pi); callers enforce that
     via the adjacent-site dot check.
     """
-    w = q[..., 0]
-    v = q[..., 1:]
-    s = np.sqrt(np.sum(v * v, axis=-1))
-    theta = np.arctan2(s, w)
-    small = s < 1e-12
-    factor = np.where(small, 1.0 / np.where(np.abs(w) > 1e-12, w, 1.0), theta / np.where(small, 1.0, s))
-    return v * factor[..., None]
+    return _site_last(_log_unit(np.moveaxis(q, -1, 0)))
 
 
 def conjugate_by(u, v):
@@ -110,42 +135,15 @@ def hopf(q):
     return conjugate_by(q, np.broadcast_to(IM_I, q.shape[:-1] + (3,)))
 
 
-def _sqrt_chart_a(z):
-    # q = (1 - z i)/|1 - z i| satisfies q i q* = z; |1 - z i|^2 = 2(1 + z.i)
-    q = ONE - mul(embed(z), I)
-    return q / norm(q)[..., None]
-
-
-def _sqrt_of(z):
-    """Some q with q i q* = z, smooth away from the chart seam.
-
-    Chart A covers z.i > -1/2; elsewhere rotate z by pi about j, apply
-    chart A, and undo the rotation with a left factor j. The two charts
-    agree in 'qmap' output wherever both are defined.
-    """
-    zi = z[..., 0]
-    use_b = zi <= -0.5
-    if not np.any(use_b):
-        return _sqrt_chart_a(z)
-    # keep each chart away from its singular antipode before masking
-    za = np.where(use_b[..., None], IM_I, z)
-    qa = _sqrt_chart_a(za)
-    zb = conjugate_by(np.broadcast_to(conj(J), z.shape[:-1] + (4,)), z)
-    zb = np.where(use_b[..., None], zb, IM_I)
-    qb = mul(J, _sqrt_chart_a(zb))
-    return np.where(use_b[..., None], qb, qa)
-
-
 def qmap(z, lam, tol=UNIT_TOL):
     """The gauge map: qmap(z, lam) = q lam q* where z = q i q*.
 
     z is unit imaginary, lam lies in the circle subgroup spanned by 1
-    and i. The result does not depend on which square root q is chosen,
-    because any two differ by a right circle factor that commutes with
-    lam.
+    and i. Since q lam q* = lam_w |q|^2 + lam_x q i q*, the result is
+    lam_w + lam_x z for every unit square root q.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam[..., 2:]) > tol):
         raise ValueError("qmap: lam must lie in the span of 1 and i")
-    q = _sqrt_of(np.asarray(z, dtype=float))
-    return mul(mul(q, lam), conj(q))
+    v = lam[..., 1:2] * np.asarray(z, dtype=float)
+    return np.concatenate([np.broadcast_to(lam[..., :1], v.shape[:-1] + (1,)), v], axis=-1)

@@ -6,12 +6,15 @@ from linking numbers of traced preimage curves, and degrees from point
 containment in a Kuhn triangulation.  Slow and blunt on purpose; these
 routines only ever see plain numpy arrays.
 
-The last section is of another kind: site-last reference versions of the
-descent gradient, step ceiling, energy, area form and Hopf helicity, in
-the arithmetic the component-first production kernel replaced (np.cross,
-last-axis sums, three inverse FFTs).  The kernel must agree with them
-bit for bit where the arithmetic is the same and within stated
-tolerances where only the summation order or the FFT path differs.
+The last two sections are of another kind: site-last reference versions
+of the descent gradient, step ceiling, energy, area form and Hopf
+helicity, and of the quaternion product, plaquette transport, holonomy,
+developing map, Hodge split, canonical gauge and Chern-Simons number, in
+the arithmetic the component-first production kernels replaced
+(np.cross, last-axis sums, full complex FFTs, per-pass gauge moves with
+a two-chart square root).  The kernels must agree with them bit for bit
+where the arithmetic is the same and within stated tolerances where
+only the summation order or the FFT path differs.
 """
 
 import numpy as np
@@ -393,3 +396,241 @@ def ref_helicity(F, l):
         axis=-1,
     )
     return float(np.sum(np.einsum("...k,...k->...", alpha, curl))) * (l / n) ** 3
+
+
+# ---------------------------------------------------------------------------
+# site-last references for the gauge layer
+
+
+class RefUnresolvable(RuntimeError):
+    """An edge of the reference gauge move turned by 90 degrees or more."""
+
+
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+_I = np.array([0.0, 1.0, 0.0, 0.0])
+_J = np.array([0.0, 0.0, 1.0, 0.0])
+_IM_I = np.array([1.0, 0.0, 0.0])
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def ref_mul(p, q):
+    """Hamilton product on the last axis, stacked site-last."""
+    pw, px, py, pz = np.moveaxis(p, -1, 0)
+    qw, qx, qy, qz = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw,
+        ],
+        axis=-1,
+    )
+
+
+def _ref_norm(q):
+    return np.sqrt(np.sum(q * q, axis=-1))
+
+
+def _ref_exp_im(v):
+    theta = np.sqrt(np.sum(v * v, axis=-1))
+    small = theta < 1e-12
+    factor = np.where(small, 1.0 - theta * theta / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
+    return np.concatenate([np.cos(theta)[..., None], v * factor[..., None]], axis=-1)
+
+
+def _ref_log_unit(q):
+    w = q[..., 0]
+    v = q[..., 1:]
+    s = np.sqrt(np.sum(v * v, axis=-1))
+    theta = np.arctan2(s, w)
+    small = s < 1e-12
+    factor = np.where(small, 1.0 / np.where(np.abs(w) > 1e-12, w, 1.0), theta / np.where(small, 1.0, s))
+    return v * factor[..., None]
+
+
+def _ref_embed(v):
+    return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
+
+
+def _ref_sqrt_chart(z):
+    q = _ONE - ref_mul(_ref_embed(z), _I)
+    return q / _ref_norm(q)[..., None]
+
+
+def ref_qmap(z, lam):
+    """q lam q* with q a two-chart square root of z = q i q*."""
+    use_b = z[..., 0] <= -0.5
+    qa = _ref_sqrt_chart(np.where(use_b[..., None], _IM_I, z))
+    jbar = np.broadcast_to(_J * _CONJ, z.shape[:-1] + (4,))
+    zb = ref_mul(ref_mul(jbar, _ref_embed(z)), jbar * _CONJ)[..., 1:]
+    qb = ref_mul(_J, _ref_sqrt_chart(np.where(use_b[..., None], zb, _IM_I)))
+    q = np.where(use_b[..., None], qb, qa)
+    return ref_mul(ref_mul(q, lam), q * _CONJ)
+
+
+def ref_plaquette_deviation(avals, h):
+    t = _ref_exp_im(avals * h)
+    worst = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            ti, tj = t[..., i, :], t[..., j, :]
+            fwd = ref_mul(ti, np.roll(tj, -1, axis=i))
+            bwd = ref_mul(tj, np.roll(ti, -1, axis=j))
+            p = ref_mul(fwd, bwd * _CONJ)
+            worst = max(worst, float(np.max(np.abs(p - _ONE))))
+    return worst
+
+
+def ref_holonomy(avals, h):
+    out = np.empty((3, 4))
+    for ax in range(3):
+        take = tuple(slice(None) if i == ax else 0 for i in range(3))
+        p = _ONE
+        for s in _ref_exp_im(avals[take + (ax,)] * h):
+            p = ref_mul(p, s)
+        out[ax] = p / _ref_norm(p)
+    return out
+
+
+def ref_develop(avals, h):
+    """Group values with u(origin) = 1 along the lexicographic tree."""
+    n = avals.shape[0]
+    t = _ref_exp_im(avals * h)
+    u = np.empty((n, n, n, 4))
+    u[0, 0, 0] = _ONE
+    for i in range(n - 1):
+        u[i + 1, 0, 0] = ref_mul(u[i, 0, 0], t[i, 0, 0, 0])
+    for j in range(n - 1):
+        u[:, j + 1, 0] = ref_mul(u[:, j, 0], t[:, j, 0, 1])
+    for k in range(n - 1):
+        u[:, :, k + 1] = ref_mul(u[:, :, k], t[:, :, k, 2])
+    return u / _ref_norm(u)[..., None]
+
+
+def _ref_kgrids(n, l):
+    k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    return np.meshgrid(k, k, k, indexing="ij")
+
+
+def ref_hodge_parts(w, l):
+    """(exact, coexact, coefficients) of a real site-last 1-form, full spectrum."""
+    n = w.shape[0]
+    mean = w.mean(axis=(0, 1, 2))
+    rest = w - mean
+    kx, ky, kz = _ref_kgrids(n, l)
+    kvec = np.stack([kx, ky, kz], axis=-1)
+    k2 = kx**2 + ky**2 + kz**2
+    k2 = np.where(k2 == 0.0, 1.0, k2)
+    proj = np.einsum("...k,...k->...", kvec, np.fft.fftn(rest, axes=(0, 1, 2))) / k2
+    exact = np.fft.ifftn(kvec * proj[..., None], axes=(0, 1, 2)).real
+    return exact, rest - exact, tuple(float(l * m) for m in mean)
+
+
+def _ref_codiff_norm(w, l):
+    n = w.shape[0]
+    k = _ref_kgrids(n, l)
+    div = sum(np.fft.ifftn(1j * k[ax] * np.fft.fftn(w[..., ax])).real for ax in range(3))
+    return float(np.sqrt(np.sum(div**2) * (l / n) ** 3))
+
+
+def _ref_cancelling_angle(w, l):
+    n = w.shape[0]
+    w = w - np.mean(w, axis=(0, 1, 2))
+    kx, ky, kz = _ref_kgrids(n, l)
+    kvec = np.stack([kx, ky, kz], axis=-1)
+    h = l / n
+    ks = np.einsum("...k,...k->...", kvec, np.sin(kvec * h) / h)
+    ks = np.where(ks == 0.0, 1.0, ks)
+    wh = np.fft.fftn(w, axes=(0, 1, 2))
+    return np.fft.ifftn(1j * np.einsum("...k,...k->...", kvec, wh) / ks, axes=(0, 1, 2)).real
+
+
+def _ref_longitudinal(avals, phivals):
+    sv = np.empty_like(avals)
+    for mu in range(3):
+        sv[..., mu, :] = 0.5 * (avals[..., mu, :] + np.roll(avals[..., mu, :], 1, axis=mu))
+    return np.einsum("...mk,...k->...m", sv, phivals)
+
+
+def _ref_gauge_transform(avals, phivals, theta, h):
+    th = np.asarray(theta)
+    zero = np.zeros_like(th)
+    lam = np.stack([np.cos(th), np.sin(th), zero, zero], axis=-1)
+    gval = ref_qmap(phivals, lam)
+    out = np.empty_like(avals)
+    for mu in range(3):
+        step = _ref_exp_im(avals[..., mu, :] * h)
+        combined = ref_mul(gval * _CONJ, ref_mul(step, np.roll(gval, -1, axis=mu)))
+        if np.any(combined[..., 0] <= 0.0):
+            raise RefUnresolvable("gauge factor rotates an edge by 90 degrees or more")
+        out[..., mu, :] = _ref_log_unit(combined) / h
+    return out
+
+
+def ref_fix_gauge(avals, phivals, l, tol=1e-8, tie_eps=1e-9, max_passes=16):
+    """Canonical gauge by one gauge move per pass, as a dict of results.
+
+    Each pass takes the longitudinal form of the current connection,
+    reads its harmonic coefficients, the codifferential residual and the
+    cancelling angle on the full complex spectrum, and moves the current
+    connection by the circle field of that angle.
+    """
+    n = avals.shape[0]
+    h = l / n
+    axes = np.meshgrid(*(np.arange(n) * h,) * 3, indexing="ij")
+    removed = float(np.sqrt(np.sum(ref_hodge_parts(_ref_longitudinal(avals, phivals), l)[0] ** 2) * h**3))
+    current = avals
+    windings = np.zeros(3, dtype=int)
+    passes = 0
+    while passes < max_passes:
+        long = _ref_longitudinal(current, phivals)
+        coeffs = np.array(ref_hodge_parts(long, l)[2])
+        resid = _ref_codiff_norm(long, l)
+        steps = -np.floor(coeffs / (2.0 * np.pi) + tie_eps).astype(int)
+        if resid <= tol and np.all(steps == 0):
+            break
+        passes += 1
+        theta = _ref_cancelling_angle(long, l)
+        for k in range(3):
+            if steps[k]:
+                theta = theta + 2.0 * np.pi * steps[k] * axes[k] / l
+        current = _ref_gauge_transform(current, phivals, theta - theta[0, 0, 0], h)
+        windings += steps
+    else:
+        raise RuntimeError(f"reference gauge did not converge in {max_passes} passes")
+    final = coeffs / (2.0 * np.pi)
+    ties = np.abs(final - np.round(final)) <= tie_eps
+    final[ties] = 0.0
+    return {
+        "values": current,
+        "harmonic_coeffs": tuple(float(v) for v in final),
+        "windings": tuple(int(w) for w in windings),
+        "exact_part_norm": removed,
+        "ties": tuple(bool(t) for t in ties),
+        "passes": passes,
+    }
+
+
+def ref_chern_simons(avals, l):
+    """Chern-Simons number with d(a) taken by spectral partials."""
+    n = avals.shape[0]
+    k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    sv = np.empty_like(avals)
+    for mu in range(3):
+        sv[..., mu, :] = 0.5 * (avals[..., mu, :] + np.roll(avals[..., mu, :], 1, axis=mu))
+    ada = 0.0
+    for i in range(3):
+        a = [sv[..., m, i] for m in range(3)]
+        curl = (
+            _ref_partial(a[2], 1, k) - _ref_partial(a[1], 2, k),
+            _ref_partial(a[0], 2, k) - _ref_partial(a[2], 0, k),
+            _ref_partial(a[1], 0, k) - _ref_partial(a[0], 1, k),
+        )
+        ada = ada - sum(a[m] * curl[m] for m in range(3))
+    det = np.einsum("...i,...i->...", sv[..., 0, :], np.cross(sv[..., 1, :], sv[..., 2, :]))
+    return float(np.sum(ada - 4.0 * det)) * (l / n) ** 3 / (4 * np.pi**2)

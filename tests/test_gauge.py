@@ -1,12 +1,16 @@
 """Holonomy, developing map, Hodge split, canonical gauge."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fdvk import quat
+from fdvk import gauge, quat
 from fdvk.ansatz import AnsatzSpec, generate
-from fdvk.errors import NotFlat
-from fdvk.fields import Connection, connection_of, constant_sphere
+from fdvk.errors import NotFlat, UnresolvableField
+from fdvk.fields import Connection, GroupField, connection_of, constant_group, constant_sphere
 from fdvk.gauge import (
     circle_field,
     develop,
@@ -122,6 +126,21 @@ def test_fix_gauge_window_and_idempotence():
     assert rep2.exact_part_norm <= 1e-8
 
 
+def test_fix_gauge_checks_the_result_of_its_last_pass(monkeypatch):
+    # this pair converges on exactly MAX_PASSES passes: the connection the
+    # last pass makes is checked and returned, not refused unseen
+    g = Grid(10, TWO_PI)
+    a = connection_of(smooth_group_field(g, 15))
+    phi = smooth_sphere_field(g, 115, amp=0.4)
+    fixed, rep = fix_gauge(a, phi)
+    assert rep.passes == gauge.MAX_PASSES
+    long = np.einsum("...mk,...k->...m", fixed.site_values(), phi.values)
+    assert form_norm(g, codiff(g, long, 1)) <= 1e-8
+    monkeypatch.setattr(gauge, "MAX_PASSES", gauge.MAX_PASSES - 1)
+    with pytest.raises(NotFlat, match="did not converge"):
+        fix_gauge(a, phi)
+
+
 def test_fix_gauge_integer_coefficient_is_a_tie():
     # a pure unit-winding circle connection against the constant section:
     # the harmonic coefficient sits exactly on an integer and must land
@@ -137,3 +156,52 @@ def test_fix_gauge_integer_coefficient_is_a_tie():
     assert rep.windings[0] == -1
     assert rep.ties[0]
     assert all(0.0 <= c < 1.0 for c in rep.harmonic_coeffs)
+
+
+def test_connection_of_refuses_a_right_angle_edge():
+    # u(x)* u(x + e_1) = j at one edge: Re = 0, no principal logarithm
+    g = Grid(8, TWO_PI)
+    vals = constant_group(g).values
+    vals[3, 2, 5] = quat.J
+    with pytest.raises(UnresolvableField, match="direction 1"):
+        connection_of(GroupField(g, vals))
+
+
+def test_gauge_transform_refuses_an_edge_turned_past_a_right_angle():
+    # against a constant section the moved edge is exp(i (theta(x + e) -
+    # theta(x))): a jump of 0.6 pi turns it past 90 degrees
+    g = Grid(8, TWO_PI)
+    a = Connection(g, np.zeros((8, 8, 8, 3, 3)))
+    th = np.zeros((8, 8, 8))
+    th[4, 4, 4] = 0.6 * np.pi
+    with pytest.raises(UnresolvableField, match="gauge factor rotates"):
+        gauge_transform(a, constant_sphere(g), circle_field(g, th))
+    th[4, 4, 4] = 0.4 * np.pi
+    assert np.all(np.isfinite(gauge_transform(a, constant_sphere(g), circle_field(g, th)).values))
+
+
+def test_fix_gauge_refuses_a_cumulative_angle_past_a_right_angle():
+    # a coarse grid and a rough section: connection_of and the flatness
+    # check pass, but the angle the passes accumulate turns an edge of
+    # the moved connection by 90 degrees or more
+    g = Grid(8, TWO_PI)
+    a = connection_of(smooth_group_field(g, 0))
+    phi = smooth_sphere_field(g, 100, amp=0.5)
+    with pytest.raises(UnresolvableField, match="gauge factor rotates"):
+        fix_gauge(a, phi)
+
+
+def test_gauge_canonical_script_smoke(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gauge_canonical.py"
+    spec = importlib.util.spec_from_file_location("gauge_canonical", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--n", "12"]) == 0
+    out = capsys.readouterr().out
+
+    def reading(label):
+        return float(re.search(label + r"\s*:\s*(\S+)", out).group(1))
+
+    assert reading("conjugated field drift") <= 1e-8
+    assert reading("idempotence drift") <= 1e-8
+    assert re.search(r"ties\s*:\s*\(True,", out)

@@ -1,0 +1,115 @@
+"""The component-first gauge kernels against their site-last references.
+
+develop, plaquette_deviation, holonomy and quat.mul use the same
+arithmetic as the references in tests/oracles.py and must agree bit for
+bit.  fix_gauge composes its circle moves into one cumulative angle and
+reads its spectral quantities from one half-spectrum transform per
+pass: the same passes, windings and ties, the connection and the
+harmonic coefficients within 1e-12 absolute, the removed exact part
+within 1e-12 relative (to the longitudinal form, where the exact part
+itself is rounding residue).  chern_simons sums a ^ da by Parseval (1e-12
+absolute), hodge_parts projects on the half spectrum (1e-12 absolute).
+Odd n exercise the half-spectrum weights.
+"""
+
+import numpy as np
+import pytest
+
+from fdvk import quat
+from fdvk.fields import SphereField, connection_of, constant_sphere
+from fdvk.gauge import circle_field, develop, fix_gauge, hodge_parts, holonomy, plaquette_deviation
+from fdvk.invariants import chern_simons
+from fdvk.lattice import Grid, form_norm
+from fieldgen import smooth_group_field, smooth_sphere_field
+from oracles import (
+    ref_chern_simons,
+    ref_develop,
+    ref_fix_gauge,
+    ref_hodge_parts,
+    ref_holonomy,
+    ref_mul,
+    ref_plaquette_deviation,
+)
+
+TOL = 1e-12
+
+
+def _smooth(g):
+    return smooth_group_field(g, 7), smooth_sphere_field(g, 8)
+
+
+def _tie(g):
+    # one unit winding against the constant section: the coefficient
+    # sits on the integer
+    return circle_field(g, 2 * np.pi * g.axes()[0] / g.l), constant_sphere(g)
+
+
+def _seam(g):
+    # phi turns once around a great circle through -i, so it crosses the
+    # region z.i <= -1/2 where the old square root switched charts
+    x1, x2, _ = g.axes()
+    b = 2 * np.pi * x1 / g.l + 0.3 * np.sin(2 * np.pi * x2 / g.l)
+    phi = np.stack([np.cos(b), np.sin(b) * np.cos(0.4), np.sin(b) * np.sin(0.4)], axis=-1)
+    return smooth_group_field(g, 3), SphereField(g, phi)
+
+
+KINDS = {"smooth": _smooth, "tie": _tie, "seam": _seam}
+CASES = [(kind, n) for kind in KINDS for n in (12, 15, 16, 24)]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=[f"{k}-{n}" for k, n in CASES])
+def case(request):
+    kind, n = request.param
+    g = Grid(n)
+    u, phi = KINDS[kind](g)
+    if kind == "seam":
+        assert np.min(phi.values[..., 0]) <= -0.5
+    a = connection_of(u)
+    fixed, report = fix_gauge(a, phi)
+    return a, phi, fixed, report
+
+
+def test_develop_plaquettes_holonomy_bit_identical(case):
+    a, _, fixed, _ = case
+    h = a.grid.h
+    assert np.array_equal(develop(a).values, ref_develop(a.values, h))
+    for b in (a, fixed):
+        assert plaquette_deviation(b) == ref_plaquette_deviation(b.values, h)
+        assert np.array_equal(holonomy(b).loops, ref_holonomy(b.values, h))
+
+
+def test_fix_gauge_matches_per_pass_reference(case):
+    a, phi, fixed, report = case
+    ref = ref_fix_gauge(a.values, phi.values, a.grid.l)
+    assert report.passes == ref["passes"]
+    assert report.windings == ref["windings"]
+    assert report.ties == ref["ties"]
+    assert np.max(np.abs(fixed.values - ref["values"])) <= TOL
+    assert np.max(np.abs(np.subtract(report.harmonic_coeffs, ref["harmonic_coeffs"]))) <= TOL
+    # relative to the longitudinal form the part is taken from: where that
+    # form is a pure winding, the exact part itself is rounding residue
+    long = np.einsum("...mk,...k->...m", a.site_values(), phi.values)
+    scale = max(ref["exact_part_norm"], form_norm(a.grid, long))
+    assert abs(report.exact_part_norm - ref["exact_part_norm"]) <= TOL * scale
+
+
+def test_chern_simons_and_hodge_parts_match_full_spectrum(case):
+    a, phi, fixed, _ = case
+    g = a.grid
+    for b in (a, fixed):
+        assert abs(chern_simons(b) - ref_chern_simons(b.values, g.l)) <= TOL
+    long = np.einsum("...mk,...k->...m", a.site_values(), phi.values)
+    got, want = hodge_parts(g, long), ref_hodge_parts(long, g.l)
+    for x, y in zip(got[:2], want[:2]):
+        assert np.max(np.abs(x - y)) <= TOL
+    assert got[2] == want[2]
+
+
+def test_mul_bit_identical_to_stacked_product():
+    rng = np.random.default_rng(4)
+    for shape in [(4,), (7, 4), (5, 6, 7, 4), (5, 5, 5, 3, 4)]:
+        p, q = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert np.array_equal(quat.mul(p, q), ref_mul(p, q))
+    p = rng.standard_normal((9, 4))
+    assert np.array_equal(quat.mul(quat.J, p), ref_mul(quat.J, p))
+    assert np.array_equal(quat.mul(p, quat.K), ref_mul(p, quat.K))

@@ -111,3 +111,20 @@ def test_qmap_stabilizes_and_rotates_the_tangent_plane():
 def test_qmap_identity():
     z = np.array([0.36, -0.48, 0.8])
     assert np.allclose(quat.qmap(z, quat.ONE), quat.ONE, atol=1e-12)
+
+
+def test_qmap_closed_form_matches_conjugation_by_a_square_root():
+    # qmap(z, lam) = q lam q* for any unit q with z = q i q*, including z
+    # on the far side z.i <= -1/2 and z = -i exactly (q = j, q = k)
+    rng = np.random.default_rng(12)
+    q = batch(12, unit=True)
+    q = np.concatenate([q, [quat.J, quat.K]])
+    z = quat.hopf(q)
+    assert np.any(z[:-2, 0] <= -0.5)
+    assert np.array_equal(z[-2:], [-quat.IM_I, -quat.IM_I])
+    th = rng.uniform(-np.pi, np.pi, len(q))
+    lam = np.stack([np.cos(th), np.sin(th), 0 * th, 0 * th], axis=-1)
+    want = quat.mul(quat.mul(q, lam), quat.conj(q))
+    assert np.max(np.abs(quat.qmap(z, lam) - want)) <= 1e-14
+    with pytest.raises(ValueError):
+        quat.qmap(z, np.broadcast_to(quat.J, lam.shape))
