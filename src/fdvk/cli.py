@@ -206,7 +206,16 @@ def parse_run_config(text):
 
 
 def _json_line(obj):
-    print(json.dumps(obj), flush=True)
+    # NaN and Infinity are not JSON: a record holding them raises ValueError
+    print(json.dumps(obj, allow_nan=False), flush=True)
+
+
+def _require_finite(path, report):
+    """Refuse a report whose invariants overflowed: the snapshot is out of range."""
+    for key, val in report.items():
+        for x in val if isinstance(val, list) else [val]:
+            if isinstance(x, float) and not np.isfinite(x):
+                raise SnapshotError(f"{path}: {key} evaluates to {x!r}, not a finite number")
 
 
 def _sphere_class(psi):
@@ -304,6 +313,7 @@ def cmd_report(args):
         report["cs"] = chern_simons(obj)
         report["flatness"] = form_norm(obj.grid, plaquette_curvature(obj))
         report["reason"] = "map invariants undefined for a bare connection"
+        _require_finite(args.field, report)
         _json_line(report)
         return 0
     if isinstance(obj, GroupField):
@@ -317,6 +327,7 @@ def cmd_report(args):
     report.update(_sphere_class(psi))
     report["cs_reason"] = "not a connection snapshot"
     report["flatness_reason"] = "not a connection snapshot"
+    _require_finite(args.field, report)
     _json_line(report)
     return 0
 

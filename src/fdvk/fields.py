@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quat
 from .errors import GridMismatch, UnresolvableField
-from .lattice import Grid, _cross, avg_back, diff
+from .lattice import Grid, _cross, _diff_into, _slabs, avg_back, diff
 
 FOUR_PI = 4.0 * np.pi
 
@@ -113,9 +113,10 @@ def _comp_first(values):
     return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
-def _differences(grid, v):
-    """Central differences of component-first values along 1, 2, 3."""
-    return [diff(grid, v, mu, lead=1) for mu in (1, 2, 3)]
+def _area(v, di, dj):
+    """v . (di x dj) / 4 pi of component-first values: one pullback_area slot."""
+    c = _cross(di, dj)
+    return (v[0] * c[0] + v[1] * c[1] + v[2] * c[2]) / FOUR_PI
 
 
 def pullback_area(psi):
@@ -127,25 +128,81 @@ def pullback_area(psi):
     """
     g = psi.grid
     v = _comp_first(psi.values)
-    dv = _differences(g, v)
+    dv = [diff(g, v, mu, lead=1) for mu in (1, 2, 3)]
     out = np.empty_like(v)
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        c = _cross(dv[i], dv[j])
-        out[k] = (v[0] * c[0] + v[1] * c[1] + v[2] * c[2]) / FOUR_PI
+        out[k] = _area(v, dv[i], dv[j])
     return np.moveaxis(out, 0, -1)
 
 
-def _energy_of(grid, d1, d2, d3):
-    """Energy from the three component-first derivatives, d psi or D_a phi.
+def _assemble(d, w, e2, e4, tmp, g2=None):
+    """The energy densities of three component-first derivatives d, d psi or D_a phi.
 
-    Also returns the cross products (d1 x d2, d1 x d3, d2 x d3) it
-    integrates, which the descent gradient reuses.
+    Writes the cross products (d1 x d2, d1 x d3, d2 x d3) into w, the
+    e2 density d1 d1 + d2 d2 + d3 d3 into e2 and the e4 density
+    w0 w0 + w1 w1 + w2 w2 into e4, per component; tmp is scratch of
+    e2's shape.  Given g2, raises g2[mu] to the largest |d_mu|^2 over
+    the sites, read off the squares the e2 density is made of.
     """
+    for mu in range(3):
+        sq = tmp if mu else e2
+        np.multiply(d[mu], d[mu], out=sq)
+        if g2 is not None:
+            g2[mu] = np.maximum(g2[mu], np.max(sq[0] + sq[1] + sq[2]))
+        if mu:
+            e2 += sq
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        _cross(d[i], d[j], out=w[k])
+    np.multiply(w[0], w[0], out=e4)
+    for k in (1, 2):
+        np.multiply(w[k], w[k], out=tmp)
+        e4 += tmp
+
+
+def _energy(grid, e2, e4):
+    """Energy of whole-field densities: each summed once, in memory order."""
     h3 = grid.h**3
-    e2 = float(np.sum(d1 * d1 + d2 * d2 + d3 * d3)) * h3
-    w = (_cross(d1, d2), _cross(d1, d3), _cross(d2, d3))
-    e4 = float(np.sum(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])) * h3
-    return Energy(e2, e4, e2 + e4), w
+    e2, e4 = float(np.sum(e2)) * h3, float(np.sum(e4)) * h3
+    return Energy(e2, e4, e2 + e4)
+
+
+class _Slopes(NamedTuple):
+    """Component-first differences d[mu] = d_(mu+1) v, shape (3, 3, n, n, n),
+    and g2[mu], the largest |d_(mu+1) v|^2 over the sites."""
+
+    d: np.ndarray
+    g2: np.ndarray
+
+
+def _sweep(grid, v, keep):
+    """Energy of component-first unit values v in one slab sweep.
+
+    Each slab of whole planes along the first site axis takes its three
+    central differences and goes through _assemble in cache-sized
+    buffers; the densities land in whole-field arrays that are summed
+    once, so the energy does not depend on the slab size.  With keep,
+    returns (Energy, _Slopes, cross products (3, 3, n, n, n)) for the
+    descent; without, (Energy, None, None).
+    """
+    n = grid.n
+    slabs = _slabs(n)
+    t = slabs[0][1]
+    # whole-field derivative and cross-product arrays to keep, else one slab's
+    d_all = np.empty((3, 3, n if keep else t, n, n))
+    w_all = np.empty_like(d_all)
+    g2 = np.zeros(3)
+    e2, e4 = np.empty_like(v), np.empty_like(v)
+    tmp = np.empty((3, t, n, n))
+    for a, b in slabs:
+        at = slice(a, b) if keep else slice(0, b - a)
+        d = d_all[:, :, at]
+        _diff_into(grid, v, 1, d[0], a, b)
+        _diff_into(grid, v[:, a:b], 2, d[1])
+        _diff_into(grid, v[:, a:b], 3, d[2])
+        _assemble(d, w_all[:, :, at], e2[:, a:b], e4[:, a:b], tmp[:, :b - a], g2 if keep else None)
+    if keep:
+        return _energy(grid, e2, e4), _Slopes(d_all, g2), w_all
+    return _energy(grid, e2, e4), None, None
 
 
 def energy(psi):
@@ -155,7 +212,7 @@ def energy(psi):
     of |d psi^a ^ d psi^b|^2 over the three component pairs, which
     collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2.
     """
-    return _energy_of(psi.grid, *_differences(psi.grid, _comp_first(psi.values)))[0]
+    return _sweep(psi.grid, _comp_first(psi.values), keep=False)[0]
 
 
 def _edge_connection(grid, steps, refusal):
@@ -204,7 +261,10 @@ def covariant_derivative(a, phi):
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
     D = covariant_derivative(a, phi)
-    return _energy_of(phi.grid, *(_comp_first(D[..., mu, :]) for mu in range(3)))[0]
+    d = [_comp_first(D[..., mu, :]) for mu in range(3)]
+    e2, e4, tmp = (np.empty_like(d[0]) for _ in range(3))
+    _assemble(d, np.empty((3,) + e2.shape), e2, e4, tmp)
+    return _energy(phi.grid, e2, e4)
 
 
 def decompose(a, phi):

@@ -6,6 +6,16 @@ backtracking line search that never accepts an energy increase.  The
 homotopy class is not projected onto; it is monitored, and the flow
 aborts with ChargeDrift or FluxChange the moment the recorded
 invariants leave their starting values.
+
+The kernel works on the component-first layout (3, n, n, n) of
+lattice and sweeps it in slabs of whole planes along the first site
+axis, so each slab's temporaries stay in cache.  _kernel keeps the
+whole-field differences and cross products; _gradient reads them back
+slab by slab, and for the two terms differenced along the first axis
+takes their cross product on the slab plus one halo plane on each side
+(wrapped periodically at the ends).  Densities are summed once over the
+whole field and each site's stencil terms are taken in one fixed order,
+so energies, gradients and step ceilings do not depend on the slab size.
 """
 
 from dataclasses import dataclass, field
@@ -14,9 +24,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
-from .fields import SphereField, _comp_first, _differences, _energy_of
+from .fields import SphereField, _comp_first, _sweep
 from .invariants import _classify
-from .lattice import _cross, diff, form_norm
+from .lattice import _cross, _diff_into, _halo, _slabs, form_norm
 
 MODES = ("map-class", "hopf-class", "flux-only")
 
@@ -101,30 +111,62 @@ class FlowTrace:
 def _kernel(grid, v):
     """Energy, differences and cross products of component-first values.
 
-    The one pass over a field that the energy, the gradient and the step
-    ceiling share: (Energy, [d_1 v, d_2 v, d_3 v], (d_1 v x d_2 v,
-    d_1 v x d_3 v, d_2 v x d_3 v)).
+    The one slab sweep over a field that the energy, the gradient and
+    the step ceiling share: (Energy, _Slopes of d_1 v, d_2 v, d_3 v with
+    their largest squares, (d_1 v x d_2 v, d_1 v x d_3 v, d_2 v x d_3 v)).
     """
-    dv = _differences(grid, v)
-    en, w = _energy_of(grid, *dv)
-    return en, dv, w
+    return _sweep(grid, v, keep=True)
 
 
 def _gradient(grid, v, dv, w):
-    """grad_energy on the component-first layout, from _kernel's output."""
-    grad = np.zeros_like(v)
-    for mu in range(3):
-        grad -= 2.0 * diff(grid, dv[mu], mu + 1, lead=1)
-    for (mu, nu), wmn in zip(((0, 1), (0, 2), (1, 2)), w):
-        grad -= 2.0 * diff(grid, _cross(dv[nu], wmn), mu + 1, lead=1)
-        grad -= 2.0 * diff(grid, _cross(wmn, dv[mu]), nu + 1, lead=1)
-    grad -= (grad[0] * v[0] + grad[1] * v[1] + grad[2] * v[2]) * v
+    """grad_energy on the component-first layout, from _kernel's output.
+
+    Sweeps the slabs of _kernel.  Per site the nine stencil terms are
+    subtracted in a fixed order, so the result does not depend on the
+    slab size.  The two terms differenced along the first site axis,
+    d_1 of d_nu v x w_1nu, take their cross product on the slab padded
+    with one halo plane on each side.
+    """
+    n = grid.n
+    d = dv.d
+    grad = np.empty_like(v)
+    slabs = _slabs(n)
+    t = slabs[0][1]
+    term_buf = np.empty((3, t, n, n))
+    cross_buf = np.empty((3, t, n, n))
+    halo_buf = np.empty((3, t + 2, n, n))
+    for a, b in slabs:
+        m = b - a
+        g = grad[:, a:b]
+        term, c = term_buf[:, :m], cross_buf[:, :m]
+        # from zero, as grad -= ... reads: 0 - x, not -x, keeps the sign of a zero
+        g[...] = 0.0
+
+        def sub(f, ax, lo=0, hi=None):
+            # g -= 2 * (f[+1] - f[-1]) / 2h, the order grad_energy's formula reads
+            np.multiply(_diff_into(grid, f, ax, term, lo, hi), 2.0, out=term)
+            np.subtract(g, term, out=g)
+
+        sub(d[0], 1, a, b)
+        sub(d[1][:, a:b], 2)
+        sub(d[2][:, a:b], 3)
+        for (mu, nu), wmn in zip(((0, 1), (0, 2), (1, 2)), w):
+            if mu == 0:
+                ext = _cross(_halo(d[nu], a, b), _halo(wmn, a, b), out=halo_buf[:, :m + 2])
+                sub(ext, 1, 1, m + 1)
+            else:
+                sub(_cross(d[nu][:, a:b], wmn[:, a:b], out=c), mu + 1)
+            sub(_cross(wmn[:, a:b], d[mu][:, a:b], out=c), nu + 1)
+        vs = v[:, a:b]
+        gv = g[0] * vs[0] + g[1] * vs[1] + g[2] * vs[2]
+        np.multiply(gv, vs, out=term)
+        g -= term
     return grad
 
 
 def _ceiling(grid, dv):
-    """step_ceiling from the component-first differences."""
-    g2 = max(float(np.max(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])) for d in dv)
+    """step_ceiling from _kernel's slopes."""
+    g2 = max(float(x) for x in dv.g2)
     return grid.h**2 / (3.0 * (1.0 + 4.0 * g2))
 
 
@@ -189,7 +231,7 @@ def step_ceiling(psi: SphereField) -> float:
     anti-aligns the classes is invisible to the line search until the
     field is ruined.
     """
-    return _ceiling(psi.grid, _differences(psi.grid, _comp_first(psi.values)))
+    return _ceiling(psi.grid, _kernel(psi.grid, _comp_first(psi.values))[1])
 
 
 def relax_step(psi: SphereField, cfg: FlowConfig, step: float):

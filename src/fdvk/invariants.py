@@ -19,11 +19,12 @@ from .fields import (
     Connection,
     GroupField,
     SphereField,
+    _area,
     conjugate_field,
     connection_of,
     pullback_area,
 )
-from .lattice import _cross, _half_spectrum, _potential, integrate, slice_flux
+from .lattice import _cross, _half_spectrum, _potential, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -54,14 +55,33 @@ def _helicity(grid, F):
     return _wedge_d(grid, *_potential(grid, F))
 
 
+def _raw_fluxes(psi: SphereField):
+    """Fluxes of the area form through the tori {x_k = l/2}, O(n^2) work.
+
+    Slot k of pullback_area on the plane x_k = n/2 needs only that
+    plane's two in-plane differences, so each flux is the plane's area
+    density, through the same arithmetic, summed as slice_flux sums it.
+    """
+    g = psi.grid
+    raw = []
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        # a basic index, so a strided psi.values (as loaded) is not copied whole
+        plane = psi.values[(slice(None),) * k + (g.n // 2,)]
+        p = np.ascontiguousarray(np.moveaxis(plane, -1, 0))
+        # plane axes 1 and 2 are the site axes other than k, in order
+        di, dj = (diff(g, p, 1 + m - (m > k), lead=1) for m in (i, j))
+        raw.append(float(np.sum(_area(p, di, dj))) * g.h**2)
+    return tuple(raw)
+
+
 def _classify(psi: SphereField, charge=True) -> _SphereClass:
-    """Fluxes of psi and, in the Hopf sector, its charge, from one area form.
+    """Fluxes of psi and, in the Hopf sector, its charge.
 
     The Hopf sector is the one rule for when the charge exists: every
-    raw flux within FLUX_ROUND_TOL of an integer, all of them 0.
+    raw flux within FLUX_ROUND_TOL of an integer, all of them 0.  The
+    whole area form is built only for the charge.
     """
-    F = pullback_area(psi)
-    raw = tuple(slice_flux(psi.grid, F, k, psi.grid.n // 2) for k in (1, 2, 3))
+    raw = _raw_fluxes(psi)
     rounded = tuple(int(v) for v in np.rint(raw))
     off = [k for k in range(3) if abs(raw[k] - rounded[k]) > FLUX_ROUND_TOL]
     flux_error = None
@@ -74,7 +94,7 @@ def _classify(psi: SphereField, charge=True) -> _SphereClass:
     hopf = hopf_error = None
     if charge and sector:
         try:
-            hopf = _helicity(psi.grid, F)
+            hopf = _helicity(psi.grid, pullback_area(psi))
         except NonExactForm as exc:
             hopf_error = str(exc)
     return _SphereClass(raw, rounded, flux_error, sector, hopf, hopf_error)

@@ -1,8 +1,14 @@
 """Terminal summary hook: one pass/fail line per acceptance criterion,
-a fixture that makes the Hopf charge solve refuse its form, and one that
-makes the line search read NaN energies."""
+a fixture that makes the Hopf charge solve refuse its form, one that
+makes the line search read NaN energies, and the hypothesis profile.
+
+Property tests run under the derandomized "ci" profile, so every run
+draws the same examples; HYPOTHESIS_PROFILE=default draws fresh ones."""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from fdvk import flow, invariants
 from fdvk.errors import NonExactForm
@@ -21,6 +27,9 @@ CRITERIA = {
     11: "flow",
     12: "command line",
 }
+
+settings.register_profile("ci", derandomize=True, max_examples=100)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 _WORDS = {"passed": "PASS", "failed": "FAIL", "error": "ERROR", "skipped": "SKIPPED"}
 

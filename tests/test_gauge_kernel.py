@@ -15,8 +15,9 @@ Odd n exercise the half-spectrum weights.
 import numpy as np
 import pytest
 
-from fdvk import quat
-from fdvk.fields import SphereField, connection_of, constant_sphere
+from fdvk import gauge, quat
+from fdvk.errors import NontrivialHolonomy
+from fdvk.fields import Connection, SphereField, connection_of, constant_sphere
 from fdvk.gauge import circle_field, develop, fix_gauge, hodge_parts, holonomy, plaquette_deviation
 from fdvk.invariants import chern_simons
 from fdvk.lattice import Grid, form_norm
@@ -76,6 +77,39 @@ def test_develop_plaquettes_holonomy_bit_identical(case):
     for b in (a, fixed):
         assert plaquette_deviation(b) == ref_plaquette_deviation(b.values, h)
         assert np.array_equal(holonomy(b).loops, ref_holonomy(b.values, h))
+
+
+@pytest.fixture
+def checked_holonomies(monkeypatch):
+    """The Holonomy values develop builds for its loop check, in call order."""
+    seen = []
+
+    class Recorded(gauge.Holonomy):
+        def __post_init__(self):
+            super().__post_init__()
+            seen.append(self)
+
+    monkeypatch.setattr(gauge, "Holonomy", Recorded)
+    return seen
+
+
+def test_develop_reads_the_loop_check_off_its_walk(case, checked_holonomies):
+    a, _, fixed, _ = case
+    for b in (a, fixed):
+        develop(b)
+        got, want = checked_holonomies.pop(), holonomy(b)
+        assert np.array_equal(got.loops, want.loops)
+        assert got.deviation() == want.deviation()
+
+
+def test_develop_refuses_constant_holonomy(checked_holonomies):
+    g = Grid(12)
+    vals = np.zeros((12, 12, 12, 3, 3))
+    vals[..., 0, 0] = 0.37 * 2 * np.pi / g.l  # the loop along x turns by 0.37 * 2 pi
+    a = Connection(g, vals)
+    with pytest.raises(NontrivialHolonomy):
+        develop(a)
+    assert checked_holonomies[0].deviation() == holonomy(a).deviation() > gauge.HOLONOMY_TOL
 
 
 def test_fix_gauge_matches_per_pass_reference(case):

@@ -1,21 +1,24 @@
 """The component-first descent kernel against its site-last references.
 
-Gradients, step ceilings and area forms use the same arithmetic as the
-references in tests/oracles.py and must agree bit for bit.  Energies
-sum in another order (1e-14 relative); the helicity is summed by
-Parseval on the half spectrum instead of after three inverse FFTs
-(1e-12 absolute).
+Gradients, step ceilings, area forms and the raw fluxes use the same
+arithmetic as the references in tests/oracles.py and must agree bit
+for bit.  Energies sum in another order (1e-14 relative); the helicity
+is summed by Parseval on the half spectrum instead of after three
+inverse FFTs (1e-12 absolute).  The slab sweep must not depend on the
+slab size: energies included, every output is bit-identical to a sweep
+in one slab, the whole field.
 """
 
 import numpy as np
 import pytest
 
+from fdvk import lattice
 from fdvk.ansatz import AnsatzSpec, generate
 from fdvk.errors import NonExactForm
 from fdvk.fields import energy, pullback_area
 from fdvk.flow import grad_energy, step_ceiling
-from fdvk.invariants import _helicity
-from fdvk.lattice import Grid
+from fdvk.invariants import _classify, _helicity
+from fdvk.lattice import Grid, slice_flux
 from oracles import (
     ref_energy,
     ref_grad_energy,
@@ -25,6 +28,7 @@ from oracles import (
 )
 
 CASES = [(kind, n) for kind in ("hopfion", "tube", "equator") for n in (19, 24, 48)]
+CASES.append(("hopfion", 64))
 
 
 @pytest.fixture(scope="module", params=CASES, ids=[f"{k}-{n}" for k, n in CASES])
@@ -62,3 +66,29 @@ def test_helicity_matches_three_ifft_path(case):
             _helicity(psi.grid, F)
         return
     assert abs(_helicity(psi.grid, F) - ref_helicity(F, psi.grid.l)) <= 1e-12
+
+
+def test_raw_fluxes_from_planes_bit_identical(case):
+    _, psi = case
+    F = pullback_area(psi)
+    want = tuple(slice_flux(psi.grid, F, k, psi.grid.n // 2) for k in (1, 2, 3))
+    assert _classify(psi, charge=False).raw == want
+
+
+@pytest.mark.parametrize("kind", ["hopfion", "tube", "equator"])
+@pytest.mark.parametrize("planes", [1, 4])
+def test_slab_sweep_independent_of_slab_size(monkeypatch, kind, planes):
+    n = 19
+    psi = generate(AnsatzSpec(kind=kind), Grid(n))
+    monkeypatch.setattr(lattice, "SLAB_SITES", n**3)
+    assert lattice._slabs(n) == [(0, n)]
+    whole = energy(psi)
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * n**2)
+    slabs = lattice._slabs(n)
+    # several slabs, a short last one, and both wrapped halos
+    assert len(slabs) > 2 and slabs[0][0] == 0 and slabs[-1][1] == n
+    assert planes == 1 or slabs[-1][1] - slabs[-1][0] < planes
+    assert tuple(energy(psi)) == tuple(whole)
+    h = psi.grid.h
+    assert np.array_equal(grad_energy(psi), ref_grad_energy(psi.values, h))
+    assert step_ceiling(psi) == ref_step_ceiling(psi.values, h)
