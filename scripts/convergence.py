@@ -3,8 +3,8 @@
 
 Three probes, each with a known continuum target:
 
-  equator   kinetic energy of the equatorial sweep against the closed
-            form 8 pi^3 (sin h / h)^2 and against its continuum limit
+  equator   kinetic energy of the equatorial sweep against its
+            continuum value 8 pi^3, scaled linearly with the box side
   hopfion   Hopf charge reading of the unit ring ansatz against 1
   ballmap   degree reading of the unit suspension ansatz against 1
 

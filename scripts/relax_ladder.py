@@ -9,6 +9,9 @@ continuum extrapolation.
 
 Coarse rungs read the unit charge well below 1, so the charge guard is
 widened in proportion to the observed deficit rather than disabled.
+A rung the guard still aborts prints the last row of its partial trace,
+marked as aborted, and the script then exits 4, the command line's
+class-violation code.
 """
 
 import argparse
@@ -16,7 +19,7 @@ import csv
 import sys
 import time
 
-from fdvk import AnsatzSpec, FlowConfig, Grid, generate, hopf_charge, minimize
+from fdvk import AnsatzSpec, ClassViolation, FlowConfig, Grid, generate, hopf_charge, minimize
 
 
 def run_rung(n, box, iters, out_dir):
@@ -32,9 +35,11 @@ def run_rung(n, box, iters, out_dir):
         charge_drift_tol=tol,
     )
     t0 = time.perf_counter()
-    psi, trace = minimize(psi0, cfg)
+    try:
+        trace, abort = minimize(psi0, cfg)[1], None
+    except ClassViolation as exc:
+        trace, abort = exc.trace, exc
     dt = time.perf_counter() - t0
-    last = trace.rows[-1]
     if out_dir:
         path = f"{out_dir}/hopfion_n{n}.csv"
         with open(path, "w", newline="") as fh:
@@ -43,7 +48,12 @@ def run_rung(n, box, iters, out_dir):
             for r in trace.rows:
                 w.writerow([r.iteration, r.total, r.grad_norm,
                             r.hopf_charge, r.vk_ratio])
-    return n, q0, last, dt
+    return q0, trace, dt, abort
+
+
+def cell(value, width):
+    """value with 4 decimals in a column of width; '-' when it is undefined."""
+    return f"{'-':>{width}}" if value is None else f"{value:{width}.4f}"
 
 
 def main(argv=None):
@@ -56,13 +66,18 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     print(f"{'n':>4}  {'Q start':>8}  {'Q end':>8}  {'energy':>12}  "
-          f"{'E/|Q|^0.75':>12}  {'iters':>6}  {'secs':>7}")
+          f"{'E/|Q|^0.75':>12}  {'iters':>6}  {'secs':>7}  stop")
+    aborted = False
     for n in sorted(set(args.sizes)):
-        n, q0, last, dt = run_rung(n, args.box, args.iters, args.out_dir)
-        print(f"{n:>4}  {q0:8.4f}  {last.hopf_charge:8.4f}  "
-              f"{last.total:12.4f}  {last.vk_ratio:12.4f}  "
-              f"{last.iteration:>6}  {dt:7.1f}")
-    return 0
+        q0, trace, dt, abort = run_rung(n, args.box, args.iters, args.out_dir)
+        last, stop = trace.rows[-1], trace.stop_reason
+        if abort is not None:
+            print(f"n = {n}: {abort}", file=sys.stderr)
+            aborted, stop = True, f"aborted: {type(abort).__name__}"
+        print(f"{n:>4}  {q0:8.4f}  {cell(last.hopf_charge, 8)}  "
+              f"{last.total:12.4f}  {cell(last.vk_ratio, 12)}  "
+              f"{last.iteration:>6}  {dt:7.1f}  {stop}")
+    return 4 if aborted else 0
 
 
 if __name__ == "__main__":

@@ -75,7 +75,8 @@ class FlowRow:
     """One monitor record.
 
     hopf_charge is present only in the Hopf sector (every raw flux
-    within FLUX_ROUND_TOL of 0) and when solve_alpha accepts the form;
+    within FLUX_ROUND_TOL of 0) and when its area form has a coexact
+    potential (lattice._potential does not raise NonExactForm);
     vk_ratio = total / |Q|^(3/4) is present only when the charge also
     rounds to a nonzero integer, since the ratio against a near-zero
     charge is noise, not a bound.

@@ -16,7 +16,7 @@ import numpy as np
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
 from .fields import Connection, GroupField, SphereField, _edge_connection
-from .lattice import _half_spectrum, _parseval_norm, _spectrum
+from .lattice import _half_spectrum, _irfft3, _parseval_norm, _spectrum
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
@@ -189,7 +189,7 @@ def hodge_parts(grid, omega):
     coeffs = tuple(float(grid.l * m) for m in mean)
     rest = w - mean
     _, div, K, k2, _ = _spectrum(grid, np.moveaxis(rest, -1, 0))
-    exact = np.fft.irfftn(np.stack([k * div / k2 for k in K], -1), s=w.shape[:3], axes=(0, 1, 2))
+    exact = np.moveaxis(_irfft3(grid, np.stack([k * div / k2 for k in K])), 0, -1)
     return exact, rest - exact, coeffs
 
 
@@ -244,7 +244,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
                 f"{resid:.3e} after {MAX_PASSES} passes"
             )
         passes += 1
-        theta = np.fft.irfftn(1j * div / ks, s=p.shape[1:], axes=(0, 1, 2))
+        theta = _irfft3(g, 1j * div / ks)
         for k in range(3):
             if steps[k]:
                 theta = theta + 2.0 * np.pi * steps[k] * g.axes()[k] / g.l

@@ -24,7 +24,7 @@ from .fields import (
     connection_of,
     pullback_area,
 )
-from .lattice import _cross, _half_spectrum, _potential, diff, integrate
+from .lattice import _cross, _half_spectrum, _potential, _rfft3, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -35,7 +35,7 @@ class _SphereClass(NamedTuple):
     flux_error: Optional[str]  # why rounded is no class: a reading off its integer
     hopf_sector: bool
     hopf: Optional[float]
-    hopf_error: Optional[str]  # solve_alpha's refusal of a Hopf-sector charge
+    hopf_error: Optional[str]  # why a Hopf-sector charge has no potential (NonExactForm)
 
 
 def _wedge_d(grid, Ah, K, weight):
@@ -117,10 +117,11 @@ def fluxes(psi: SphereField):
 def hopf_charge(psi: SphereField) -> float:
     """Helicity integral of the area pullback; defined when fluxes vanish.
 
-    With F = pullback_area(psi) exact, alpha the coexact potential of
-    solve_alpha, the charge is the integral of alpha wedge d(alpha).
-    Nonzero fluxes make F non-exact and solve_alpha raises NonExactForm,
-    which is the honest answer: the invariant does not exist there.
+    With F = pullback_area(psi) exact and alpha its coexact potential
+    (delta alpha = 0, d alpha = F, no harmonic part), the charge is the
+    integral of alpha wedge d(alpha). Nonzero fluxes make F non-exact
+    and the potential solve raises NonExactForm, which is the honest
+    answer: the invariant does not exist there.
     """
     return _helicity(psi.grid, pullback_area(psi))
 
@@ -154,7 +155,7 @@ def chern_simons(a: Connection) -> float:
     # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
     K, weight = _half_spectrum(a.grid)
     forms = (np.moveaxis(ab[..., c], -1, 0) for c in range(3))
-    ada = -sum(_wedge_d(a.grid, np.fft.rfftn(w, axes=(1, 2, 3)), K, weight) for w in forms)
+    ada = -sum(_wedge_d(a.grid, _rfft3(w), K, weight) for w in forms)
     det = _det3(ab[..., 0, :], ab[..., 1, :], ab[..., 2, :])
     return float((ada - 4.0 * integrate(a.grid, det)) / (4 * np.pi**2))
 

@@ -26,11 +26,12 @@ axes stay inside a slab; along the first, a slab reads its two
 neighbouring planes, the halo, from the whole field, or from a block
 padded with them, where no wrap is taken.
 
-Two derivative backends coexist on purpose. Central differences keep
-the discrete energy an explicit smooth function of site values, so its
-gradient is exact. Fourier multipliers make d compose to zero and the
-codifferential an exact adjoint, which the Hodge machinery needs. The
-two agree to O(h^2) on smooth data.
+One central stencil, _diff_into, serves energies, gradients and fluxes:
+it keeps the discrete energy an explicit smooth function of site values,
+so its gradient is exact. One half-spectrum path (_rfft3, _irfft3,
+_half_spectrum) serves d and codiff, the Hodge split, the potential and
+the Parseval sums: its multiplier iK makes d compose to zero and the
+codifferential an exact adjoint. The two agree to O(h^2) on smooth data.
 """
 
 from dataclasses import dataclass
@@ -162,53 +163,24 @@ def avg_back(grid, f, mu):
     return 0.5 * (f + np.roll(f, 1, axis=mu - 1))
 
 
-def _kvec(grid):
-    # integer frequencies scaled to wavenumbers; the Nyquist mode of a
-    # real field carries no usable sign for a first derivative, drop it
-    k = 2.0 * np.pi / grid.l * (grid.n * np.fft.fftfreq(grid.n))
-    if grid.n % 2 == 0:
-        k[grid.n // 2] = 0.0
-    return k
-
-
-def _spectral_partial(grid, f, ax):
-    fh = np.fft.fftn(f, axes=(0, 1, 2))
-    k = _kvec(grid)
-    shape = [1, 1, 1]
-    shape[ax] = grid.n
-    mult = 1j * k.reshape(shape)
-    if f.ndim > 3:
-        mult = mult.reshape(shape + [1] * (f.ndim - 3))
-    return np.fft.ifftn(mult * fh, axes=(0, 1, 2)).real
-
-
 def d(grid, w, deg):
-    """Spectral exterior derivative of a degree-'deg' form."""
+    """Spectral exterior derivative of a degree-'deg' form: iK on one rfftn."""
+    if deg not in (0, 1, 2):
+        raise ValueError("d is defined for degrees 0, 1, 2")
+    wh = _rfft3(np.moveaxis(w, -1, 0) if deg else w)
+    K, _ = _half_spectrum(grid)
     if deg == 0:
-        return np.stack([_spectral_partial(grid, w, ax) for ax in range(3)], axis=-1)
+        return np.moveaxis(_irfft3(grid, np.stack([1j * k * wh for k in K])), 0, -1)
     if deg == 1:
-        return np.stack(
-            [
-                _spectral_partial(grid, w[..., 2], 1) - _spectral_partial(grid, w[..., 1], 2),
-                _spectral_partial(grid, w[..., 0], 2) - _spectral_partial(grid, w[..., 2], 0),
-                _spectral_partial(grid, w[..., 1], 0) - _spectral_partial(grid, w[..., 0], 1),
-            ],
-            axis=-1,
-        )
-    if deg == 2:
-        return sum(_spectral_partial(grid, w[..., ax], ax) for ax in range(3))
-    raise ValueError("d is defined for degrees 0, 1, 2")
+        return np.moveaxis(_irfft3(grid, 1j * _cross(K, wh)), 0, -1)
+    return _irfft3(grid, 1j * (K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]))
 
 
 def codiff(grid, w, deg):
-    """Spectral codifferential, the L2 adjoint of d."""
-    if deg == 1:
-        return -sum(_spectral_partial(grid, w[..., ax], ax) for ax in range(3))
-    if deg == 2:
-        return d(grid, w, 1)
-    if deg == 3:
-        return -np.stack([_spectral_partial(grid, w, ax) for ax in range(3)], axis=-1)
-    raise ValueError("codiff is defined for degrees 1, 2, 3")
+    """Spectral codifferential, the L2 adjoint of d: -d2, d1, -d0 on degrees 1, 2, 3."""
+    if deg not in (1, 2, 3):
+        raise ValueError("codiff is defined for degrees 1, 2, 3")
+    return d(grid, w, 1) if deg == 2 else -d(grid, w, 3 - deg)
 
 
 def integrate(grid, w):
@@ -241,13 +213,26 @@ def _half_spectrum(grid):
     conjugate partner, 1 on the planes kz = 0 and (even n) kz = Nyquist,
     which rfftn stores whole.
     """
-    k = _kvec(grid)
+    # integer frequencies scaled to wavenumbers; the Nyquist mode of a
+    # real field carries no usable sign for a first derivative, drop it
+    k = 2.0 * np.pi / grid.l * (grid.n * np.fft.fftfreq(grid.n))
     m = grid.n // 2 + 1
     weight = np.full(m, 2.0)
     weight[0] = 1.0
     if grid.n % 2 == 0:
+        k[grid.n // 2] = 0.0
         weight[-1] = 1.0
     return (k[:, None, None], k[None, :, None], k[None, None, :m]), weight
+
+
+def _rfft3(w):
+    """rfftn over the three site axes, the last three of w."""
+    return np.fft.rfftn(w, axes=(-3, -2, -1))
+
+
+def _irfft3(grid, wh):
+    """The real field whose _rfft3 transform is wh; s fixes odd n."""
+    return np.fft.irfftn(wh, s=(grid.n,) * 3, axes=(-3, -2, -1))
 
 
 def _spectrum(grid, w):
@@ -256,7 +241,7 @@ def _spectrum(grid, w):
     K and weight are from _half_spectrum, k2 = |K|^2 is set to 1 where K
     vanishes; i K . w_hat transforms d of a 2-form, -codiff of a 1-form.
     """
-    wh = np.fft.rfftn(w, axes=(1, 2, 3))
+    wh = _rfft3(w)
     K, weight = _half_spectrum(grid)
     k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
     div = K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]
@@ -268,9 +253,16 @@ def _parseval_norm(grid, weight, fh):
     return float(np.sqrt(np.sum(weight * np.abs(fh) ** 2) * grid.h**3 / grid.n**3))
 
 
-def _potential(grid, F, closed_tol=None):
-    """Half-spectrum transform of solve_alpha's potential, component-first.
+# ||dF|| / ((2 pi / l) ||F||) above this is not discretization residue
+# of a smooth closed form: _potential refuses F as not closed
+CLOSED_TOL = 0.5
 
+
+def _potential(grid, F):
+    """Half-spectrum transform of F's coexact potential, component-first.
+
+    alpha, with delta alpha = 0, d alpha = F and no harmonic part, exists
+    only for F closed and with vanishing fluxes; otherwise NonExactForm.
     Returns (alpha_hat, K, weight) with K and weight from _half_spectrum,
     after the flux and closedness guards, which read F's one rfftn.
     """
@@ -280,23 +272,9 @@ def _potential(grid, F, closed_tol=None):
     flux = Fh[:, 0, 0, 0].real * grid.l**2 / grid.n**3
     if np.any(np.abs(flux) > 0.5):
         raise NonExactForm(f"fluxes {flux.round(3).tolist()} obstruct a global potential")
-    if closed_tol is None:
-        closed_tol = 0.5
     ndF = _parseval_norm(grid, weight, div)
-    if ndF > closed_tol * (2.0 * np.pi / grid.l) * form_norm(grid, F) + 1e-12:
+    if ndF > CLOSED_TOL * (2.0 * np.pi / grid.l) * form_norm(grid, F) + 1e-12:
         raise NonExactForm("2-form is not closed")
     # alpha = curl of the componentwise Poisson preimage; div-free by
     # construction (the cross product vanishes where K does)
     return 1j * _cross(K, Fh) * (1.0 / k2), K, weight
-
-
-def solve_alpha(grid, F, closed_tol=None):
-    """The delta-closed 1-form alpha with d(alpha) = F, no harmonic part.
-
-    Requires F closed and with vanishing fluxes; otherwise no such
-    potential exists and NonExactForm is raised. closed_tol bounds
-    ||dF|| relative to (2 pi / l)||F||, which separates discretization
-    residue of smooth closed forms from genuinely non-closed data.
-    """
-    Ah, _, _ = _potential(grid, F, closed_tol)
-    return np.moveaxis(np.fft.irfftn(Ah, s=(grid.n,) * 3, axes=(1, 2, 3)), 0, -1)

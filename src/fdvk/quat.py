@@ -7,7 +7,7 @@ just an (n, n, n, 4) array.
 
 The inner product <p, q> = (p* q + q* p) / 2 is the Euclidean 4-dot.
 For imaginary p, q the useful identities are
-    p q = -dot(p, q) + cross(p, q)      (as a quaternion)
+    p q = -<p, q> + cross(p, q)         (as a quaternion)
     [p, q] = 2 cross(p, q)
     Re(p q r) = -det[p, q, r]
 """
@@ -58,11 +58,6 @@ def mul(p, q):
 
 def conj(q):
     return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def dot(p, q):
-    """<p, q> = (p* q + q* p) / 2, the Euclidean 4-dot."""
-    return np.sum(p * q, axis=-1)
 
 
 def norm(q):

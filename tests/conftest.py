@@ -61,7 +61,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def refuse_charge(monkeypatch):
     """refuse_charge(k): the k-th Hopf charge solve raises NonExactForm,
-    as solve_alpha does for a 2-form it finds not closed."""
+    as lattice._potential does for a 2-form it finds not closed."""
 
     def arm(k):
         real = invariants._helicity

@@ -366,6 +366,33 @@ def _ref_partial(f, ax, k):
     return np.fft.ifftn(1j * k.reshape(shape) * np.fft.fftn(f)).real
 
 
+def ref_d(w, deg, l):
+    """Exterior derivative of a site-last form, one full complex FFT pair
+    per partial; the Nyquist wavenumber of even n is dropped."""
+    n = w.shape[0]
+    k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    if deg == 0:
+        return np.stack([_ref_partial(w, ax, k) for ax in range(3)], axis=-1)
+    if deg == 1:
+        a = [w[..., c] for c in range(3)]
+        return np.stack(
+            [
+                _ref_partial(a[2], 1, k) - _ref_partial(a[1], 2, k),
+                _ref_partial(a[0], 2, k) - _ref_partial(a[2], 0, k),
+                _ref_partial(a[1], 0, k) - _ref_partial(a[0], 1, k),
+            ],
+            axis=-1,
+        )
+    return sum(_ref_partial(w[..., ax], ax, k) for ax in range(3))
+
+
+def ref_codiff(w, deg, l):
+    """L2 adjoint of ref_d: minus the divergence, the curl, minus the gradient."""
+    return ref_d(w, 1, l) if deg == 2 else -ref_d(w, 3 - deg, l)
+
+
 def ref_helicity(F, l):
     """Integral of alpha ^ d(alpha) for an exact dual-vector 2-form F.
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdvk import lattice
 from fdvk.errors import GridMismatch, NonExactForm
 from fdvk.lattice import (
     Grid,
+    _irfft3,
+    _potential,
     avg_back,
     codiff,
     d,
@@ -14,8 +17,8 @@ from fdvk.lattice import (
     form_norm,
     integrate,
     slice_flux,
-    solve_alpha,
 )
+from oracles import ref_codiff, ref_d
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,27 +116,27 @@ def test_slice_flux_of_constant_form():
         slice_flux(g, F, 2, 12)
 
 
-def test_solve_alpha_inverts_d_on_exact_forms():
+def test_potential_inverts_d_on_exact_forms():
     rng = np.random.default_rng(7)
     for n in (15, 16):
         g = Grid(n, TWO_PI)
         al = rng.standard_normal((n, n, n, 3))
         F = d(g, al, 1)
-        sol = solve_alpha(g, F)
+        sol = np.moveaxis(_irfft3(g, _potential(g, F)[0]), 0, -1)
         assert sol.shape == (n, n, n, 3)
         assert form_norm(g, d(g, sol, 1) - F) <= 1e-9 * form_norm(g, F)
         assert form_norm(g, codiff(g, sol, 1)) <= 1e-9 * form_norm(g, sol)
         assert np.allclose(sol.mean(axis=(0, 1, 2)), 0.0, atol=1e-12)
 
 
-def test_solve_alpha_rejects_flux_and_nonclosed():
+def test_potential_rejects_flux_and_nonclosed(monkeypatch):
     g = Grid(8, TWO_PI)
     for ax in range(3):
         for sign in (1.0, -1.0):
             F = np.zeros((8, 8, 8, 3))
             F[..., ax] = sign / g.l**2  # unit flux through every slice
             with pytest.raises(NonExactForm, match="obstruct"):
-                solve_alpha(g, F)
+                _potential(g, F)
     rng = np.random.default_rng(9)
     for n in (8, 9):
         g = Grid(n, TWO_PI)
@@ -142,9 +145,27 @@ def test_solve_alpha_rejects_flux_and_nonclosed():
         # the closedness norm read from the spectrum is the real-space one
         ndF = form_norm(g, d(g, F, 2))
         ratio = ndF / ((2.0 * np.pi / g.l) * form_norm(g, F))
-        assert ratio > 0.5
+        assert ratio > lattice.CLOSED_TOL
         with pytest.raises(NonExactForm, match="not closed"):
-            solve_alpha(g, F)
-        solve_alpha(g, F, closed_tol=1.001 * ratio)
-        with pytest.raises(NonExactForm, match="not closed"):
-            solve_alpha(g, F, closed_tol=0.999 * ratio)
+            _potential(g, F)
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "CLOSED_TOL", 1.001 * ratio)
+            _potential(g, F)
+            m.setattr(lattice, "CLOSED_TOL", 0.999 * ratio)
+            with pytest.raises(NonExactForm, match="not closed"):
+                _potential(g, F)
+
+
+@pytest.mark.parametrize("n", [8, 9, 15, 16])
+def test_d_and_codiff_match_full_spectrum(n):
+    """One rfftn and one inverse against a full complex FFT pair per partial."""
+    g = Grid(n, TWO_PI)
+    rng = np.random.default_rng(n)
+    for op, ref, degrees in ((d, ref_d, (0, 1, 2)), (codiff, ref_codiff, (1, 2, 3))):
+        for deg in degrees:
+            scalar = deg in (0, 3)
+            w = rng.standard_normal((n, n, n) if scalar else (n, n, n, 3))
+            want = ref(w, deg, g.l)
+            got = op(g, w, deg)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

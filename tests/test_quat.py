@@ -39,12 +39,6 @@ def test_norm_multiplicative(seed):
     assert np.allclose(quat.norm(quat.mul(p, q)), quat.norm(p) * quat.norm(q))
 
 
-@given(seeds)
-def test_dot_is_real_part_against_conjugate(seed):
-    p, q = batch(seed), batch(seed + 1)
-    assert np.allclose(quat.dot(p, q), quat.mul(p, quat.conj(q))[..., 0])
-
-
 def test_normalize_repairs_small_drift_and_rejects_large():
     q = batch(5, unit=True) * (1.0 + 3e-10)
     n = quat.normalize(q)

@@ -1,0 +1,50 @@
+"""Smoke runs of the experiment scripts at small sizes."""
+
+import csv
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_relax_ladder_completes_a_rung(capsys):
+    assert _script("relax_ladder").main(["--sizes", "18", "--iters", "40"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[0] == "18" and row[5] == "40" and row[-1] == "max_iters"
+    float(row[2])  # the charge is defined
+
+
+def test_relax_ladder_reports_an_aborted_rung(capsys, tmp_path):
+    # at n = 18 the charge leaves the Hopf sector at iteration 60
+    argv = ["--sizes", "18", "--iters", "300", "--out-dir", str(tmp_path)]
+    assert _script("relax_ladder").main(argv) == 4
+    captured = capsys.readouterr()
+    row = captured.out.splitlines()[1].split()
+    assert row[0] == "18" and row[2] == "-" and row[4] == "-"
+    assert row[-2:] == ["aborted:", "ChargeDrift"]
+    assert "became undefined" in captured.err
+    with open(tmp_path / "hopfion_n18.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iter", "energy", "grad_norm", "hopf", "vk_ratio"]
+    assert rows[-1][0] == row[5] and rows[-1][3] == ""
+
+
+def test_convergence_prints_three_tables(capsys):
+    assert _script("convergence").main(["--sizes", "18", "24"]) == 0
+    out = capsys.readouterr().out
+    titles = re.findall(r"^(\S.*)$", out, flags=re.M)
+    assert titles == [
+        "equator energy vs continuum 8 pi^3 (scaled by box)",
+        "hopfion charge vs 1",
+        "ballmap degree vs 1",
+    ]
+    # every table has a row per size
+    assert len(re.findall(r"^\s+(18|24)\s", out, flags=re.M)) == 6
