@@ -9,7 +9,9 @@ scaled log of the transport from site x to x + e_mu and therefore
 samples the continuum 1-form at the edge midpoint x + h/2 e_mu. Code
 that needs the value at the site itself averages the two incident
 edges (avg_back); holonomy and developing-map reconstruction consume
-the raw edge values, for which the round trip is exact.
+the raw edge values, for which the round trip is exact.  Edge logs are
+computed component-first, (direction, component, n, n, n); a Connection,
+built only where a public function returns one, holds a site-last view.
 """
 
 from dataclasses import dataclass, field
@@ -80,10 +82,16 @@ class Connection:
 
     def site_values(self):
         """Edge values moved to sites by the two-edge average, O(h^2)."""
-        out = np.empty_like(self.values)
-        for mu in (1, 2, 3):
-            out[..., mu - 1, :] = avg_back(self.grid, self.values[..., mu - 1, :], mu)
-        return out
+        logs = np.moveaxis(self.values, (3, 4), (0, 1))
+        return np.moveaxis(_site_logs(self.grid, logs), (0, 1), (3, 4))
+
+
+def _site_logs(grid, logs):
+    """Component-first edge logarithms moved to sites by the two-edge average."""
+    out = np.empty(logs.shape)
+    for mu in range(3):
+        out[mu] = avg_back(grid, logs[mu], mu + 1, lead=1)
+    return out
 
 
 class Energy(NamedTuple):
@@ -215,17 +223,32 @@ def energy(psi):
     return _sweep(psi.grid, _comp_first(psi.values), keep=False)[0]
 
 
-def _edge_connection(grid, steps, refusal):
-    """Connection of the edge logarithms log(step_mu) / h, steps component-first.
+def _edge_logs(grid, steps, refusal):
+    """Edge logarithms log(step_mu) / h of component-first steps, (3, 3, n, n, n).
 
     A step with Re <= 0 has no principal logarithm: UnresolvableField(refusal).
     """
-    out = np.empty((grid.n,) * 3 + (3, 3))
-    for mu, step in enumerate(steps, 1):
+    out = np.empty((3, 3) + (grid.n,) * 3)
+    for mu, step in enumerate(steps):
         if np.any(step[0] <= 0.0):
-            raise UnresolvableField(refusal.format(mu=mu))
-        out[..., mu - 1, :] = np.moveaxis(quat._log_unit(step) / grid.h, 0, -1)
-    return Connection(grid, out)
+            raise UnresolvableField(refusal.format(mu=mu + 1))
+        np.divide(quat._log_unit(step), grid.h, out=out[mu])
+        del step  # freed before the next step is formed
+    return out
+
+
+def _edge_connection(grid, logs):
+    """The Connection of component-first edge logarithms, a site-last view of them."""
+    return Connection(grid, np.moveaxis(logs, (0, 1), (3, 4)))
+
+
+def _logs_of(u):
+    """The edge logarithms of connection_of(u), component-first."""
+    # one contiguous conjugate of u, from which the shifted copies of u are formed
+    ubar = np.multiply(np.moveaxis(u.values, -1, 0), quat._CONJ, order="C")
+    steps = (quat._mul(ubar, np.roll(ubar, -1, axis=ax) * quat._CONJ) for ax in (1, 2, 3))
+    return _edge_logs(u.grid, steps, "adjacent sites along direction {mu} differ by "
+                      "90 degrees or more; refine the grid")
 
 
 def connection_of(u):
@@ -235,10 +258,7 @@ def connection_of(u):
     through the developing map is the design property; the price is the
     half-edge offset documented on Connection.
     """
-    ubar = quat.conj(u.values)
-    steps = (np.moveaxis(quat.mul(ubar, np.roll(u.values, -1, axis=ax)), -1, 0) for ax in range(3))
-    return _edge_connection(u.grid, steps, "adjacent sites along direction {mu} differ by "
-                            "90 degrees or more; refine the grid")
+    return _edge_connection(u.grid, _logs_of(u))
 
 
 def covariant_derivative(a, phi):

@@ -185,13 +185,23 @@ def _search(grid, v, e0, grad, step, backtrack):
     candidate is rejected unevaluated.  Any other non-finite candidate
     has a NaN energy, which the <= test rejects.
     """
-    gmax = float(np.max(np.abs(grad)))
+    slabs = _slabs(grid.n)
+    tmp = np.empty((3, slabs[0][1]) + v.shape[2:])
+    # slab by slab, in the whole-field order; a NaN anywhere still ends the search
+    gmax = float(np.max([np.max(np.abs(grad[:, a:b], out=tmp[:, :b - a])) for a, b in slabs]))
+    cand = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
         while step * gmax > 1e-16:
-            cand = v - step * grad
-            n2 = cand[0] * cand[0] + cand[1] * cand[1] + cand[2] * cand[2]
-            if np.isfinite(np.max(n2)):
-                cand /= np.sqrt(n2)
+            for a, b in slabs:
+                c = cand[:, a:b]
+                np.subtract(v[:, a:b], np.multiply(step, grad[:, a:b], out=tmp[:, :b - a]), out=c)
+                n2, sq = np.multiply(c[0], c[0], out=tmp[0, :b - a]), tmp[1, :b - a]
+                n2 += np.multiply(c[1], c[1], out=sq)
+                n2 += np.multiply(c[2], c[2], out=sq)
+                if not np.isfinite(np.max(n2)):
+                    break
+                c /= np.sqrt(n2, out=n2)
+            else:
                 found = _kernel(grid, cand)
                 if found[0].total <= e0:
                     return step, (cand, *found)

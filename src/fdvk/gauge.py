@@ -6,6 +6,7 @@ subgroup stabilizing a sphere field phi acts on connections without
 moving the represented map psi = u phi u*; fix_gauge uses that freedom
 to kill the exact part of the longitudinal component <a, phi> and to
 push its harmonic coefficients into the fundamental window [0, 1).
+Edge data stay component-first; fix_gauge's passes build no Connection.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
-from .fields import Connection, GroupField, SphereField, _edge_connection
-from .lattice import _half_spectrum, _irfft3, _parseval_norm, _spectrum
+from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs
+from .lattice import _half_spectrum, _irfft3, _parseval_norm, _spectrum, avg_back
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
@@ -85,11 +86,11 @@ def _plaquette_deviation(t):
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
-            fwd = quat._mul(t[i], np.roll(t[j], -1, axis=i + 1))
-            bwd = quat._mul(t[j], np.roll(t[i], -1, axis=j + 1))
-            p = quat._mul(fwd, bwd * quat._CONJ)
-            worst = max(worst, float(np.max(np.abs(p - quat.ONE[:, None, None, None]))))
-    return worst
+            fwd = quat._hamilton(t[i], np.roll(t[j], -1, axis=i + 1))
+            bw, bx, by, bz = quat._hamilton(t[j], np.roll(t[i], -1, axis=j + 1))
+            p = quat._hamilton(fwd, (bw, -bx, -by, -bz))
+            worst = max(worst, np.max(np.abs(p[0] - 1.0)), *(np.max(np.abs(c)) for c in p[1:]))
+    return float(worst)
 
 
 def _flat_transports(a: Connection, flat_tol):
@@ -154,11 +155,11 @@ def circle_field(grid, theta) -> GroupField:
 
 
 def _transformed(grid, t, gval):
-    """The connection with transports g* t_mu g(. + e_mu), t and g = gval component-first."""
+    """Edge logarithms of the transports g* t_mu g(. + e_mu), t and g = gval component-first."""
     gbar = gval * quat._CONJ
-    steps = (quat._mul(gbar, quat._mul(t[mu], np.roll(gval, -1, axis=mu + 1))) for mu in range(3))
-    return _edge_connection(grid, steps, "gauge factor rotates an edge by 90 degrees or more; "
-                            "the transformed connection has no principal logarithm")
+    steps = (quat._mul(gbar, quat._hamilton(t[mu], np.roll(gval, -1, axis=mu + 1))) for mu in range(3))
+    return _edge_logs(grid, steps, "gauge factor rotates an edge by 90 degrees or more; "
+                      "the transformed connection has no principal logarithm")
 
 
 def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connection:
@@ -171,7 +172,7 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     a.grid.same(phi.grid)
     a.grid.same(lam.grid)
     gval = np.moveaxis(quat.qmap(phi.values, lam.values), -1, 0)
-    return _transformed(a.grid, _transports(a), gval)
+    return _edge_connection(a.grid, _transformed(a.grid, _transports(a), gval))
 
 
 def hodge_parts(grid, omega):
@@ -199,20 +200,23 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     Repeatedly removes the exact part of <a, phi> with a stabilizer
     rotation exp(i theta) and shifts each harmonic coefficient into
     [0, 1) with integer loop windings; the discrete gauge shift only
-    matches d(theta) to O(h^2), so up to MAX_PASSES passes repeat until
-    the removed part is below 1e-8.  The circle factor is pinned to 1
-    at the origin, which keeps develop of the result aligned with
-    develop of the input.  Coefficients within 1e-9 of an integer round
-    to the window endpoint 0 and are flagged.
+    matches d(theta) to O(h^2), so passes repeat until the codifferential
+    of <a, phi> is below 1e-8 in L2 norm and no winding step is left, at
+    most MAX_PASSES of them.  The circle factor is pinned to 1 at the
+    origin, which keeps develop of the result aligned with develop of
+    the input.  Coefficients within 1e-9 of an integer round to the
+    window endpoint 0 and are flagged.
 
     The circle group is abelian, so the rotations compose to exp(i angle),
     angle the sum of the pass angles: each pass moves the input
-    transports by qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi.
+    transports by qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi;
+    only the last pass's edge logarithms are built into a Connection.
     """
     a.grid.same(phi.grid)
     t = _flat_transports(a, flat_tol)
     g = a.grid
     p = np.ascontiguousarray(np.moveaxis(phi.values, -1, 0))
+    x = np.arange(g.n) * g.h
     # a rotation exp(i theta) shifts the site-averaged longitudinal form
     # by the central-difference symbol i sin(k_j h)/h, not by ik: solving
     # against it cancels every mode at linear order, where the plain
@@ -220,14 +224,19 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     ks = sum(k * np.sin(k * g.h) / g.h for k in _half_spectrum(g)[0])
     ks = np.where(ks == 0.0, 1.0, ks)
 
-    current = a
+    logs = np.moveaxis(a.values, (3, 4), (0, 1))
+    # <a, phi> at sites, site-last in memory: the mean sums as in tests/oracles.py
+    long = np.moveaxis(np.empty((g.n,) * 3 + (3,)), -1, 0)
     angle = 0.0
     windings = np.zeros(3, dtype=int)
     passes = 0
     while True:
-        # <a, phi> at sites, component-first
-        long = np.moveaxis(current.site_values(), (3, 4), (0, 1))
-        long = long[:, 0] * p[0] + long[:, 1] * p[1] + long[:, 2] * p[2]
+        for mu in range(3):
+            s = avg_back(g, logs[mu], mu + 1, lead=1)
+            np.multiply(s[0], p[0], out=long[mu])
+            long[mu] += s[1] * p[1]
+            long[mu] += s[2] * p[2]
+        del s  # not held through the move below, the peak of a pass
         coeffs = g.l * long.mean(axis=(1, 2, 3)) / (2.0 * np.pi)
         _, div, _, k2, weight = _spectrum(g, long)
         if passes == 0:
@@ -247,15 +256,15 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
         theta = _irfft3(g, 1j * div / ks)
         for k in range(3):
             if steps[k]:
-                theta = theta + 2.0 * np.pi * steps[k] * g.axes()[k] / g.l
+                theta = theta + 2.0 * np.pi * steps[k] * x.reshape((-1,) + (1,) * (2 - k)) / g.l
         angle += theta - theta[0, 0, 0]
         gval = np.concatenate([np.cos(angle)[None], np.sin(angle) * p])
-        current = _transformed(g, t, gval)
+        logs = _transformed(g, t, gval)
         windings += steps
 
     ties = np.abs(coeffs - np.round(coeffs)) <= TIE_EPS
     coeffs[ties] = 0.0
-    return current, GaugeFixReport(
+    return a if passes == 0 else _edge_connection(g, logs), GaugeFixReport(
         harmonic_coeffs=tuple(float(v) for v in coeffs),
         windings=tuple(int(w) for w in windings),
         exact_part_norm=float(removed),

@@ -20,8 +20,9 @@ from .fields import (
     GroupField,
     SphereField,
     _area,
+    _logs_of,
+    _site_logs,
     conjugate_field,
-    connection_of,
     pullback_area,
 )
 from .lattice import _cross, _half_spectrum, _potential, _rfft3, diff, integrate
@@ -126,8 +127,9 @@ def hopf_charge(psi: SphereField) -> float:
     return _helicity(psi.grid, pullback_area(psi))
 
 
-def _det3(a1, a2, a3):
-    return np.einsum("...i,...i->...", a1, np.cross(a2, a3))
+def _det3(a):
+    c = _cross(a[1], a[2])
+    return a[0][0] * c[0] + a[0][1] * c[1] + a[0][2] * c[2]
 
 
 def degree(u: GroupField) -> float:
@@ -138,8 +140,7 @@ def degree(u: GroupField) -> float:
     (one term per permutation of three distinct directions); the cross
     check against a signed preimage count lives in the test suite.
     """
-    a = connection_of(u).site_values()
-    det = _det3(a[..., 0, :], a[..., 1, :], a[..., 2, :])
+    det = _det3(_site_logs(u.grid, _logs_of(u)))
     return float(integrate(u.grid, det) / (2 * np.pi**2))
 
 
@@ -150,13 +151,12 @@ def chern_simons(a: Connection) -> float:
     identity cs(a) = degree holds at second order on developable
     connections.
     """
-    ab = a.site_values()
+    ab = _site_logs(a.grid, np.moveaxis(a.values, (3, 4), (0, 1)))
     # Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms
     # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
     K, weight = _half_spectrum(a.grid)
-    forms = (np.moveaxis(ab[..., c], -1, 0) for c in range(3))
-    ada = -sum(_wedge_d(a.grid, _rfft3(w), K, weight) for w in forms)
-    det = _det3(ab[..., 0, :], ab[..., 1, :], ab[..., 2, :])
+    ada = -sum(_wedge_d(a.grid, _rfft3(ab[:, c]), K, weight) for c in range(3))
+    det = _det3(ab)
     return float((ada - 4.0 * integrate(a.grid, det)) / (4 * np.pi**2))
 
 

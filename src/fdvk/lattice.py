@@ -152,15 +152,16 @@ def _cross(a, b, out=None):
     return out
 
 
-def avg_back(grid, f, mu):
+def avg_back(grid, f, mu, lead=0):
     """Average of a value with its backward neighbor along mu.
 
     Moves an edge-held value (sample at x + h/2 e_mu) to the site x at
     second order; the workhorse for consuming edge-logarithm
-    connections in site-centered formulas.
+    connections in site-centered formulas.  lead counts the component
+    axes before the site axes, as for diff.
     """
     check_direction(mu)
-    return 0.5 * (f + np.roll(f, 1, axis=mu - 1))
+    return 0.5 * (f + np.roll(f, 1, axis=mu - 1 + lead))
 
 
 def d(grid, w, deg):

@@ -8,8 +8,9 @@ routines only ever see plain numpy arrays.
 
 The last two sections are of another kind: site-last reference versions
 of the descent gradient, step ceiling, energy, area form and Hopf
-helicity, and of the quaternion product, plaquette transport, holonomy,
-developing map, Hodge split, canonical gauge and Chern-Simons number, in
+helicity, and of the quaternion product, edge-logarithm connection, its
+site averages, plaquette transport, holonomy, developing map, Hodge
+split, canonical gauge, degree and Chern-Simons number, in
 the arithmetic the component-first production kernels replaced
 (np.cross, last-axis sums, full complex FFTs, per-pass gauge moves with
 a two-chart square root).  The kernels must agree with them bit for bit
@@ -575,19 +576,40 @@ def _ref_cancelling_angle(w, l):
     return np.fft.ifftn(1j * np.einsum("...k,...k->...", kvec, wh) / ks, axes=(0, 1, 2)).real
 
 
-def _ref_longitudinal(avals, phivals):
-    sv = np.empty_like(avals)
+def ref_site_values(avals):
+    """Site-last edge values averaged with their backward neighbours, per direction."""
+    sv = np.empty(avals.shape)
     for mu in range(3):
         sv[..., mu, :] = 0.5 * (avals[..., mu, :] + np.roll(avals[..., mu, :], 1, axis=mu))
-    return np.einsum("...mk,...k->...m", sv, phivals)
+    return sv
 
 
-def _ref_gauge_transform(avals, phivals, theta, h):
-    th = np.asarray(theta)
-    zero = np.zeros_like(th)
-    lam = np.stack([np.cos(th), np.sin(th), zero, zero], axis=-1)
-    gval = ref_qmap(phivals, lam)
-    out = np.empty_like(avals)
+def ref_connection_of(uvals, h):
+    """Edge logarithms log(u(x)* u(x + e_mu)) / h of site-last group values."""
+    out = np.empty(uvals.shape[:3] + (3, 3))
+    for mu in range(3):
+        step = ref_mul(uvals * _CONJ, np.roll(uvals, -1, axis=mu))
+        if np.any(step[..., 0] <= 0.0):
+            raise RefUnresolvable("adjacent sites differ by 90 degrees or more")
+        out[..., mu, :] = _ref_log_unit(step) / h
+    return out
+
+
+def ref_degree(uvals, l):
+    """Degree from the einsum triple product of the site-averaged connection."""
+    h = l / uvals.shape[0]
+    sv = ref_site_values(ref_connection_of(uvals, h))
+    det = np.einsum("...i,...i->...", sv[..., 0, :], np.cross(sv[..., 1, :], sv[..., 2, :]))
+    return float(np.sum(det)) * h**3 / (2 * np.pi**2)
+
+
+def _ref_longitudinal(avals, phivals):
+    return np.einsum("...mk,...k->...m", ref_site_values(avals), phivals)
+
+
+def _ref_move(avals, gval, h):
+    """Edge logarithms of the transports gval* exp(h a_mu) gval(. + e_mu), site-last."""
+    out = np.empty(avals.shape)
     for mu in range(3):
         step = _ref_exp_im(avals[..., mu, :] * h)
         combined = ref_mul(gval * _CONJ, ref_mul(step, np.roll(gval, -1, axis=mu)))
@@ -595,6 +617,13 @@ def _ref_gauge_transform(avals, phivals, theta, h):
             raise RefUnresolvable("gauge factor rotates an edge by 90 degrees or more")
         out[..., mu, :] = _ref_log_unit(combined) / h
     return out
+
+
+def _ref_gauge_transform(avals, phivals, theta, h):
+    th = np.asarray(theta)
+    zero = np.zeros_like(th)
+    lam = np.stack([np.cos(th), np.sin(th), zero, zero], axis=-1)
+    return _ref_move(avals, ref_qmap(phivals, lam), h)
 
 
 def ref_fix_gauge(avals, phivals, l, tol=1e-8, tie_eps=1e-9, max_passes=16):
@@ -647,9 +676,7 @@ def ref_chern_simons(avals, l):
     k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
     if n % 2 == 0:
         k[n // 2] = 0.0
-    sv = np.empty_like(avals)
-    for mu in range(3):
-        sv[..., mu, :] = 0.5 * (avals[..., mu, :] + np.roll(avals[..., mu, :], 1, axis=mu))
+    sv = ref_site_values(avals)
     ada = 0.0
     for i in range(3):
         a = [sv[..., m, i] for m in range(3)]
@@ -661,3 +688,71 @@ def ref_chern_simons(avals, l):
         ada = ada - sum(a[m] * curl[m] for m in range(3))
     det = np.einsum("...i,...i->...", sv[..., 0, :], np.cross(sv[..., 1, :], sv[..., 2, :]))
     return float(np.sum(ada - 4.0 * det)) * (l / n) ** 3 / (4 * np.pi**2)
+
+
+def ref_fix_gauge_site_last(avals, phivals, l, tol=1e-8, tie_eps=1e-9, max_passes=16):
+    """Canonical gauge through a site-last connection per pass, as a dict of results.
+
+    The arithmetic of the half-spectrum gauge kernel on site-last arrays:
+    each pass averages the current connection to sites, contracts it
+    with phi in site-last memory, reads the harmonic coefficients, the
+    codifferential residual and the cancelling angle from one rfftn, and
+    moves the input transports by cos(angle) + sin(angle) phi for the
+    cumulative angle.  The kernel must agree with it bit for bit.
+    """
+    n = avals.shape[0]
+    h = l / n
+    k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+        weight[-1] = 1.0
+    K = (k[:, None, None], k[None, :, None], k[None, None, :n // 2 + 1])
+    k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
+    k2 = np.where(k2 == 0.0, 1.0, k2)
+    ks = sum(kk * np.sin(kk * h) / h for kk in K)
+    ks = np.where(ks == 0.0, 1.0, ks)
+
+    def norm(fh):
+        return float(np.sqrt(np.sum(weight * np.abs(fh) ** 2) * h**3 / n**3))
+
+    axes = np.meshgrid(*(np.arange(n) * h,) * 3, indexing="ij")
+    p = phivals
+    current = avals
+    angle = 0.0
+    windings = np.zeros(3, dtype=int)
+    passes = 0
+    while True:
+        sv = ref_site_values(current)
+        long = sv[..., 0] * p[..., 0, None] + sv[..., 1] * p[..., 1, None] + sv[..., 2] * p[..., 2, None]
+        coeffs = l * long.mean(axis=(0, 1, 2)) / (2.0 * np.pi)
+        wh = np.fft.rfftn(np.moveaxis(long, -1, 0), axes=(-3, -2, -1))
+        div = K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]
+        if passes == 0:
+            removed = norm(div / np.sqrt(k2))
+        resid = norm(div)
+        steps = -np.floor(coeffs + tie_eps).astype(int)
+        if resid <= tol and np.all(steps == 0):
+            break
+        if passes == max_passes:
+            raise RuntimeError(f"site-last gauge did not converge in {max_passes} passes")
+        passes += 1
+        theta = np.fft.irfftn(1j * div / ks, s=(n,) * 3, axes=(-3, -2, -1))
+        for m in range(3):
+            if steps[m]:
+                theta = theta + 2.0 * np.pi * steps[m] * axes[m] / l
+        angle += theta - theta[0, 0, 0]
+        gval = np.concatenate([np.cos(angle)[..., None], np.sin(angle)[..., None] * p], axis=-1)
+        current = _ref_move(avals, gval, h)
+        windings += steps
+    ties = np.abs(coeffs - np.round(coeffs)) <= tie_eps
+    coeffs[ties] = 0.0
+    return {
+        "values": current,
+        "harmonic_coeffs": tuple(float(v) for v in coeffs),
+        "windings": tuple(int(w) for w in windings),
+        "exact_part_norm": removed,
+        "ties": tuple(bool(t) for t in ties),
+        "passes": passes,
+    }

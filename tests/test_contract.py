@@ -1,4 +1,7 @@
-"""The public contract: the names the package exports."""
+"""The public contract: the names the package exports, and where Fourier transforms live."""
+
+import re
+from pathlib import Path
 
 import fdvk
 
@@ -24,3 +27,12 @@ def test_public_names_are_the_contract():
 def test_every_public_name_resolves():
     for name in CONTRACT:
         assert getattr(fdvk, name) is not None, name
+
+
+def test_fourier_transforms_only_in_lattice():
+    # every transform goes through lattice._rfft3 and _irfft3, on one half spectrum
+    src = Path(fdvk.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py"))
+             if p.name != "lattice.py" and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b", p.read_text())]
+    assert users == []
+    assert re.search(r"\bnp\.fft\b", (src / "lattice.py").read_text())

@@ -1,13 +1,18 @@
 """The component-first gauge kernels against their site-last references.
 
-develop, plaquette_deviation, holonomy and quat.mul use the same
-arithmetic as the references in tests/oracles.py and must agree bit for
-bit.  fix_gauge composes its circle moves into one cumulative angle and
-reads its spectral quantities from one half-spectrum transform per
-pass: the same passes, windings and ties, the connection and the
-harmonic coefficients within 1e-12 absolute, the removed exact part
-within 1e-12 relative (to the longitudinal form, where the exact part
-itself is rounding residue).  chern_simons sums a ^ da by Parseval (1e-12
+connection_of, Connection.site_values, develop, plaquette_deviation,
+holonomy and quat.mul use the same arithmetic as the references in
+tests/oracles.py and must agree bit for bit.  fix_gauge keeps its edge
+logarithms component-first through the passes and must agree bit for
+bit with the same passes through a site-last connection
+(ref_fix_gauge_site_last): connection, coefficients, windings, ties and
+removed exact part.  Against the full-spectrum reference that moves the
+current connection once per pass it has the same passes, windings and
+ties, the connection and the harmonic coefficients within 1e-12
+absolute, the removed exact part within 1e-12 relative (to the
+longitudinal form, where the exact part itself is rounding residue).
+degree sums its triple product in another order than the einsum
+reference (1e-12 absolute); chern_simons sums a ^ da by Parseval (1e-12
 absolute), hodge_parts projects on the half spectrum (1e-12 absolute).
 Odd n exercise the half-spectrum weights.
 """
@@ -19,17 +24,21 @@ from fdvk import gauge, quat
 from fdvk.errors import NontrivialHolonomy
 from fdvk.fields import Connection, SphereField, connection_of, constant_sphere
 from fdvk.gauge import circle_field, develop, fix_gauge, hodge_parts, holonomy, plaquette_deviation
-from fdvk.invariants import chern_simons
+from fdvk.invariants import chern_simons, degree
 from fdvk.lattice import Grid, form_norm
 from fieldgen import smooth_group_field, smooth_sphere_field
 from oracles import (
     ref_chern_simons,
+    ref_connection_of,
+    ref_degree,
     ref_develop,
     ref_fix_gauge,
+    ref_fix_gauge_site_last,
     ref_hodge_parts,
     ref_holonomy,
     ref_mul,
     ref_plaquette_deviation,
+    ref_site_values,
 )
 
 TOL = 1e-12
@@ -67,11 +76,20 @@ def case(request):
         assert np.min(phi.values[..., 0]) <= -0.5
     a = connection_of(u)
     fixed, report = fix_gauge(a, phi)
-    return a, phi, fixed, report
+    return a, phi, fixed, report, u
+
+
+def test_connection_of_site_values_and_degree_match_site_last(case):
+    a, _, fixed, _, u = case
+    g = a.grid
+    assert np.array_equal(a.values, ref_connection_of(u.values, g.h))
+    for b in (a, fixed):
+        assert np.array_equal(b.site_values(), ref_site_values(b.values))
+    assert abs(degree(u) - ref_degree(u.values, g.l)) <= TOL
 
 
 def test_develop_plaquettes_holonomy_bit_identical(case):
-    a, _, fixed, _ = case
+    a, _, fixed, _, _ = case
     h = a.grid.h
     assert np.array_equal(develop(a).values, ref_develop(a.values, h))
     for b in (a, fixed):
@@ -94,7 +112,7 @@ def checked_holonomies(monkeypatch):
 
 
 def test_develop_reads_the_loop_check_off_its_walk(case, checked_holonomies):
-    a, _, fixed, _ = case
+    a, _, fixed, _, _ = case
     for b in (a, fixed):
         develop(b)
         got, want = checked_holonomies.pop(), holonomy(b)
@@ -112,8 +130,17 @@ def test_develop_refuses_constant_holonomy(checked_holonomies):
     assert checked_holonomies[0].deviation() == holonomy(a).deviation() > gauge.HOLONOMY_TOL
 
 
+def test_fix_gauge_bit_identical_to_site_last_passes(case):
+    a, phi, fixed, report, _ = case
+    ref = ref_fix_gauge_site_last(a.values, phi.values, a.grid.l)
+    assert np.array_equal(fixed.values, ref["values"])
+    assert report.harmonic_coeffs == ref["harmonic_coeffs"]
+    assert report.exact_part_norm == ref["exact_part_norm"]
+    assert (report.passes, report.windings, report.ties) == (ref["passes"], ref["windings"], ref["ties"])
+
+
 def test_fix_gauge_matches_per_pass_reference(case):
-    a, phi, fixed, report = case
+    a, phi, fixed, report, _ = case
     ref = ref_fix_gauge(a.values, phi.values, a.grid.l)
     assert report.passes == ref["passes"]
     assert report.windings == ref["windings"]
@@ -128,7 +155,7 @@ def test_fix_gauge_matches_per_pass_reference(case):
 
 
 def test_chern_simons_and_hodge_parts_match_full_spectrum(case):
-    a, phi, fixed, _ = case
+    a, phi, fixed, _, _ = case
     g = a.grid
     for b in (a, fixed):
         assert abs(chern_simons(b) - ref_chern_simons(b.values, g.l)) <= TOL
