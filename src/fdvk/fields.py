@@ -9,9 +9,10 @@ scaled log of the transport from site x to x + e_mu and therefore
 samples the continuum 1-form at the edge midpoint x + h/2 e_mu. Code
 that needs the value at the site itself averages the two incident
 edges (avg_back); holonomy and developing-map reconstruction consume
-the raw edge values, for which the round trip is exact.  Edge logs are
-computed component-first, (direction, component, n, n, n); a Connection,
-built only where a public function returns one, holds a site-last view.
+the raw edge values, for which the round trip is exact.  All math here
+is component-first: edge logs are (direction, component, n, n, n), _logs
+reads a Connection that way, and a Connection, built only where a public
+function returns one, holds a site-last view of them.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import quat
 from .errors import GridMismatch, UnresolvableField
-from .lattice import Grid, _cross, _diff_into, _slabs, avg_back, diff
+from .lattice import Grid, _comp_first, _cross, _diff_into, _dot, _site_last, _slabs, avg_back, diff
 
 FOUR_PI = 4.0 * np.pi
 
@@ -82,15 +83,19 @@ class Connection:
 
     def site_values(self):
         """Edge values moved to sites by the two-edge average, O(h^2)."""
-        logs = np.moveaxis(self.values, (3, 4), (0, 1))
-        return np.moveaxis(_site_logs(self.grid, logs), (0, 1), (3, 4))
+        return np.moveaxis(_site_logs(self.grid, _logs(self)), (0, 1), (3, 4))
+
+
+def _logs(a):
+    """The edge logarithms of a Connection, component-first: a (3, 3, n, n, n) view."""
+    return np.moveaxis(a.values, (3, 4), (0, 1))
 
 
 def _site_logs(grid, logs):
     """Component-first edge logarithms moved to sites by the two-edge average."""
     out = np.empty(logs.shape)
     for mu in range(3):
-        out[mu] = avg_back(grid, logs[mu], mu + 1, lead=1)
+        out[mu] = avg_back(grid, logs[mu], mu + 1)
     return out
 
 
@@ -116,15 +121,9 @@ def conjugate_field(u, phi):
     return SphereField(u.grid, psi)
 
 
-def _comp_first(values):
-    """Site-last (n, n, n, 3) values as a contiguous (3, n, n, n) array."""
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
-
-
 def _area(v, di, dj):
     """v . (di x dj) / 4 pi of component-first values: one pullback_area slot."""
-    c = _cross(di, dj)
-    return (v[0] * c[0] + v[1] * c[1] + v[2] * c[2]) / FOUR_PI
+    return _dot(v, _cross(di, dj)) / FOUR_PI
 
 
 def pullback_area(psi):
@@ -136,7 +135,7 @@ def pullback_area(psi):
     """
     g = psi.grid
     v = _comp_first(psi.values)
-    dv = [diff(g, v, mu, lead=1) for mu in (1, 2, 3)]
+    dv = [diff(g, v, mu) for mu in (1, 2, 3)]
     out = np.empty_like(v)
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
         out[k] = _area(v, dv[i], dv[j])
@@ -261,29 +260,34 @@ def connection_of(u):
     return _edge_connection(u.grid, _logs_of(u))
 
 
+def _covariant(a, phi):
+    """(D, ab, p) component-first: D_a phi, the site-averaged connection, phi.
+
+    D[mu] = d_mu phi + 2 ab[mu] x phi has the shape of ab, (3, 3, n, n, n).
+    """
+    a.grid.same(phi.grid)
+    p = _comp_first(phi.values)
+    ab = _site_logs(phi.grid, _logs(a))
+    D = np.empty_like(ab)
+    for mu in range(3):
+        np.add(diff(phi.grid, p, mu + 1), 2.0 * _cross(ab[mu], p), out=D[mu])
+    return D, ab, p
+
+
 def covariant_derivative(a, phi):
     """D_a phi, components d_mu phi + [a_mu, phi] at sites.
 
     Uses central differences for d and the site-averaged connection for
     the bracket, so the result is collocated with the field values.
     """
-    a.grid.same(phi.grid)
-    g = phi.grid
-    ab = a.site_values()
-    out = np.empty((g.n, g.n, g.n, 3, 3))
-    for mu in (1, 2, 3):
-        out[..., mu - 1, :] = diff(g, phi.values, mu) + 2.0 * np.cross(
-            ab[..., mu - 1, :], phi.values
-        )
-    return out
+    return _site_last(_site_last(_covariant(a, phi)[0]))
 
 
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
-    D = covariant_derivative(a, phi)
-    d = [_comp_first(D[..., mu, :]) for mu in range(3)]
-    e2, e4, tmp = (np.empty_like(d[0]) for _ in range(3))
-    _assemble(d, np.empty((3,) + e2.shape), e2, e4, tmp)
+    D = _covariant(a, phi)[0]
+    e2, e4, tmp = (np.empty_like(D[0]) for _ in range(3))
+    _assemble(D, np.empty_like(D), e2, e4, tmp)
     return _energy(phi.grid, e2, e4)
 
 
@@ -295,11 +299,11 @@ def decompose(a, phi):
     is pointwise algebra on the stored arrays; no edge averaging.
     """
     a.grid.same(phi.grid)
-    p = phi.values[..., None, :]
-    long = np.sum(a.values * p, axis=-1)
+    A, p = _logs(a), _comp_first(phi.values)
+    long = np.stack([_dot(A[mu], p) for mu in range(3)])
     # phi [a, phi] / 2 = phi x (a x phi), the projection off phi
-    tang = np.cross(p, np.cross(a.values, p))
-    return long, tang
+    tang = np.stack([_cross(p, _cross(A[mu], p)) for mu in range(3)])
+    return _site_last(long), _site_last(_site_last(tang))
 
 
 def plaquette_curvature(a):
@@ -311,17 +315,15 @@ def plaquette_curvature(a):
     Returns a dual-vector 2-form of imaginary quaternions, slot k for
     the (i, j) plaquette with (i, j, k) cyclic.
     """
-    g = a.grid
-    v = a.values
-    out = np.empty((g.n, g.n, g.n, 3, 3))
+    h = a.grid.h
+    A = _logs(a)
+    out = np.empty(A.shape)
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        ai, aj = v[..., i, :], v[..., j, :]
-        dj_ai = (np.roll(ai, -1, axis=j) - ai) / g.h
-        di_aj = (np.roll(aj, -1, axis=i) - aj) / g.h
-        ai_avg = 0.5 * (ai + np.roll(ai, -1, axis=j))
-        aj_avg = 0.5 * (aj + np.roll(aj, -1, axis=i))
-        out[..., k, :] = di_aj - dj_ai + 2.0 * np.cross(ai_avg, aj_avg)
-    return out
+        ai, aj = A[i], A[j]
+        # each leg's far edge: a_i one site up along j, a_j one up along i
+        ri, rj = np.roll(ai, -1, axis=j + 1), np.roll(aj, -1, axis=i + 1)
+        out[k] = (rj - aj) / h - (ri - ai) / h + 2.0 * _cross(0.5 * (ai + ri), 0.5 * (aj + rj))
+    return _site_last(_site_last(out))
 
 
 def flatness_residuals(a, phi):
@@ -340,38 +342,28 @@ def flatness_residuals(a, phi):
     Both are evaluated site-centered through the identities
     [phi dphi, Q]_{mu nu}/4 = d_mu phi . t_nu - d_nu phi . t_mu and
     phi Q^Q /4 = -2 (t_mu x t_nu) . phi with t the tangential part and
-    Q = [a, phi]; the transcription is exact pointwise algebra.
+    Q = [a, phi]; the transcription is exact pointwise algebra.  The
+    squares are summed in site-last order, as the public arrays are.
     """
-    a.grid.same(phi.grid)
     g = phi.grid
-    ab = a.site_values()
-    p = phi.values
+    D, ab, p = _covariant(a, phi)
     dphi = [diff(g, p, mu) for mu in (1, 2, 3)]
-    s = np.sum(ab * p[..., None, :], axis=-1)
-    t = ab - s[..., None] * p[..., None, :]
-    D = covariant_derivative(a, phi)
+    s = np.stack([_dot(ab[mu], p) for mu in range(3)])
+    t = ab - s[:, None] * p
 
-    full2 = 0.0
+    Fp = plaquette_curvature(a)
+    full2 = sum(float(np.sum(Fp[..., k, :] ** 2)) for k in range(3))
     r1_2 = 0.0
     r2_2 = 0.0
-    Fp = plaquette_curvature(a)
-    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        full2 += float(np.sum(Fp[..., k, :] ** 2))
-        si, sj = s[..., i], s[..., j]
-        ti, tj = t[..., i, :], t[..., j, :]
-        ds = diff(g, sj, i + 1) - diff(g, si, j + 1)
-        r1 = (
-            ds
-            - np.sum(dphi[i] * tj, axis=-1)
-            + np.sum(dphi[j] * ti, axis=-1)
-            + 2.0 * np.sum(np.cross(ti, tj) * p, axis=-1)
-        )
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        ds = diff(g, s[j], i + 1) - diff(g, s[i], j + 1)
+        r1 = ds - _dot(dphi[i], t[j]) + _dot(dphi[j], t[i]) + 2.0 * _dot(_cross(t[i], t[j]), p)
         r1_2 += float(np.sum(r1 * r1))
-        dt = diff(g, tj, i + 1) - diff(g, ti, j + 1)
-        sD = si[..., None] * D[..., j, :] - sj[..., None] * D[..., i, :]
-        Qi, Qj = 2.0 * np.cross(ti, p), 2.0 * np.cross(tj, p)
-        mix = 0.5 * (np.cross(dphi[i], Qj) - np.cross(dphi[j], Qi))
+        dt = diff(g, t[j], i + 1) - diff(g, t[i], j + 1)
+        sD = s[i] * D[j] - s[j] * D[i]
+        Qi, Qj = 2.0 * _cross(t[i], p), 2.0 * _cross(t[j], p)
+        mix = 0.5 * (_cross(dphi[i], Qj) - _cross(dphi[j], Qi))
         r2 = dt - sD - mix
-        r2_2 += float(np.sum(r2 * r2))
+        r2_2 += float(np.sum(_site_last(r2 * r2)))
     h3 = g.h**3
     return float(np.sqrt(full2 * h3)), float(np.sqrt(r1_2 * h3)), float(np.sqrt(r2_2 * h3))

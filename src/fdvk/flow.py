@@ -24,9 +24,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
-from .fields import SphereField, _comp_first, _sweep
+from .fields import SphereField, _sweep
 from .invariants import _classify
-from .lattice import _cross, _diff_into, _halo, _slabs, form_norm
+from .lattice import _comp_first, _cross, _diff_into, _dot, _halo, _site_last, _slabs, form_norm
 
 MODES = ("map-class", "hopf-class", "flux-only")
 
@@ -159,8 +159,7 @@ def _gradient(grid, v, dv, w):
                 sub(_cross(d[nu][:, a:b], wmn[:, a:b], out=c), mu + 1)
             sub(_cross(wmn[:, a:b], d[mu][:, a:b], out=c), nu + 1)
         vs = v[:, a:b]
-        gv = g[0] * vs[0] + g[1] * vs[1] + g[2] * vs[2]
-        np.multiply(gv, vs, out=term)
+        np.multiply(_dot(g, vs), vs, out=term)
         g -= term
     return grad
 
@@ -207,11 +206,6 @@ def _search(grid, v, e0, grad, step, backtrack):
                     return step, (cand, *found)
             step *= backtrack
     return step, None
-
-
-def _field(grid, v):
-    """Validated SphereField of component-first values, stored site-last."""
-    return SphereField(grid, np.ascontiguousarray(np.moveaxis(v, 0, -1)))
 
 
 def grad_energy(psi: SphereField) -> np.ndarray:
@@ -265,7 +259,7 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
     if found is None:
         return psi, step, False
-    return _field(g, found[0]), step, True
+    return SphereField(g, _site_last(found[0])), step, True
 
 
 def _monitor(psi, iteration, gnorm, en):
@@ -374,12 +368,12 @@ def minimize(
         del dv, w
         gnorm = form_norm(g, grad)
         if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
-            psi = _field(g, v)
+            psi = SphereField(g, _site_last(v))
             row, c = _monitor(psi, it, gnorm, en)
             record(row)
             check_guards(row, c)
     if trace.last().iteration != it:
-        psi = _field(g, v)
+        psi = SphereField(g, _site_last(v))
         row, c = _monitor(psi, it, gnorm, en)
         record(row)
         check_guards(row, c)

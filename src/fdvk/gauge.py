@@ -16,14 +16,14 @@ import numpy as np
 
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
-from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs
-from .lattice import _half_spectrum, _irfft3, _parseval_norm, _spectrum, avg_back
+from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs, _logs
+from .lattice import _comp_first, _half_spectrum, _irfft3, _parseval_norm, _site_last, _spectrum, avg_back
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
 EXACT_PART_TOL = 1e-8
 TIE_EPS = 1e-9
-MAX_PASSES = 16
+MAX_PASSES = 32
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def holonomy(a: Connection) -> Holonomy:
     out = np.empty((3, 4))
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
-        steps = quat._exp_im(np.moveaxis(a.values[take + (ax,)] * g.h, -1, 0))
+        steps = quat._exp_im(_logs(a)[(ax, slice(None)) + take] * g.h)
         p = reduce(quat._mul, steps.T, quat.ONE)
         out[ax] = p / quat.norm(p)
     return Holonomy(out)
@@ -78,7 +78,7 @@ def holonomy(a: Connection) -> Holonomy:
 
 def _transports(a: Connection):
     """Edge transports exp(h a), contiguous (3, 4, n, n, n): direction, component."""
-    v = np.ascontiguousarray(np.moveaxis(a.values, (3, 4), (0, 1))) * a.grid.h
+    v = np.ascontiguousarray(_logs(a)) * a.grid.h
     return np.stack([quat._exp_im(vmu) for vmu in v])
 
 
@@ -142,7 +142,7 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
         raise NontrivialHolonomy(
             f"loop holonomy deviates from (1,1,1) by {hol.deviation():.3e}"
         )
-    u = quat._site_last(u)
+    u = _site_last(u)
     return GroupField(a.grid, u / quat.norm(u)[..., None])
 
 
@@ -171,7 +171,7 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     """
     a.grid.same(phi.grid)
     a.grid.same(lam.grid)
-    gval = np.moveaxis(quat.qmap(phi.values, lam.values), -1, 0)
+    gval = _comp_first(quat.qmap(phi.values, lam.values))
     return _edge_connection(a.grid, _transformed(a.grid, _transports(a), gval))
 
 
@@ -215,7 +215,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     a.grid.same(phi.grid)
     t = _flat_transports(a, flat_tol)
     g = a.grid
-    p = np.ascontiguousarray(np.moveaxis(phi.values, -1, 0))
+    p = _comp_first(phi.values)
     x = np.arange(g.n) * g.h
     # a rotation exp(i theta) shifts the site-averaged longitudinal form
     # by the central-difference symbol i sin(k_j h)/h, not by ik: solving
@@ -224,7 +224,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     ks = sum(k * np.sin(k * g.h) / g.h for k in _half_spectrum(g)[0])
     ks = np.where(ks == 0.0, 1.0, ks)
 
-    logs = np.moveaxis(a.values, (3, 4), (0, 1))
+    logs = _logs(a)
     # <a, phi> at sites, site-last in memory: the mean sums as in tests/oracles.py
     long = np.moveaxis(np.empty((g.n,) * 3 + (3,)), -1, 0)
     angle = 0.0
@@ -232,7 +232,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     passes = 0
     while True:
         for mu in range(3):
-            s = avg_back(g, logs[mu], mu + 1, lead=1)
+            s = avg_back(g, logs[mu], mu + 1)
             np.multiply(s[0], p[0], out=long[mu])
             long[mu] += s[1] * p[1]
             long[mu] += s[2] * p[2]

@@ -20,12 +20,13 @@ from .fields import (
     GroupField,
     SphereField,
     _area,
+    _logs,
     _logs_of,
     _site_logs,
     conjugate_field,
     pullback_area,
 )
-from .lattice import _cross, _half_spectrum, _potential, _rfft3, diff, integrate
+from .lattice import _comp_first, _cross, _dot, _half_spectrum, _potential, _rfft3, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -61,16 +62,16 @@ def _raw_fluxes(psi: SphereField):
 
     Slot k of pullback_area on the plane x_k = n/2 needs only that
     plane's two in-plane differences, so each flux is the plane's area
-    density, through the same arithmetic, summed as slice_flux sums it.
+    density, through the same arithmetic, summed as slice_flux sums it;
+    the plane is read as a slab one site thick, as diff reads a field.
     """
     g = psi.grid
+    mid = slice(g.n // 2, g.n // 2 + 1)
     raw = []
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
         # a basic index, so a strided psi.values (as loaded) is not copied whole
-        plane = psi.values[(slice(None),) * k + (g.n // 2,)]
-        p = np.ascontiguousarray(np.moveaxis(plane, -1, 0))
-        # plane axes 1 and 2 are the site axes other than k, in order
-        di, dj = (diff(g, p, 1 + m - (m > k), lead=1) for m in (i, j))
+        p = _comp_first(psi.values[(slice(None),) * k + (mid,)])
+        di, dj = (diff(g, p, m + 1) for m in (i, j))
         raw.append(float(np.sum(_area(p, di, dj))) * g.h**2)
     return tuple(raw)
 
@@ -128,8 +129,7 @@ def hopf_charge(psi: SphereField) -> float:
 
 
 def _det3(a):
-    c = _cross(a[1], a[2])
-    return a[0][0] * c[0] + a[0][1] * c[1] + a[0][2] * c[2]
+    return _dot(a[0], _cross(a[1], a[2]))
 
 
 def degree(u: GroupField) -> float:
@@ -151,7 +151,7 @@ def chern_simons(a: Connection) -> float:
     identity cs(a) = degree holds at second order on developable
     connections.
     """
-    ab = _site_logs(a.grid, np.moveaxis(a.values, (3, 4), (0, 1)))
+    ab = _site_logs(a.grid, _logs(a))
     # Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms
     # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
     K, weight = _half_spectrum(a.grid)

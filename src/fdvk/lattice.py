@@ -11,11 +11,12 @@ Forms are realized componentwise:
                               coefficient for (i, j, k) cyclic
     3-form  (n, n, n)         coefficient of dx^1 dx^2 dx^3
 
-The descent and the area form work internally on the component-first
-layout (3, n, n, n): each component is one contiguous scalar field, so
-stencils and products stream through memory. diff(..., lead=1) and
-_cross act on that layout; public functions take and return the
-site-last one.
+That site-last layout is kept only by the field containers and by what
+public functions return. Inside the package arrays are component-first,
+the site axes the last three: (3, n, n, n), or (3, 3, n, n, n) for edge
+logs, so stencils and products stream through contiguous components.
+diff and avg_back act on the last three axes, _cross and _dot on the
+first; _comp_first and _site_last convert between the two layouts.
 
 The descent sweeps that layout in slabs of whole planes along the first
 site axis (_slabs, SLAB_SITES sites per slab), so a slab's temporaries
@@ -83,15 +84,15 @@ def check_direction(mu):
         raise ValueError("direction must be 1, 2 or 3")
 
 
-def diff(grid, f, mu, lead=0):
+def diff(grid, f, mu):
     """Central difference along direction mu, periodic.
 
-    lead counts the per-site component axes stored before the three site
-    axes: 0 for site-last values, 1 for the component-first layout.
+    The site axes are the last three of f, so a scalar field and a
+    component-first one are differenced alike.
     """
     check_direction(mu)
     f = np.asarray(f)
-    return _diff_into(grid, f, mu - 1 + lead, np.empty(f.shape, np.result_type(f, 1.0)))
+    return _diff_into(grid, f, f.ndim - 4 + mu, np.empty(f.shape, np.result_type(f, 1.0)))
 
 
 def _diff_into(grid, f, ax, out, lo=0, hi=None):
@@ -137,6 +138,21 @@ def _halo(f, a, b):
     return np.take(f, np.arange(a - 1, b + 1) % n, axis=1)
 
 
+def _comp_first(values):
+    """Values with a trailing component axis as a contiguous array with it first."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
+
+
+def _site_last(q):
+    """Component-first values as a contiguous array, component axis last (twice for edge logs)."""
+    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+
+
+def _dot(a, b):
+    """a . b of component-first vectors, summed left to right as np.sum sums a last axis."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _cross(a, b, out=None):
     """a x b of component-first vectors, index 0 running over components.
 
@@ -152,16 +168,16 @@ def _cross(a, b, out=None):
     return out
 
 
-def avg_back(grid, f, mu, lead=0):
+def avg_back(grid, f, mu):
     """Average of a value with its backward neighbor along mu.
 
     Moves an edge-held value (sample at x + h/2 e_mu) to the site x at
     second order; the workhorse for consuming edge-logarithm
-    connections in site-centered formulas.  lead counts the component
-    axes before the site axes, as for diff.
+    connections in site-centered formulas.  The site axes are the last
+    three of f, as for diff.
     """
     check_direction(mu)
-    return 0.5 * (f + np.roll(f, 1, axis=mu - 1 + lead))
+    return 0.5 * (f + np.roll(f, 1, axis=np.ndim(f) - 4 + mu))
 
 
 def d(grid, w, deg):
@@ -174,7 +190,7 @@ def d(grid, w, deg):
         return np.moveaxis(_irfft3(grid, np.stack([1j * k * wh for k in K])), 0, -1)
     if deg == 1:
         return np.moveaxis(_irfft3(grid, 1j * _cross(K, wh)), 0, -1)
-    return _irfft3(grid, 1j * (K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]))
+    return _irfft3(grid, 1j * _dot(K, wh))
 
 
 def codiff(grid, w, deg):
@@ -245,8 +261,7 @@ def _spectrum(grid, w):
     wh = _rfft3(w)
     K, weight = _half_spectrum(grid)
     k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
-    div = K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]
-    return wh, div, K, np.where(k2 == 0.0, 1.0, k2), weight
+    return wh, _dot(K, wh), K, np.where(k2 == 0.0, 1.0, k2), weight
 
 
 def _parseval_norm(grid, weight, fh):

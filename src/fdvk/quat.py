@@ -14,6 +14,8 @@ For imaginary p, q the useful identities are
 
 import numpy as np
 
+from .lattice import _site_last
+
 UNIT_TOL = 1e-9
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
@@ -27,11 +29,6 @@ IM_K = np.array([0.0, 0.0, 1.0])
 
 # conj as a factor on component-first fields (3-D, index 0 over components)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None, None]
-
-
-def _site_last(q):
-    """Component-first values as a contiguous array with components last."""
-    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
 
 
 def _hamilton(p, q):

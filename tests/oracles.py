@@ -10,7 +10,9 @@ The last two sections are of another kind: site-last reference versions
 of the descent gradient, step ceiling, energy, area form and Hopf
 helicity, and of the quaternion product, edge-logarithm connection, its
 site averages, plaquette transport, holonomy, developing map, Hodge
-split, canonical gauge, degree and Chern-Simons number, in
+split, canonical gauge, degree and Chern-Simons number, and of the
+connection picture (covariant derivative and its energy, frame split,
+plaquette curvature, flatness residuals), in
 the arithmetic the component-first production kernels replaced
 (np.cross, last-axis sums, full complex FFTs, per-pass gauge moves with
 a two-chart square root).  The kernels must agree with them bit for bit
@@ -582,6 +584,76 @@ def ref_site_values(avals):
     for mu in range(3):
         sv[..., mu, :] = 0.5 * (avals[..., mu, :] + np.roll(avals[..., mu, :], 1, axis=mu))
     return sv
+
+
+def ref_covariant_derivative(avals, phivals, h):
+    """D_a phi at sites: central differences plus 2 (site-averaged a) x phi, site-last."""
+    ab = ref_site_values(avals)
+    out = np.empty(avals.shape)
+    for mu in range(3):
+        out[..., mu, :] = _ref_diff(phivals, mu, h) + 2.0 * np.cross(ab[..., mu, :], phivals)
+    return out
+
+
+def ref_energy_conn(avals, phivals, h):
+    """(e2, e4, total) with d psi replaced by D_a phi, summed site-last."""
+    D = ref_covariant_derivative(avals, phivals, h)
+    d = [D[..., mu, :] for mu in range(3)]
+    e2 = float(np.sum(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])) * h**3
+    c = [np.cross(d[0], d[1]), np.cross(d[1], d[2]), np.cross(d[2], d[0])]
+    e4 = float(np.sum(np.sum(c[0] * c[0] + c[1] * c[1] + c[2] * c[2], axis=-1))) * h**3
+    return e2, e4, e2 + e4
+
+
+def ref_decompose(avals, phivals):
+    """(<a_mu, phi>, phi x (a_mu x phi)) by last-axis sums and np.cross."""
+    p = phivals[..., None, :]
+    return np.sum(avals * p, axis=-1), np.cross(p, np.cross(avals, p))
+
+
+def ref_plaquette_curvature(avals, h):
+    """Forward differences of the transverse legs plus the bracket of the averaged legs."""
+    out = np.empty(avals.shape)
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        ai, aj = avals[..., i, :], avals[..., j, :]
+        dj_ai = (np.roll(ai, -1, axis=j) - ai) / h
+        di_aj = (np.roll(aj, -1, axis=i) - aj) / h
+        ai_avg = 0.5 * (ai + np.roll(ai, -1, axis=j))
+        aj_avg = 0.5 * (aj + np.roll(aj, -1, axis=i))
+        out[..., k, :] = di_aj - dj_ai + 2.0 * np.cross(ai_avg, aj_avg)
+    return out
+
+
+def ref_flatness_residuals(avals, phivals, h):
+    """(full, eq1, eq2) L2 residuals of the curvature and its frame split, site-last."""
+    ab = ref_site_values(avals)
+    p = phivals
+    dphi = [_ref_diff(p, mu, h) for mu in range(3)]
+    s = np.sum(ab * p[..., None, :], axis=-1)
+    t = ab - s[..., None] * p[..., None, :]
+    D = ref_covariant_derivative(avals, phivals, h)
+    full2 = r1_2 = r2_2 = 0.0
+    Fp = ref_plaquette_curvature(avals, h)
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        full2 += float(np.sum(Fp[..., k, :] ** 2))
+        si, sj = s[..., i], s[..., j]
+        ti, tj = t[..., i, :], t[..., j, :]
+        ds = _ref_diff(sj, i, h) - _ref_diff(si, j, h)
+        r1 = (
+            ds
+            - np.sum(dphi[i] * tj, axis=-1)
+            + np.sum(dphi[j] * ti, axis=-1)
+            + 2.0 * np.sum(np.cross(ti, tj) * p, axis=-1)
+        )
+        r1_2 += float(np.sum(r1 * r1))
+        dt = _ref_diff(tj, i, h) - _ref_diff(ti, j, h)
+        sD = si[..., None] * D[..., j, :] - sj[..., None] * D[..., i, :]
+        Qi, Qj = 2.0 * np.cross(ti, p), 2.0 * np.cross(tj, p)
+        mix = 0.5 * (np.cross(dphi[i], Qj) - np.cross(dphi[j], Qi))
+        r2 = dt - sD - mix
+        r2_2 += float(np.sum(r2 * r2))
+    h3 = h**3
+    return float(np.sqrt(full2 * h3)), float(np.sqrt(r1_2 * h3)), float(np.sqrt(r2_2 * h3))
 
 
 def ref_connection_of(uvals, h):

@@ -1,9 +1,12 @@
-"""The public contract: the names the package exports, and where Fourier transforms live."""
+"""The public contract: the names the package exports, where Fourier transforms live,
+and the one array layout inside the package."""
 
+import inspect
 import re
 from pathlib import Path
 
 import fdvk
+from fdvk import lattice
 
 CONTRACT = [
     "AnsatzSpec", "ChargeDrift", "ClassViolation", "ConfigError", "Connection",
@@ -36,3 +39,14 @@ def test_fourier_transforms_only_in_lattice():
              if p.name != "lattice.py" and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b", p.read_text())]
     assert users == []
     assert re.search(r"\bnp\.fft\b", (src / "lattice.py").read_text())
+
+
+def test_one_layout_inside_the_package():
+    # component-first math goes through lattice._cross, and diff/avg_back
+    # read the site axes as the last three, with no layout knob
+    src = Path(fdvk.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "np.cross(" in p.read_text()] == []
+    for op in (lattice.diff, lattice.avg_back):
+        params = inspect.signature(op).parameters
+        assert "lead" not in params, op.__name__
+        assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), op.__name__

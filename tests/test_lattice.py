@@ -63,6 +63,23 @@ def test_avg_back_two_point_rule():
     assert np.allclose(avg_back(g, c, 1), c)
 
 
+@pytest.mark.parametrize("shape", [(3, 12, 12, 12), (3, 3, 12, 12, 12), (3, 1, 12, 12), (3, 12, 12, 1)])
+def test_diff_and_avg_back_act_on_the_last_three_axes(shape):
+    # a component-first array is differenced and averaged as each of its
+    # scalar components is; a slab one site thick along one axis keeps
+    # its in-plane directions
+    g = Grid(12, TWO_PI)
+    f = np.random.default_rng(len(shape)).standard_normal(shape)
+    for op in (diff, avg_back):
+        for mu in (1, 2, 3):
+            if shape[len(shape) - 4 + mu] == 1:
+                continue
+            want = np.empty(shape)
+            for idx in np.ndindex(shape[:-3]):
+                want[idx] = op(g, f[idx], mu)
+            assert np.array_equal(op(g, f, mu), want)
+
+
 def test_spectral_derivative_exact_on_low_modes():
     g = Grid(16, TWO_PI)
     x1 = g.axes()[0] + np.zeros((16, 16, 16))
