@@ -17,6 +17,7 @@ import numpy as np
 from . import quat
 from .errors import UnderResolved
 from .fields import GroupField, SphereField, conjugate_field, constant_sphere
+from .gauge import circle_field
 from .lattice import Grid, check_direction
 
 KINDS = ("constant", "equator", "tube", "hopfion", "ballmap")
@@ -170,8 +171,4 @@ def s1_winding(grid: Grid, w) -> GroupField:
     """Circle-valued field exp(i 2pi (w . x) / l), one factor per direction."""
     w1, w2, w3 = (int(v) for v in w)
     x, y, z = grid.axes()
-    th = 2 * np.pi * (w1 * x + w2 * y + w3 * z) / grid.l
-    vals = np.stack(
-        [np.cos(th), np.sin(th), np.zeros_like(th), np.zeros_like(th)], axis=-1
-    )
-    return GroupField(grid, vals)
+    return circle_field(grid, 2 * np.pi * (w1 * x + w2 * y + w3 * z) / grid.l)

@@ -19,25 +19,10 @@ import sys
 import numpy as np
 
 from .ansatz import KINDS, AnsatzSpec, generate
-from .errors import (
-    ChargeDrift,
-    ConfigError,
-    FdvkError,
-    FluxChange,
-    NonExactForm,
-    SnapshotError,
-)
-from .fields import (
-    Connection,
-    GroupField,
-    SphereField,
-    conjugate_field,
-    constant_sphere,
-    energy,
-    plaquette_curvature,
-)
+from .errors import ChargeDrift, ConfigError, FdvkError, FluxChange, NonExactForm, SnapshotError
+from .fields import Connection, GroupField, SphereField, constant_sphere, energy, plaquette_curvature
 from .flow import FlowConfig, minimize
-from .invariants import _classify, chern_simons, degree, homotopy_record, modulus
+from .invariants import _read, chern_simons
 from .lattice import Grid, form_norm
 
 MAGIC = b"FDVK1"
@@ -46,8 +31,6 @@ KIND_SPHERE, KIND_GROUP, KIND_CONNECTION = 0, 1, 2
 _COMPS = {KIND_SPHERE: 3, KIND_GROUP: 4, KIND_CONNECTION: 9}
 
 CSV_HEADER = "iter,e2,e4,energy,grad_norm,flux1,flux2,flux3,hopf,vk_ratio"
-
-TWO_PI = 2.0 * np.pi
 
 # float64 arrays of n^3 x 3 values budgeted per run when refusing grids
 # that cannot fit: minimize and init/report of every ansatz peak at about
@@ -134,38 +117,27 @@ def load_snapshot(path):
         raise SnapshotError(f"{path}: {exc}") from exc
 
 
-# RunConfig keys: conversion and FlowConfig field each maps to.
-_FLOW_KEYS = {
-    "flow.mode": ("mode", str),
-    "flow.max_iters": ("max_iters", int),
-    "flow.grad_tol": ("grad_tol", float),
-    "flow.step0": ("step0", float),
-    "flow.backtrack": ("backtrack", float),
-    "flow.monitor_every": ("monitor_every", int),
-    "flow.charge_drift_tol": ("charge_drift_tol", float),
+# RunConfig keys and their conversions; a key sets the field of its
+# section's Grid, AnsatzSpec or FlowConfig, and an absent key leaves
+# that field's default
+_CONFIG_KEYS = {
+    "grid.n": int, "grid.l": float,
+    "init.kind": str, "init.charge": int, "init.axis": int, "init.radius": float,
+    "flow.mode": str, "flow.max_iters": int, "flow.grad_tol": float, "flow.step0": float,
+    "flow.backtrack": float, "flow.monitor_every": int, "flow.charge_drift_tol": float,
+    "out.field": str, "out.trace": str,
 }
-_CONFIG_KEYS = frozenset(_FLOW_KEYS) | {
-    "grid.n",
-    "grid.l",
-    "init.kind",
-    "init.charge",
-    "init.axis",
-    "init.radius",
-    "out.field",
-    "out.trace",
-}
-
-_REQUIRED = object()
+_REQUIRED = ("grid.n", "init.kind", "out.field", "out.trace")
 
 
 def parse_run_config(text):
     """Parse `key = value` lines into (Grid, AnsatzSpec, FlowConfig, out paths).
 
     `#` starts a comment; unknown and duplicate keys are errors, as are
-    missing grid.n, init.kind, out.field or out.trace.  Flow keys
-    default to the FlowConfig defaults.
+    missing grid.n, init.kind, out.field or out.trace.
     """
-    raw = {}
+    sections = {"grid": {}, "init": {}, "flow": {}, "out": {}}
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -176,33 +148,25 @@ def parse_run_config(text):
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = val
-
-    def take(key, conv, default=_REQUIRED):
-        if key not in raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
+        seen.add(key)
+        section, name = key.split(".")
         try:
-            return conv(raw[key])
+            sections[section][name] = _CONFIG_KEYS[key](val)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
-
-    grid = Grid(take("grid.n", int), take("grid.l", float, TWO_PI))
-    spec = AnsatzSpec(
-        kind=take("init.kind", str),
-        charge=take("init.charge", int, 1),
-        axis=take("init.axis", int, 1),
-        radius=take("init.radius", float, 0.45),
+    for key in _REQUIRED:
+        if key not in seen:
+            raise ConfigError(f"missing required key {key!r}")
+    out = sections["out"]
+    return (
+        Grid(**sections["grid"]),
+        AnsatzSpec(**sections["init"]),
+        FlowConfig(**sections["flow"]),
+        out["field"],
+        out["trace"],
     )
-    flow_kwargs = {}
-    for key, (name, conv) in _FLOW_KEYS.items():
-        if key in raw:
-            flow_kwargs[name] = take(key, conv)
-    cfg = FlowConfig(**flow_kwargs)
-    return grid, spec, cfg, take("out.field", str), take("out.trace", str)
 
 
 def _json_line(obj):
@@ -218,23 +182,29 @@ def _require_finite(path, report):
                 raise SnapshotError(f"{path}: {key} evaluates to {x!r}, not a finite number")
 
 
-def _sphere_class(psi):
-    """Flux/charge block shared by init records and reports."""
-    c = _classify(psi)
+def _reading(obj):
+    """The invariants reading of a sphere field, or of the constant field framed by a group field."""
+    if isinstance(obj, GroupField):
+        return _read(constant_sphere(obj.grid), obj)
+    return _read(obj)
+
+
+def _class_block(r):
+    """Fluxes, charge and degree of an invariants reading, None where undefined.
+
+    A charge the potential solve refuses is bad input, not a missing reading.
+    """
+    c = r.c
     if c.hopf_error is not None:
         raise NonExactForm(c.hopf_error)
-    if c.flux_error is not None:
-        return {
-            "fluxes": None,
-            "fluxes_reason": c.flux_error,
-            "raw_fluxes": list(c.raw),
-            "hopf": None,
-            "hopf_reason": "fluxes not classifiable",
-        }
-    out = {"fluxes": list(c.rounded), "raw_fluxes": list(c.raw), "hopf": c.hopf}
-    if not c.hopf_sector:
-        out["hopf_reason"] = "nonzero fluxes"
-    return out
+    return {
+        "fluxes": None if c.flux_error is not None else list(c.rounded),
+        "raw_fluxes": list(c.raw),
+        "m": r.m,
+        "degree": r.degree,
+        "degree_class": r.degree_class,
+        "hopf": c.hopf,
+    }
 
 
 def _check_grid_fits(n):
@@ -260,73 +230,52 @@ def _check_writable(path):
         raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
 
 
+def _given(**kwargs):
+    """The options set on the command line, so the rest keep their defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 def cmd_init(args):
     spec = AnsatzSpec(
-        kind=args.ansatz, charge=args.charge, axis=args.axis, radius=args.radius
+        kind=args.ansatz, **_given(charge=args.charge, axis=args.axis, radius=args.radius)
     )
-    grid = Grid(args.n, args.l)
+    grid = Grid(args.n, **_given(l=args.l))
     _check_grid_fits(grid.n)
     _check_writable(args.out)
     field = generate(spec, grid)
+    # formatted before the write, so a refused record leaves no snapshot
+    line = json.dumps(_class_block(_reading(field)), allow_nan=False)
     save_snapshot(args.out, field)
-    if isinstance(field, GroupField):
-        rec = homotopy_record(constant_sphere(grid), field)
-        record = {
-            "fluxes": list(rec.fluxes),
-            "raw_fluxes": list(rec.raw_fluxes),
-            "m": rec.m,
-            "degree": rec.degree,
-            "degree_class": rec.degree_class,
-            "hopf": rec.hopf_charge,
-        }
-    else:
-        block = _sphere_class(field)
-        p = block.get("fluxes")
-        record = {
-            "fluxes": p,
-            "raw_fluxes": block.get("raw_fluxes"),
-            "m": modulus(p) if p is not None else None,
-            "degree": None,
-            "degree_class": None,
-            "hopf": block.get("hopf"),
-        }
-    _json_line(record)
+    print(line, flush=True)
     print(f"wrote {args.ansatz} snapshot to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_report(args):
     obj = load_snapshot(args.field)
-    report = {
-        "kind": {0: "sphere", 1: "group", 2: "connection"}[_kind_of(obj)],
-        "e2": None,
-        "e4": None,
-        "energy": None,
-        "fluxes": None,
-        "raw_fluxes": None,
-        "hopf": None,
-        "degree": None,
-        "cs": None,
-        "flatness": None,
-    }
+    report = {"kind": {0: "sphere", 1: "group", 2: "connection"}[_kind_of(obj)]}
+    report.update(dict.fromkeys(
+        ("e2", "e4", "energy", "fluxes", "raw_fluxes", "hopf", "degree", "cs", "flatness")
+    ))
     if isinstance(obj, Connection):
         report["cs"] = chern_simons(obj)
         report["flatness"] = form_norm(obj.grid, plaquette_curvature(obj))
         report["reason"] = "map invariants undefined for a bare connection"
-        _require_finite(args.field, report)
-        _json_line(report)
-        return 0
-    if isinstance(obj, GroupField):
-        report["degree"] = degree(obj)
-        psi = conjugate_field(obj, constant_sphere(obj.grid))
     else:
-        report["degree_reason"] = "no framing map in a sphere snapshot"
-        psi = obj
-    en = energy(psi)
-    report["e2"], report["e4"], report["energy"] = en.e2, en.e4, en.total
-    report.update(_sphere_class(psi))
-    report["cs_reason"] = "not a connection snapshot"
-    report["flatness_reason"] = "not a connection snapshot"
+        r = _reading(obj)
+        if r.degree is None:
+            report["degree_reason"] = "no framing map in a sphere snapshot"
+        en = energy(r.psi)
+        report["e2"], report["e4"], report["energy"] = en.e2, en.e4, en.total
+        block = _class_block(r)
+        for key in ("fluxes", "raw_fluxes", "hopf", "degree"):
+            report[key] = block[key]
+        if r.c.flux_error is not None:
+            report["fluxes_reason"] = r.c.flux_error
+        if r.c.hopf is None:
+            report["hopf_reason"] = r.c.hopf_reason
+        report["cs_reason"] = "not a connection snapshot"
+        report["flatness_reason"] = "not a connection snapshot"
     _require_finite(args.field, report)
     _json_line(report)
     return 0
@@ -409,11 +358,11 @@ def _build_parser():
 
     p_init = sub.add_parser("init", help="generate an ansatz snapshot")
     p_init.add_argument("--ansatz", required=True, choices=KINDS)
-    p_init.add_argument("--charge", type=int, default=1)
-    p_init.add_argument("--axis", type=int, default=1, choices=(1, 2, 3))
-    p_init.add_argument("--radius", type=float, default=0.45)
+    p_init.add_argument("--charge", type=int)
+    p_init.add_argument("--axis", type=int, choices=(1, 2, 3))
+    p_init.add_argument("--radius", type=float)
     p_init.add_argument("--n", type=int, required=True)
-    p_init.add_argument("--l", type=float, default=TWO_PI)
+    p_init.add_argument("--l", type=float)
     p_init.add_argument("-o", "--out", required=True)
     p_init.set_defaults(func=cmd_init)
 

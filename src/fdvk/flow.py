@@ -18,7 +18,7 @@ whole field and each site's stencil terms are taken in one fixed order,
 so energies, gradients and step ceilings do not depend on the slab size.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -56,10 +56,9 @@ class FlowConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown flow mode {self.mode!r}")
-        for name in ("max_iters", "grad_tol", "step0", "backtrack",
-                     "monitor_every", "charge_drift_tol"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if f.type is not str and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.max_iters < 0 or self.grad_tol <= 0 or self.step0 <= 0:
             raise ValueError("max_iters, grad_tol and step0 must be positive")
         if not 0.0 < self.backtrack < 1.0:

@@ -5,7 +5,9 @@ form through the three coordinate 2-tori.  When the fluxes vanish the
 Hopf charge is the helicity of the vector potential of that form; group
 fields additionally carry a degree, computed from the cubic integral of
 their flattening connection, and any connection has a Chern--Simons
-number.  homotopy_record bundles the complete classification data.
+number.  _read decides, without raising, which of these readings a
+field or framed pair has and why the others are missing; fluxes,
+hopf_charge and homotopy_record raise from it.
 """
 
 from dataclasses import dataclass
@@ -38,6 +40,26 @@ class _SphereClass(NamedTuple):
     hopf_sector: bool
     hopf: Optional[float]
     hopf_error: Optional[str]  # why a Hopf-sector charge has no potential (NonExactForm)
+
+    @property
+    def hopf_reason(self):
+        """Why hopf is None, or None when it is read."""
+        if self.flux_error is not None:
+            return "fluxes not classifiable"
+        if not self.hopf_sector:
+            return "nonzero fluxes"
+        return self.hopf_error
+
+
+class _Reading(NamedTuple):
+    """Class readings of phi or of a framed pair (phi, u); None where undefined."""
+
+    psi: SphereField  # u phi u*, or phi when unframed
+    c: _SphereClass  # the class of psi
+    m: Optional[int]  # modulus of the rounded fluxes
+    degree: Optional[float]
+    degree_class: Optional[int]  # the degree mod 2m
+    degree_error: Optional[str]  # why a framed pair's degree has no class
 
 
 def _wedge_d(grid, Ah, K, weight):
@@ -117,15 +139,19 @@ def fluxes(psi: SphereField):
 
 
 def hopf_charge(psi: SphereField) -> float:
-    """Helicity integral of the area pullback; defined when fluxes vanish.
+    """Helicity integral of the area pullback; defined in the Hopf sector.
 
     With F = pullback_area(psi) exact and alpha its coexact potential
     (delta alpha = 0, d alpha = F, no harmonic part), the charge is the
-    integral of alpha wedge d(alpha). Nonzero fluxes make F non-exact
-    and the potential solve raises NonExactForm, which is the honest
-    answer: the invariant does not exist there.
+    integral of alpha wedge d(alpha).  Outside the Hopf sector of
+    _classify, or when the potential solve refuses F, it raises
+    NonExactForm, which is the honest answer: the invariant does not
+    exist there.
     """
-    return _helicity(psi.grid, pullback_area(psi))
+    c = _classify(psi)
+    if c.hopf is None:
+        raise NonExactForm(f"no Hopf charge: {c.hopf_reason}")
+    return c.hopf
 
 
 def _det3(a):
@@ -182,6 +208,33 @@ class HomotopyRecord:
             raise ValueError("degree class must be reduced mod 2m")
 
 
+def _read(phi: SphereField, u: Optional[GroupField] = None) -> _Reading:
+    """Every class reading of phi, or of the pair (phi, u), without raising.
+
+    The degree of u counts only mod 2m, so it has no class when it is off
+    its integer or when the fluxes, and with them m, are unclassifiable.
+    """
+    if u is None:
+        psi, deg = phi, None
+    else:
+        # the degree first, so its temporaries and the conjugate never coexist
+        deg = degree(u)
+        psi = conjugate_field(u, phi)
+    c = _classify(psi)
+    m = None if c.flux_error is not None else modulus(c.rounded)
+    if deg is None:
+        return _Reading(psi, c, m, None, None, None)
+    cls = int(np.rint(deg))
+    err = None
+    if abs(deg - cls) > FLUX_ROUND_TOL:
+        cls, err = None, f"degree {deg:.4f} is not within {FLUX_ROUND_TOL} of an integer"
+    elif m is None:
+        cls, err = None, "fluxes not classifiable"
+    elif m > 0:
+        cls %= 2 * m
+    return _Reading(psi, c, m, deg, cls, err)
+
+
 def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
     """Classify the pair (phi, u) up to homotopy.
 
@@ -190,19 +243,11 @@ def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
     Hopf charge of the conjugated field is attached whenever the fluxes
     vanish (elsewhere it is undefined).
     """
-    phi.grid.same(u.grid)
-    c = _classify(conjugate_field(u, phi))
-    if c.flux_error is not None:
-        raise NonIntegralFlux(c.flux_error)
-    m = modulus(c.rounded)
-    deg = degree(u)
-    cls = int(np.rint(deg))
-    if abs(deg - cls) > FLUX_ROUND_TOL:
-        raise NonIntegralFlux(
-            f"degree {deg:.4f} is not within {FLUX_ROUND_TOL} of an integer"
-        )
-    if m > 0:
-        cls %= 2 * m
-    if c.hopf_error is not None:
-        raise NonExactForm(c.hopf_error)
-    return HomotopyRecord(c.rounded, c.raw, m, deg, cls, c.hopf)
+    r = _read(phi, u)
+    if r.c.flux_error is not None:
+        raise NonIntegralFlux(r.c.flux_error)
+    if r.degree_error is not None:
+        raise NonIntegralFlux(r.degree_error)
+    if r.c.hopf_error is not None:
+        raise NonExactForm(r.c.hopf_error)
+    return HomotopyRecord(r.c.rounded, r.c.raw, r.m, r.degree, r.degree_class, r.c.hopf)

@@ -109,5 +109,13 @@ def test_s1_winding_counts():
     assert line_winding(z3) == 0
 
 
+def test_s1_winding_values_are_the_written_out_formula():
+    g = Grid(15, 4.0)
+    x, y, z = g.axes()
+    th = 2 * np.pi * (2 * x - 1 * y + 3 * z) / g.l
+    want = np.stack([np.cos(th), np.sin(th), np.zeros_like(th), np.zeros_like(th)], axis=-1)
+    assert np.array_equal(s1_winding(g, (2, -1, 3)).values, want)
+
+
 def test_kind_roster_is_frozen():
     assert KINDS == ("constant", "equator", "tube", "hopfion", "ballmap")

@@ -167,7 +167,7 @@ def test_parse_run_config_full():
 def test_parse_run_config_defaults():
     text = "grid.n = 8\ninit.kind = constant\nout.field = a\nout.trace = b\n"
     grid, spec, flow, _, _ = parse_run_config(text)
-    assert grid.l == pytest.approx(TWO_PI)
+    assert grid == Grid(8)
     assert spec == AnsatzSpec(kind="constant")
     assert flow == FlowConfig()
 
@@ -218,6 +218,33 @@ def test_init_group_record_includes_degree(tmp_path, capsys):
     assert record["degree"] == pytest.approx(1.0, abs=0.05)
     assert record["degree_class"] == 1  # m = 0 keeps the rounded degree itself
     assert record["m"] == 0
+
+
+def test_init_refused_charge_leaves_no_file(tmp_path, capsys, refuse_charge):
+    refuse_charge(1)
+    out = tmp_path / "field.fdk"
+    assert main(["init", "--ansatz", "hopfion", "--n", "20", "-o", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, charge", [("ballmap", 2), ("ballmap", 3), ("hopfion", 3)])
+def test_init_and_report_agree_on_unclassifiable_fields(tmp_path, capsys, kind, charge):
+    # n = 18 is too coarse for these: ballmap 2 reads degree 1.894, the
+    # other two a raw flux of 0.4294; both commands print null, not exit 2
+    out = tmp_path / "f.fdk"
+    assert main(["init", "--ansatz", kind, "--charge", str(charge), "--n", "18", "-o", str(out)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert main(["report", str(out)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    for key in ("fluxes", "raw_fluxes", "hopf", "degree"):
+        assert rec[key] == rep[key], key
+    assert rec["degree_class"] is None
+    if kind == "ballmap":
+        assert rec["degree"] == pytest.approx({2: 1.894, 3: 2.749}[charge], abs=1e-3)
+    if rec["fluxes"] is None:
+        assert rec["m"] is None and rec["hopf"] is None
+        assert rep["hopf_reason"] == "fluxes not classifiable"
 
 
 def test_report_sphere(tmp_path, capsys):

@@ -1,12 +1,15 @@
-"""The public contract: the names the package exports, where Fourier transforms live,
-and the one array layout inside the package."""
+"""The public contract: the names the package exports, the console script, where
+Fourier transforms live, and the one array layout inside the package."""
 
+import importlib
 import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import fdvk
-from fdvk import lattice
+from fdvk import cli, lattice
 
 CONTRACT = [
     "AnsatzSpec", "ChargeDrift", "ClassViolation", "ConfigError", "Connection",
@@ -50,3 +53,11 @@ def test_one_layout_inside_the_package():
         params = inspect.signature(op).parameters
         assert "lead" not in params, op.__name__
         assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), op.__name__
+
+
+def test_console_script_is_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["fdvk"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main

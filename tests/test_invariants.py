@@ -17,6 +17,7 @@ from fdvk.fields import (
 )
 from fdvk.invariants import (
     _classify,
+    _read,
     chern_simons,
     degree,
     fluxes,
@@ -94,6 +95,38 @@ def test_hopf_needs_vanishing_fluxes():
     g = Grid(24, TWO_PI)
     with pytest.raises(NonExactForm):
         hopf_charge(generate(AnsatzSpec(kind="tube", charge=1), g))
+
+
+def n18_ballmap(charge):
+    """n = 18 ballmaps the grid cannot hold: charge 2 reads degree 1.894,
+    charge 3 conjugates the constant field to a raw flux of 0.4294."""
+    return generate(AnsatzSpec(kind="ballmap", charge=charge), Grid(18, TWO_PI))
+
+
+def test_hopf_charge_follows_the_one_sector_rule():
+    g = Grid(18, TWO_PI)
+    psi = conjugate_field(n18_ballmap(3), constant_sphere(g))
+    assert _classify(psi).flux_error is not None
+    with pytest.raises(NonExactForm, match="fluxes not classifiable"):
+        hopf_charge(psi)
+    hop = generate(AnsatzSpec(kind="hopfion", charge=1), g)
+    assert hopf_charge(hop) == _classify(hop).hopf
+
+
+@pytest.mark.parametrize("charge, match", [(2, "degree 1.8940"), (3, "flux 0.4294")])
+def test_homotopy_record_refuses_unclassifiable_ballmaps(charge, match):
+    u = n18_ballmap(charge)
+    with pytest.raises(NonIntegralFlux, match=match):
+        homotopy_record(constant_sphere(u.grid), u)
+
+
+def test_degree_has_no_class_without_the_flux_modulus():
+    # an integral degree still has no class mod 2m when m is unreadable
+    g = Grid(24, TWO_PI)
+    r = _read(decayed_tube(g), constant_group(g))
+    assert r.c.flux_error is not None and r.m is None
+    assert r.degree == 0.0 and r.degree_class is None
+    assert r.degree_error == "fluxes not classifiable"
 
 
 def test_hopfion_charge_readings():
