@@ -28,7 +28,13 @@ from .lattice import Grid, form_norm
 MAGIC = b"FDVK1"
 # kind byte of the snapshot header
 KIND_SPHERE, KIND_GROUP, KIND_CONNECTION = 0, 1, 2
-_COMPS = {KIND_SPHERE: 3, KIND_GROUP: 4, KIND_CONNECTION: 9}
+# per kind byte: the field class, its name in a report, its per-site value shape
+_KINDS = {
+    KIND_SPHERE: (SphereField, "sphere", (3,)),
+    KIND_GROUP: (GroupField, "group", (4,)),
+    KIND_CONNECTION: (Connection, "connection", (3, 3)),
+}
+_COMPS = {kind: int(np.prod(shape)) for kind, (_, _, shape) in _KINDS.items()}
 
 CSV_HEADER = "iter,e2,e4,energy,grad_norm,flux1,flux2,flux3,hopf,vk_ratio"
 
@@ -39,12 +45,9 @@ WORKING_FIELDS = 24
 
 
 def _kind_of(obj):
-    if isinstance(obj, SphereField):
-        return KIND_SPHERE
-    if isinstance(obj, GroupField):
-        return KIND_GROUP
-    if isinstance(obj, Connection):
-        return KIND_CONNECTION
+    for kind, (cls, _, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return kind
     raise TypeError(f"cannot snapshot {type(obj).__name__}")
 
 
@@ -58,9 +61,7 @@ def save_snapshot(path, obj):
     """
     kind = _kind_of(obj)
     g = obj.grid
-    v = np.asarray(obj.values, dtype=float)
-    if kind == KIND_CONNECTION:
-        v = v.reshape(g.n, g.n, g.n, 9)
+    v = np.asarray(obj.values, dtype=float).reshape(g.n, g.n, g.n, _COMPS[kind])
     payload = np.ascontiguousarray(v.transpose(2, 1, 0, 3), dtype="<f8")
     # written beside the target and renamed over it, so a failed write
     # never leaves a truncated snapshot under the target's name
@@ -107,12 +108,9 @@ def load_snapshot(path):
     flat = np.frombuffer(blob, dtype="<f8", offset=18)
     v = flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3)
     grid = Grid(n, l)
+    cls, _, shape = _KINDS[kind]
     try:
-        if kind == KIND_SPHERE:
-            return SphereField(grid, v)
-        if kind == KIND_GROUP:
-            return GroupField(grid, v)
-        return Connection(grid, v.reshape(n, n, n, 3, 3))
+        return cls(grid, v.reshape((n, n, n) + shape))
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
 
@@ -253,7 +251,7 @@ def cmd_init(args):
 
 def cmd_report(args):
     obj = load_snapshot(args.field)
-    report = {"kind": {0: "sphere", 1: "group", 2: "connection"}[_kind_of(obj)]}
+    report = {"kind": _KINDS[_kind_of(obj)][1]}
     report.update(dict.fromkeys(
         ("e2", "e4", "energy", "fluxes", "raw_fluxes", "hopf", "degree", "cs", "flatness")
     ))
@@ -281,8 +279,11 @@ def cmd_report(args):
     return 0
 
 
-def _csv_cell(v):
-    return "" if v is None else repr(float(v))
+def _csv_line(row):
+    """A trace row as one CSV line: its values in CSV_HEADER order, None as an empty cell."""
+    it, *values = (row.iteration, row.e2, row.e4, row.total, row.grad_norm,
+                   *row.raw_fluxes, row.hopf_charge, row.vk_ratio)
+    return ",".join([str(it)] + ["" if v is None else repr(float(v)) for v in values]) + "\n"
 
 
 def cmd_minimize(args):
@@ -297,24 +298,8 @@ def cmd_minimize(args):
     abort = None
     with open(out_trace, "w") as trace_fh:
         trace_fh.write(CSV_HEADER + "\n")
-
-        def sink(row):
-            cells = [
-                str(row.iteration),
-                _csv_cell(row.e2),
-                _csv_cell(row.e4),
-                _csv_cell(row.total),
-                _csv_cell(row.grad_norm),
-                _csv_cell(row.raw_fluxes[0]),
-                _csv_cell(row.raw_fluxes[1]),
-                _csv_cell(row.raw_fluxes[2]),
-                _csv_cell(row.hopf_charge),
-                _csv_cell(row.vk_ratio),
-            ]
-            trace_fh.write(",".join(cells) + "\n")
-
         try:
-            psi, trace = minimize(psi0, cfg, on_row=sink)
+            psi, trace = minimize(psi0, cfg, on_row=lambda row: trace_fh.write(_csv_line(row)))
         except (ChargeDrift, FluxChange) as exc:
             abort = exc
     if abort is not None:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quat
-from .errors import GridMismatch, UnresolvableField
+from .errors import UnresolvableField
 from .lattice import Grid, _comp_first, _cross, _diff_into, _dot, _site_last, _slabs, avg_back, diff
 
 FOUR_PI = 4.0 * np.pi
@@ -116,9 +116,10 @@ def constant_group(grid, q=quat.ONE):
 def conjugate_field(u, phi):
     """psi = u phi u* site by site."""
     u.grid.same(phi.grid)
-    psi = quat.conjugate_by(u.values, phi.values)
-    psi /= np.sqrt(np.sum(psi * psi, axis=-1))[..., None]
-    return SphereField(u.grid, psi)
+    # component-first views, not copies: the rotation reads each value once
+    psi = np.stack(quat._rotate(np.moveaxis(u.values, -1, 0), np.moveaxis(phi.values, -1, 0)))
+    psi /= np.sqrt(_dot(psi, psi))
+    return SphereField(u.grid, _site_last(psi))
 
 
 def _area(v, di, dj):

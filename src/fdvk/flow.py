@@ -7,6 +7,11 @@ homotopy class is not projected onto; it is monitored, and the flow
 aborts with ChargeDrift or FluxChange the moment the recorded
 invariants leave their starting values.
 
+minimize is one loop: each pass clips the step at the ceiling, takes
+the gradient, decides whether to stop, observes the field on the monitor
+cadence or when stopping, then searches.  _observe, the one observation
+point, builds, records, streams and guards (_guard) every trace row.
+
 The kernel works on the component-first layout (3, n, n, n) of
 lattice and sweeps it in slabs of whole planes along the first site
 axis, so each slab's temporaries stay in cache.  _kernel keeps the
@@ -28,7 +33,9 @@ from .fields import SphereField, _sweep
 from .invariants import _classify
 from .lattice import _comp_first, _cross, _diff_into, _dot, _halo, _site_last, _slabs, form_norm
 
-MODES = ("map-class", "hopf-class", "flux-only")
+# what each mode guards: (the rounded fluxes, the Hopf charge)
+_GUARDED = {"map-class": (True, True), "hopf-class": (False, True), "flux-only": (True, False)}
+MODES = tuple(_GUARDED)
 
 
 @dataclass(frozen=True)
@@ -261,25 +268,57 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     return SphereField(g, _site_last(found[0])), step, True
 
 
-def _monitor(psi, iteration, gnorm, en):
+def _guard(cfg, ref, row, c, trace):
+    """Raise FluxChange or ChargeDrift when row, of class c, has left ref.
+
+    ref is the class of iteration 0; the charge is guarded only when
+    ref has one, against its rounded value.
+    """
+    fluxes, charge = _GUARDED[cfg.mode]
+    if fluxes and c.rounded != ref.rounded:
+        raise FluxChange(
+            f"rounded fluxes moved from {ref.rounded} to {c.rounded} "
+            f"at iteration {row.iteration}",
+            trace=trace,
+        )
+    if not charge or ref.hopf is None:
+        return
+    if row.hopf_charge is None:
+        raise ChargeDrift(f"Hopf charge became undefined at iteration {row.iteration}", trace=trace)
+    if abs(row.hopf_charge - round(ref.hopf)) > cfg.charge_drift_tol:
+        raise ChargeDrift(
+            f"Hopf charge {row.hopf_charge:.4f} drifted from "
+            f"{round(ref.hopf)} at iteration {row.iteration}",
+            trace=trace,
+        )
+
+
+def _observe(cfg, trace, on_row, ref, psi, it, gnorm, en):
+    """The one observation point: record, stream and guard psi's row at iteration it.
+
+    Classifies psi, appends its FlowRow to trace and hands the row to
+    on_row, then guards it against the reference class ref.  Iteration
+    0 supplies the reference, after its row is recorded and streamed and
+    after the hopf-class entry check.  Returns the reference class.
+    """
     c = _classify(psi)
     # a refused charge is bad input at the start; later it is an undefined
     # charge, which the drift guard reports with the partial trace
-    if c.hopf_error is not None and iteration == 0:
+    if c.hopf_error is not None and it == 0:
         raise NonExactForm(c.hopf_error)
     vk = None
     if c.hopf is not None and round(c.hopf) != 0:
         vk = en.total / abs(c.hopf) ** 0.75
-    return FlowRow(
-        iteration=iteration,
-        e2=en.e2,
-        e4=en.e4,
-        total=en.total,
-        grad_norm=gnorm,
-        raw_fluxes=c.raw,
-        hopf_charge=c.hopf,
-        vk_ratio=vk,
-    ), c
+    row = FlowRow(it, en.e2, en.e4, en.total, gnorm, c.raw, c.hopf, vk)
+    trace.rows.append(row)
+    if on_row is not None:
+        on_row(row)
+    if it == 0:
+        ref = c
+        if cfg.mode == "hopf-class" and not c.hopf_sector:
+            raise NonExactForm(f"hopf-class flow needs vanishing fluxes, got {c.raw}")
+    _guard(cfg, ref, row, c, trace)
+    return ref
 
 
 def minimize(
@@ -303,80 +342,37 @@ def minimize(
     above the ceiling is clipped on entry.
     """
     trace = FlowTrace()
-
-    def record(row):
-        trace.rows.append(row)
-        if on_row is not None:
-            on_row(row)
-
-    psi = psi0
     g = psi0.grid
     v = _comp_first(psi0.values)
     en, dv, w = _kernel(g, v)
-    grad = _gradient(g, v, dv, w)
-    ceiling = _ceiling(g, dv)
-    del dv, w
-    gnorm = form_norm(g, grad)
-    row, start = _monitor(psi, 0, gnorm, en)
-    record(row)
-    flux_ref = start.rounded
-
-    if cfg.mode == "hopf-class" and not start.hopf_sector:
-        raise NonExactForm(f"hopf-class flow needs vanishing fluxes, got {start.raw}")
-    charge_ref = None
-    if row.hopf_charge is not None:
-        charge_ref = round(row.hopf_charge)
-
-    def check_guards(row, c):
-        if cfg.mode in ("flux-only", "map-class") and c.rounded != flux_ref:
-            raise FluxChange(
-                f"rounded fluxes moved from {flux_ref} to {c.rounded} "
-                f"at iteration {row.iteration}",
-                trace=trace,
-            )
-        if cfg.mode in ("hopf-class", "map-class") and charge_ref is not None:
-            if row.hopf_charge is None:
-                raise ChargeDrift(
-                    f"Hopf charge became undefined at iteration {row.iteration}",
-                    trace=trace,
-                )
-            if abs(row.hopf_charge - charge_ref) > cfg.charge_drift_tol:
-                raise ChargeDrift(
-                    f"Hopf charge {row.hopf_charge:.4f} drifted from "
-                    f"{charge_ref} at iteration {row.iteration}",
-                    trace=trace,
-                )
-
-    check_guards(row, start)
-
-    step = min(cfg.step0, ceiling)
-    it = 0
-    stop = None
-    while it < cfg.max_iters and gnorm > cfg.grad_tol:
+    step, it, ref, stop = cfg.step0, 0, None, None
+    while True:
+        step = min(step, _ceiling(g, dv))
+        grad = _gradient(g, v, dv, w)
+        del dv, w
+        gnorm = form_norm(g, grad)
+        if gnorm <= cfg.grad_tol:
+            stop = "grad_tol"
+        elif it == cfg.max_iters:
+            stop = "max_iters"
+        # rows are taken before the search, so no candidate's arrays are alive
+        if it % cfg.monitor_every == 0 or stop:
+            psi = SphereField(g, _site_last(v)) if it else psi0
+            ref = _observe(cfg, trace, on_row, ref, psi, it, gnorm, en)
+        if stop:
+            break
         step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
         if found is None:
             stop = "line_search_stalled"
+            if trace.last().iteration != it:
+                psi = SphereField(g, _site_last(v))
+                _observe(cfg, trace, on_row, ref, psi, it, gnorm, en)
             break
         # the accepted candidate's energy, differences and cross products
         # carry forward; the old gradient goes first to keep the peak low
         v, en, dv, w = found
         del found, grad
-        step = min(step / cfg.backtrack, _ceiling(g, dv))
+        step /= cfg.backtrack
         it += 1
-        grad = _gradient(g, v, dv, w)
-        del dv, w
-        gnorm = form_norm(g, grad)
-        if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
-            psi = SphereField(g, _site_last(v))
-            row, c = _monitor(psi, it, gnorm, en)
-            record(row)
-            check_guards(row, c)
-    if trace.last().iteration != it:
-        psi = SphereField(g, _site_last(v))
-        row, c = _monitor(psi, it, gnorm, en)
-        record(row)
-        check_guards(row, c)
-    if stop is None:
-        stop = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
     trace.stop_reason = stop
     return psi, trace

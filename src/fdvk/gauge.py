@@ -36,7 +36,7 @@ class Holonomy:
         v = np.asarray(self.loops, dtype=float)
         if v.shape != (3, 4):
             raise ValueError("Holonomy needs one unit quaternion per loop")
-        if np.any(np.abs(quat.norm(v) - 1.0) > 1e-9):
+        if np.any(np.abs(quat.norm(v) - 1.0) > quat.UNIT_TOL):
             raise ValueError("holonomy loops must be unit quaternions")
         object.__setattr__(self, "loops", v)
 
@@ -171,7 +171,7 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     """
     a.grid.same(phi.grid)
     a.grid.same(lam.grid)
-    gval = _comp_first(quat.qmap(phi.values, lam.values))
+    gval = quat._qmap(_comp_first(phi.values), _comp_first(lam.values))
     return _edge_connection(a.grid, _transformed(a.grid, _transports(a), gval))
 
 
@@ -258,7 +258,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
             if steps[k]:
                 theta = theta + 2.0 * np.pi * steps[k] * x.reshape((-1,) + (1,) * (2 - k)) / g.l
         angle += theta - theta[0, 0, 0]
-        gval = np.concatenate([np.cos(angle)[None], np.sin(angle) * p])
+        gval = quat._qmap(p, (np.cos(angle), np.sin(angle), 0.0, 0.0))
         logs = _transformed(g, t, gval)
         windings += steps
 

@@ -3,7 +3,8 @@
 Quaternions are arrays with last axis 4, components (w, x, y, z) along
 (1, i, j, k). Imaginary quaternions drop the real slot: last axis 3.
 All functions broadcast over leading axes, so a field of quaternions is
-just an (n, n, n, 4) array.
+just an (n, n, n, 4) array.  Each formula is written once, component-first
+(index 0 over components): _hamilton, _rotate, _qmap, _exp_im, _log_unit.
 
 The inner product <p, q> = (p* q + q* p) / 2 is the Euclidean 4-dot.
 For imaginary p, q the useful identities are
@@ -117,9 +118,15 @@ def log_unit(q):
     return _site_last(_log_unit(np.moveaxis(q, -1, 0)))
 
 
+def _rotate(u, v):
+    """The three components of u v u*, u a component-first quaternion, v an imaginary one."""
+    uw, ux, uy, uz = u
+    return _hamilton(_hamilton(u, (0.0, *v)), (uw, -ux, -uy, -uz))[1:]
+
+
 def conjugate_by(u, v):
     """u v u* for unit u and imaginary v; a rotation of v."""
-    return im(mul(mul(u, embed(v)), conj(u)))
+    return np.stack(_rotate(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)), axis=-1)
 
 
 def hopf(q):
@@ -134,8 +141,13 @@ def qmap(z, lam, tol=UNIT_TOL):
     and i. Since q lam q* = lam_w |q|^2 + lam_x q i q*, the result is
     lam_w + lam_x z for every unit square root q.
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(np.abs(lam[..., 2:]) > tol):
+    z, lam = (np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (z, lam))
+    return _site_last(_qmap(z, lam, tol))
+
+
+def _qmap(z, lam, tol=UNIT_TOL):
+    """qmap of component-first z and lam, component-first: lam_w + lam_x z."""
+    if np.any(np.abs(lam[2:]) > tol):
         raise ValueError("qmap: lam must lie in the span of 1 and i")
-    v = lam[..., 1:2] * np.asarray(z, dtype=float)
-    return np.concatenate([np.broadcast_to(lam[..., :1], v.shape[:-1] + (1,)), v], axis=-1)
+    lx = lam[1]
+    return np.stack(np.broadcast_arrays(lam[0], lx * z[0], lx * z[1], lx * z[2]))

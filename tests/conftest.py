@@ -80,18 +80,19 @@ def refuse_charge(monkeypatch):
 
 @pytest.fixture
 def nan_candidates(monkeypatch):
-    """nan_candidates(): every descent-kernel evaluation after the first,
-    that is every line-search candidate, reads a NaN energy, as a
-    candidate that left the finite numbers would.  Returns the call log."""
+    """nan_candidates(after=1): every descent-kernel evaluation after the
+    first `after` reads a NaN energy, as a candidate that left the finite
+    numbers would; with after=1 that is every line-search candidate.
+    Returns the call log."""
 
-    def arm():
+    def arm(after=1):
         real = flow._kernel
         calls = []
 
         def kernel(grid, v):
             en, dv, w = real(grid, v)
             calls.append(None)
-            if len(calls) > 1:
+            if len(calls) > after:
                 en = en._replace(total=float("nan"))
             return en, dv, w
 

@@ -17,10 +17,23 @@ the arithmetic the component-first production kernels replaced
 (np.cross, last-axis sums, full complex FFTs, per-pass gauge moves with
 a two-chart square root).  The kernels must agree with them bit for bit
 where the arithmetic is the same and within stated tolerances where
-only the summation order or the FFT path differs.
+only the summation order or the FFT path differs.  The quaternion
+rotation u v u* is kept in the same way, as the site-last chain of two
+stacked Hamilton products it replaced.
+
+The last section keeps the descent loop as it read before it had one
+observation point: ref_minimize runs the production kernels and builds
+its trace rows before, inside and after the loop.
 """
 
 import numpy as np
+
+from fdvk import flow
+from fdvk.errors import ChargeDrift, FluxChange, NonExactForm
+from fdvk.fields import SphereField
+from fdvk.flow import FlowRow, FlowTrace
+from fdvk.invariants import _classify
+from fdvk.lattice import _comp_first, _site_last, form_norm
 
 
 class OracleAmbiguity(RuntimeError):
@@ -483,6 +496,17 @@ def _ref_embed(v):
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
+def ref_conjugate_by(u, v):
+    """u v u* as two stacked site-last products: embed v, multiply, conjugate, take im."""
+    return ref_mul(ref_mul(u, _ref_embed(v)), u * _CONJ)[..., 1:]
+
+
+def ref_conjugate_field(uvals, phivals):
+    """conjugate_field's values: ref_conjugate_by renormalized by its last-axis norm."""
+    psi = ref_conjugate_by(uvals, phivals)
+    return psi / np.sqrt(np.sum(psi * psi, axis=-1))[..., None]
+
+
 def _ref_sqrt_chart(z):
     q = _ONE - ref_mul(_ref_embed(z), _I)
     return q / _ref_norm(q)[..., None]
@@ -828,3 +852,112 @@ def ref_fix_gauge_site_last(avals, phivals, l, tol=1e-8, tie_eps=1e-9, max_passe
         "ties": tuple(bool(t) for t in ties),
         "passes": passes,
     }
+
+
+# ---------------------------------------------------------------------------
+# the descent loop as it read before its one observation point
+
+
+def _ref_monitor(psi, iteration, gnorm, en):
+    c = _classify(psi)
+    if c.hopf_error is not None and iteration == 0:
+        raise NonExactForm(c.hopf_error)
+    vk = None
+    if c.hopf is not None and round(c.hopf) != 0:
+        vk = en.total / abs(c.hopf) ** 0.75
+    return FlowRow(
+        iteration=iteration,
+        e2=en.e2,
+        e4=en.e4,
+        total=en.total,
+        grad_norm=gnorm,
+        raw_fluxes=c.raw,
+        hopf_charge=c.hopf,
+        vk_ratio=vk,
+    ), c
+
+
+def ref_minimize(psi0, cfg, on_row=None):
+    """flow.minimize with a row built before, inside and after its loop.
+
+    Runs on the production kernels, looked up on the flow module so the
+    conftest fixtures that patch flow._kernel reach it; minimize must
+    give the same rows, stop reason, final field, on_row calls and
+    guard aborts bit for bit.
+    """
+    trace = FlowTrace()
+
+    def record(row):
+        trace.rows.append(row)
+        if on_row is not None:
+            on_row(row)
+
+    psi = psi0
+    g = psi0.grid
+    v = _comp_first(psi0.values)
+    en, dv, w = flow._kernel(g, v)
+    grad = flow._gradient(g, v, dv, w)
+    ceiling = flow._ceiling(g, dv)
+    del dv, w
+    gnorm = form_norm(g, grad)
+    row, start = _ref_monitor(psi, 0, gnorm, en)
+    record(row)
+    flux_ref = start.rounded
+
+    if cfg.mode == "hopf-class" and not start.hopf_sector:
+        raise NonExactForm(f"hopf-class flow needs vanishing fluxes, got {start.raw}")
+    charge_ref = None
+    if row.hopf_charge is not None:
+        charge_ref = round(row.hopf_charge)
+
+    def check_guards(row, c):
+        if cfg.mode in ("flux-only", "map-class") and c.rounded != flux_ref:
+            raise FluxChange(
+                f"rounded fluxes moved from {flux_ref} to {c.rounded} "
+                f"at iteration {row.iteration}",
+                trace=trace,
+            )
+        if cfg.mode in ("hopf-class", "map-class") and charge_ref is not None:
+            if row.hopf_charge is None:
+                raise ChargeDrift(
+                    f"Hopf charge became undefined at iteration {row.iteration}",
+                    trace=trace,
+                )
+            if abs(row.hopf_charge - charge_ref) > cfg.charge_drift_tol:
+                raise ChargeDrift(
+                    f"Hopf charge {row.hopf_charge:.4f} drifted from "
+                    f"{charge_ref} at iteration {row.iteration}",
+                    trace=trace,
+                )
+
+    check_guards(row, start)
+
+    step = min(cfg.step0, ceiling)
+    it = 0
+    stop = None
+    while it < cfg.max_iters and gnorm > cfg.grad_tol:
+        step, found = flow._search(g, v, en.total, grad, step, cfg.backtrack)
+        if found is None:
+            stop = "line_search_stalled"
+            break
+        v, en, dv, w = found
+        del found, grad
+        step = min(step / cfg.backtrack, flow._ceiling(g, dv))
+        it += 1
+        grad = flow._gradient(g, v, dv, w)
+        del dv, w
+        gnorm = form_norm(g, grad)
+        if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
+            psi = SphereField(g, _site_last(v))
+            row, c = _ref_monitor(psi, it, gnorm, en)
+            record(row)
+            check_guards(row, c)
+    if trace.last().iteration != it:
+        psi = SphereField(g, _site_last(v))
+        row, c = _ref_monitor(psi, it, gnorm, en)
+        record(row)
+        check_guards(row, c)
+    if stop is None:
+        stop = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
+    trace.stop_reason = stop
+    return psi, trace

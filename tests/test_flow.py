@@ -1,4 +1,9 @@
-"""Constrained descent: gradient, line search, guards, monitors."""
+"""Constrained descent: gradient, line search, guards, monitors.
+
+minimize must show what the loop it replaced (tests/oracles.py,
+ref_minimize) showed, bit for bit: rows, stop reason, final field,
+on_row calls and the partial trace of a guard abort.
+"""
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from fdvk.flow import (
 )
 from fdvk.lattice import Grid
 from fieldgen import smooth_sphere_field
+from oracles import ref_minimize
 
 TWO_PI = 2.0 * np.pi
 
@@ -248,3 +254,101 @@ def test_nonfinite_candidate_is_never_accepted(monkeypatch, nan_candidates):
     nan_candidates()
     out, _, ok = relax_step(psi, FlowConfig(), 1e-3)
     assert not ok and out is psi
+
+
+def _hopfion20():
+    return generate(AnsatzSpec(kind="hopfion", charge=1), Grid(20))
+
+
+def _decaying_tube():
+    g = Grid(24, TWO_PI)
+    v = 0.52 * generate(AnsatzSpec(kind="tube", charge=1), g).values + 0.48 * np.array([0.0, 0.0, 1.0])
+    return SphereField(g, v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+# name: (field, FlowConfig keywords, kernels before NaN candidates or None,
+#        how the run ends, its row iterations); n = 20 reads the unit
+# charge as 0.7955 at the start, 0.7944 at iteration 25
+AGREEMENT = {
+    "grad_tol-at-start": (lambda: constant_sphere(Grid(8)), dict(mode="flux-only"), None, "grad_tol", [0]),
+    # grad_tol and max_iters at once: grad_tol wins
+    "grad_tol-off-cadence": (
+        _hopfion20, dict(max_iters=16, grad_tol=45.0, monitor_every=7, charge_drift_tol=0.3),
+        None, "grad_tol", [0, 7, 14, 16],
+    ),
+    "max_iters-hopf-class": (
+        _hopfion20, dict(mode="hopf-class", max_iters=12, monitor_every=5, charge_drift_tol=0.3),
+        None, "max_iters", [0, 5, 10, 12],
+    ),
+    "max_iters-flux-only": (
+        _hopfion20, dict(mode="flux-only", max_iters=12, monitor_every=5), None, "max_iters", [0, 5, 10, 12],
+    ),
+    "stalled-at-start": (
+        _hopfion20, dict(max_iters=20, charge_drift_tol=0.3), 1, "line_search_stalled", [0],
+    ),
+    "stalled-on-cadence": (
+        _hopfion20, dict(mode="hopf-class", max_iters=20, monitor_every=5, charge_drift_tol=0.3),
+        6, "line_search_stalled", [0, 5],
+    ),
+    "stalled-off-cadence": (
+        _hopfion20, dict(mode="hopf-class", max_iters=20, monitor_every=5, charge_drift_tol=0.3),
+        8, "line_search_stalled", [0, 5, 7],
+    ),
+    "charge-drift": (
+        _hopfion20, dict(max_iters=40, monitor_every=5, charge_drift_tol=0.205),
+        None, "ChargeDrift: Hopf charge 0.7944", [0, 5, 10, 15, 20, 25],
+    ),
+    # a guard firing on the last row leaves no stop reason
+    "charge-drift-on-last-row": (
+        _hopfion20, dict(mode="hopf-class", max_iters=25, monitor_every=5, charge_drift_tol=0.205),
+        None, "ChargeDrift: Hopf charge 0.7944", [0, 5, 10, 15, 20, 25],
+    ),
+    "flux-change-flux-only": (
+        _decaying_tube, dict(mode="flux-only", max_iters=60, monitor_every=5),
+        None, "FluxChange", [0, 5, 10, 15, 20],
+    ),
+    "flux-change-map-class": (
+        _decaying_tube, dict(max_iters=60, monitor_every=5), None, "FluxChange", [0, 5, 10, 15, 20],
+    ),
+}
+
+
+def _outcome(descend, psi0, cfg):
+    """(row iterations, how it ended, rows, on_row calls, final field bytes) of one descent."""
+    seen = []
+    try:
+        psi, trace = descend(psi0, cfg, on_row=seen.append)
+        end, final = trace.stop_reason, psi.values.tobytes()
+    except (ChargeDrift, FluxChange) as exc:
+        trace, end, final = exc.trace, f"{type(exc).__name__}: {exc}", None
+        assert trace.stop_reason is None
+    # repr tells -0.0 from 0.0, so equal reprs are equal bits
+    return [r.iteration for r in trace.rows], end, repr(trace.rows), repr(seen), final
+
+
+@pytest.mark.parametrize("name", list(AGREEMENT))
+def test_minimize_matches_the_reference_loop(name, monkeypatch, nan_candidates):
+    build, kw, after, ending, iterations = AGREEMENT[name]
+    psi0, cfg = build(), FlowConfig(**kw)
+    outcomes = []
+    for descend in (minimize, ref_minimize):
+        if after is not None:
+            nan_candidates(after)
+        outcomes.append(_outcome(descend, psi0, cfg))
+        monkeypatch.undo()
+    got, want = outcomes
+    assert got == want
+    assert got[0] == iterations
+    assert got[1].startswith(ending)
+    assert got[2] == got[3]
+
+
+def test_refused_charge_mid_flow_matches_the_reference_loop(monkeypatch, refuse_charge):
+    cfg = FlowConfig(mode="hopf-class", max_iters=10, monitor_every=5, charge_drift_tol=0.3)
+    outcomes = []
+    for descend in (minimize, ref_minimize):
+        refuse_charge(2)
+        outcomes.append(_outcome(descend, _hopfion20(), cfg))
+        monkeypatch.undo()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == ([0, 5], "ChargeDrift: Hopf charge became undefined at iteration 5")

@@ -1,7 +1,7 @@
 """The component-first gauge kernels against their site-last references.
 
 connection_of, Connection.site_values, develop, plaquette_deviation,
-holonomy and quat.mul use the same arithmetic as the references in
+holonomy, quat.mul, quat.conjugate_by and conjugate_field use the same arithmetic as the references in
 tests/oracles.py and must agree bit for bit.  fix_gauge keeps its edge
 logarithms component-first through the passes and must agree bit for
 bit with the same passes through a site-last connection
@@ -22,13 +22,16 @@ import pytest
 
 from fdvk import gauge, quat
 from fdvk.errors import NontrivialHolonomy
-from fdvk.fields import Connection, SphereField, connection_of, constant_sphere
+from fdvk.ansatz import AnsatzSpec, generate
+from fdvk.fields import Connection, SphereField, conjugate_field, connection_of, constant_sphere
 from fdvk.gauge import circle_field, develop, fix_gauge, hodge_parts, holonomy, plaquette_deviation
 from fdvk.invariants import chern_simons, degree
 from fdvk.lattice import Grid, form_norm
 from fieldgen import smooth_group_field, smooth_sphere_field
 from oracles import (
     ref_chern_simons,
+    ref_conjugate_by,
+    ref_conjugate_field,
     ref_connection_of,
     ref_degree,
     ref_develop,
@@ -174,3 +177,30 @@ def test_mul_bit_identical_to_stacked_product():
     p = rng.standard_normal((9, 4))
     assert np.array_equal(quat.mul(quat.J, p), ref_mul(quat.J, p))
     assert np.array_equal(quat.mul(p, quat.K), ref_mul(p, quat.K))
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_conjugate_by_bit_identical_to_stacked_products():
+    rng = np.random.default_rng(5)
+    for lead in [(), (7,), (5, 6, 7)]:
+        u = rng.standard_normal(lead + (4,))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        v = rng.standard_normal(lead + (3,))
+        assert _same_bits(quat.conjugate_by(u, v), ref_conjugate_by(u, v))
+    # broadcasting over leading axes, and exact zeros in both factors
+    u = rng.standard_normal((9, 4))
+    for v in (quat.IM_I, np.zeros(3), -quat.IM_K):
+        assert _same_bits(quat.conjugate_by(u, v), ref_conjugate_by(u, v))
+    assert _same_bits(quat.hopf(quat.K), ref_conjugate_by(quat.K, quat.IM_I))
+
+
+@pytest.mark.parametrize("n", [18, 24, 33])
+def test_conjugate_field_bit_identical_to_site_last_rotation(n):
+    g = Grid(n)
+    phi = smooth_sphere_field(g, 9)
+    for u in (smooth_group_field(g, 6), generate(AnsatzSpec(kind="ballmap", charge=-1), g)):
+        for p in (phi, constant_sphere(g)):
+            assert _same_bits(conjugate_field(u, p).values, ref_conjugate_field(u.values, p.values))

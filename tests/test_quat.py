@@ -122,3 +122,13 @@ def test_qmap_closed_form_matches_conjugation_by_a_square_root():
     assert np.max(np.abs(quat.qmap(z, lam) - want)) <= 1e-14
     with pytest.raises(ValueError):
         quat.qmap(z, np.broadcast_to(quat.J, lam.shape))
+
+
+def test_qmap_broadcasts_over_leading_axes():
+    z = np.array([0.36, -0.48, 0.8])
+    th = np.linspace(-2.0, 2.0, 5)
+    lam = np.stack([np.cos(th), np.sin(th), 0 * th, 0 * th], axis=-1)
+    q = quat.qmap(z, lam)
+    assert q.shape == (5, 4)
+    assert np.array_equal(q, np.concatenate([lam[:, :1], lam[:, 1:2] * z], axis=-1))
+    assert quat.qmap(np.broadcast_to(z, (2, 5, 3)), lam).shape == (2, 5, 4)
