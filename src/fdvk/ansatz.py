@@ -18,6 +18,7 @@ from . import quat
 from .errors import UnderResolved
 from .fields import GroupField, SphereField, conjugate_field, constant_sphere
 from .gauge import circle_field
+from .invariants import _read
 from .lattice import Grid, check_direction
 
 KINDS = ("constant", "equator", "tube", "hopfion", "ballmap")
@@ -150,21 +151,42 @@ def _ball_lift(spec, grid, azimuth_sign):
     return GroupField(grid, vals)
 
 
-def generate(spec: AnsatzSpec, grid: Grid):
-    """Build the field described by spec on the given grid."""
+def _generate(spec, grid):
+    """The field of spec and its reading; constant and equator fields are not read (None).
+
+    A tube, hopfion or ballmap whose readings do not all round to the
+    invariants its kind advertises raises UnderResolved: a coarse grid
+    misreads a charge or loses the flux class.
+    """
     if spec.kind == "constant":
-        return constant_sphere(grid, quat.IM_I)
+        return constant_sphere(grid, quat.IM_I), None
     if spec.kind == "equator":
-        return _equator(grid)
+        return _equator(grid), None
+    q = spec.charge
+    # (fluxes, Hopf charge, degree) the kind advertises
     if spec.kind == "tube":
-        return _tube(spec, grid)
-    if spec.kind == "hopfion":
-        sign = 1 if spec.charge >= 0 else -1
-        u = _ball_lift(spec, grid, azimuth_sign=sign)
-        return conjugate_field(u, constant_sphere(grid, quat.IM_I))
-    # ballmap: mirror azimuth of the hopfion lift, so degree = +charge
-    sign = -1 if spec.charge >= 0 else 1
-    return _ball_lift(spec, grid, azimuth_sign=sign)
+        field, want = _tube(spec, grid), (tuple(int(k == spec.axis) for k in (1, 2, 3)), None, None)
+    elif spec.kind == "hopfion":
+        u = _ball_lift(spec, grid, azimuth_sign=1 if q >= 0 else -1)
+        field, want = conjugate_field(u, constant_sphere(grid, quat.IM_I)), ((0, 0, 0), q, None)
+    else:
+        # mirror azimuth of the hopfion lift, so degree = +charge; it frames the
+        # constant field, which a degree-d map conjugates to Hopf charge -d
+        field, want = _ball_lift(spec, grid, azimuth_sign=-1 if q >= 0 else 1), ((0, 0, 0), -q, q)
+    r = _read(constant_sphere(grid), field) if spec.kind == "ballmap" else _read(field)
+    rounded = tuple(x if x is None else round(x) for x in (r.c.hopf, r.degree))
+    if (None if r.c.flux_error else r.c.rounded, *rounded) != want:
+        raise UnderResolved(
+            f"{spec.kind} of charge {q} at n = {grid.n} reads back raw fluxes {r.c.raw}, "
+            f"Hopf charge {r.c.hopf} and degree {r.degree}, not the advertised fluxes "
+            f"{want[0]}, Hopf charge {want[1]} and degree {want[2]}; refine the grid"
+        )
+    return field, r
+
+
+def generate(spec: AnsatzSpec, grid: Grid):
+    """Build the field described by spec on the given grid, read back by _generate."""
+    return _generate(spec, grid)[0]
 
 
 def s1_winding(grid: Grid, w) -> GroupField:

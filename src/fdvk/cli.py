@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .ansatz import KINDS, AnsatzSpec, generate
+from .ansatz import KINDS, AnsatzSpec, _generate, generate
 from .errors import ChargeDrift, ConfigError, FdvkError, FluxChange, NonExactForm, SnapshotError
 from .fields import Connection, GroupField, SphereField, constant_sphere, energy, plaquette_curvature
 from .flow import FlowConfig, minimize
@@ -240,9 +240,10 @@ def cmd_init(args):
     grid = Grid(args.n, **_given(l=args.l))
     _check_grid_fits(grid.n)
     _check_writable(args.out)
-    field = generate(spec, grid)
-    # formatted before the write, so a refused record leaves no snapshot
-    line = json.dumps(_class_block(_reading(field)), allow_nan=False)
+    # generate's readback (a constant or equator field is read here), formatted
+    # before the write, so a refused field or record leaves no snapshot
+    field, r = _generate(spec, grid)
+    line = json.dumps(_class_block(_reading(field) if r is None else r), allow_nan=False)
     save_snapshot(args.out, field)
     print(line, flush=True)
     print(f"wrote {args.ansatz} snapshot to {args.out}", file=sys.stderr)
@@ -303,28 +304,16 @@ def cmd_minimize(args):
         except (ChargeDrift, FluxChange) as exc:
             abort = exc
     if abort is not None:
-        last = abort.trace.last() if abort.trace and abort.trace.rows else None
-        _json_line(
-            {
-                "abort": type(abort).__name__,
-                "message": str(abort),
-                "iterations": last.iteration if last else None,
-                "energy": last.total if last else None,
-            }
-        )
+        # a guard trips only after its row is recorded: the trace has one
+        last = abort.trace.last()
+        _json_line({"abort": type(abort).__name__, "message": str(abort),
+                    "iterations": last.iteration, "energy": last.total})
         print(f"aborted: {abort}", file=sys.stderr)
         return 4
     save_snapshot(out_field, psi)
     last = trace.last()
-    _json_line(
-        {
-            "abort": None,
-            "stop_reason": trace.stop_reason,
-            "iterations": last.iteration,
-            "energy": last.total,
-            "grad_norm": last.grad_norm,
-        }
-    )
+    _json_line({"abort": None, "stop_reason": trace.stop_reason, "iterations": last.iteration,
+                "energy": last.total, "grad_norm": last.grad_norm})
     print(
         f"minimized {spec.kind} for {last.iteration} iterations "
         f"(stopped on {trace.stop_reason}), "

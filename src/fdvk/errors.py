@@ -35,7 +35,7 @@ class NotFlat(FdvkError):
 
 
 class UnderResolved(FdvkError):
-    """Ansatz support spans fewer lattice cells than the generator guarantees."""
+    """Ansatz support under MIN_CELLS cells, or a field that misreads the class it advertises."""
 
 
 class SnapshotError(FdvkError):

@@ -33,7 +33,8 @@ def _check_values(grid, values, comps, kind):
         raise ValueError(f"{kind} values must have shape (n, n, n, {comps})")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{kind} values must be finite")
-    n = np.sqrt(np.sum(values * values, axis=-1))
+    v = np.moveaxis(values, -1, 0)  # summed left to right, as np.sum sums the last axis
+    n = np.sqrt(_dot(v, v) + v[3] * v[3] if comps == 4 else _dot(v, v))
     if np.any(np.abs(n - 1.0) > quat.UNIT_TOL):
         worst = float(np.max(np.abs(n - 1.0)))
         raise ValueError(f"{kind} off the unit sphere by {worst:.3e}")
@@ -127,6 +128,15 @@ def _area(v, di, dj):
     return _dot(v, _cross(di, dj)) / FOUR_PI
 
 
+def _area_form(g, v):
+    """pullback_area of component-first v, (3, n, n, n); elementwise, so v may be any view."""
+    dv = [diff(g, v, mu) for mu in (1, 2, 3)]
+    out = np.empty(v.shape)
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        out[k] = _area(v, dv[i], dv[j])
+    return out
+
+
 def pullback_area(psi):
     """Pullback of the unit-area 2-form on S2, as a dual-vector 2-form.
 
@@ -134,13 +144,7 @@ def pullback_area(psi):
     total flux through a slice counts preimages of a regular value.
     Returned site-last, as a view of the component-first array built.
     """
-    g = psi.grid
-    v = _comp_first(psi.values)
-    dv = [diff(g, v, mu) for mu in (1, 2, 3)]
-    out = np.empty_like(v)
-    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        out[k] = _area(v, dv[i], dv[j])
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(_area_form(psi.grid, np.moveaxis(psi.values, -1, 0)), 0, -1)
 
 
 def _assemble(d, w, e2, e4, tmp, g2=None):

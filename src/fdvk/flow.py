@@ -10,17 +10,15 @@ invariants leave their starting values.
 minimize is one loop: each pass clips the step at the ceiling, takes
 the gradient, decides whether to stop, observes the field on the monitor
 cadence or when stopping, then searches.  _observe, the one observation
-point, builds, records, streams and guards (_guard) every trace row.
+point, classifies the component-first iterate in place and builds,
+records, streams and guards (_guard) every trace row; a run builds one
+SphereField, the one minimize returns.
 
-The kernel works on the component-first layout (3, n, n, n) of
-lattice and sweeps it in slabs of whole planes along the first site
-axis, so each slab's temporaries stay in cache.  _kernel keeps the
-whole-field differences and cross products; _gradient reads them back
-slab by slab, and for the two terms differenced along the first axis
-takes their cross product on the slab plus one halo plane on each side
-(wrapped periodically at the ends).  Densities are summed once over the
-whole field and each site's stencil terms are taken in one fixed order,
-so energies, gradients and step ceilings do not depend on the slab size.
+The kernel (_kernel, _gradient, _search) sweeps the component-first
+layout in the slabs of lattice._slabs.  Densities are summed once over
+the whole field and each site's stencil terms are taken in one fixed
+order, so energies, gradients and step ceilings do not depend on the
+slab size.
 """
 
 from dataclasses import dataclass, field, fields
@@ -293,15 +291,16 @@ def _guard(cfg, ref, row, c, trace):
         )
 
 
-def _observe(cfg, trace, on_row, ref, psi, it, gnorm, en):
-    """The one observation point: record, stream and guard psi's row at iteration it.
+def _observe(cfg, trace, on_row, ref, g, v, it, gnorm, en):
+    """The one observation point: record, stream and guard the row of iteration it.
 
-    Classifies psi, appends its FlowRow to trace and hands the row to
-    on_row, then guards it against the reference class ref.  Iteration
-    0 supplies the reference, after its row is recorded and streamed and
-    after the hopf-class entry check.  Returns the reference class.
+    Classifies the component-first iterate v in place, appends its
+    FlowRow to trace and hands the row to on_row, then guards it against
+    the reference class ref.  Iteration 0 supplies the reference, after
+    its row is recorded and streamed and after the hopf-class entry
+    check.  Returns the reference class.
     """
-    c = _classify(psi)
+    c = _classify(g, v)
     # a refused charge is bad input at the start; later it is an undefined
     # charge, which the drift guard reports with the partial trace
     if c.hopf_error is not None and it == 0:
@@ -332,7 +331,8 @@ def minimize(
     iterations, and at the end; on_row sees each row as it is recorded,
     which is how the CLI streams a CSV even when a guard aborts the
     run.  Guard failures raise ChargeDrift or FluxChange with the
-    partial trace attached.
+    partial trace attached.  Returns (final field, trace); the final
+    field is psi0 itself when no step was accepted.
 
     The step schedule is capped at step_ceiling(psi), recomputed as
     the field evolves.  The line search alone cannot enforce
@@ -357,16 +357,14 @@ def minimize(
             stop = "max_iters"
         # rows are taken before the search, so no candidate's arrays are alive
         if it % cfg.monitor_every == 0 or stop:
-            psi = SphereField(g, _site_last(v)) if it else psi0
-            ref = _observe(cfg, trace, on_row, ref, psi, it, gnorm, en)
+            ref = _observe(cfg, trace, on_row, ref, g, v, it, gnorm, en)
         if stop:
             break
         step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
         if found is None:
             stop = "line_search_stalled"
             if trace.last().iteration != it:
-                psi = SphereField(g, _site_last(v))
-                _observe(cfg, trace, on_row, ref, psi, it, gnorm, en)
+                _observe(cfg, trace, on_row, ref, g, v, it, gnorm, en)
             break
         # the accepted candidate's energy, differences and cross products
         # carry forward; the old gradient goes first to keep the peak low
@@ -375,4 +373,4 @@ def minimize(
         step /= cfg.backtrack
         it += 1
     trace.stop_reason = stop
-    return psi, trace
+    return (SphereField(g, _site_last(v)) if it else psi0), trace

@@ -8,6 +8,8 @@ their flattening connection, and any connection has a Chern--Simons
 number.  _read decides, without raising, which of these readings a
 field or framed pair has and why the others are missing; fluxes,
 hopf_charge and homotopy_record raise from it.
+_classify reads component-first values (3, n, n, n) where they live:
+the descent's iterate, or a SphereField's view np.moveaxis(values, -1, 0).
 """
 
 from dataclasses import dataclass
@@ -22,13 +24,13 @@ from .fields import (
     GroupField,
     SphereField,
     _area,
+    _area_form,
     _logs,
     _logs_of,
     _site_logs,
     conjugate_field,
-    pullback_area,
 )
-from .lattice import _comp_first, _cross, _dot, _half_spectrum, _potential, _rfft3, diff, integrate
+from .lattice import _cross, _dot, _half_spectrum, _potential, _rfft3, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -75,38 +77,37 @@ def _wedge_d(grid, Ah, K, weight):
 
 
 def _helicity(grid, F):
-    """Integral of alpha ^ d(alpha) for the coexact potential alpha of F."""
+    """Integral of alpha ^ d(alpha) for the coexact potential alpha of component-first F."""
     return _wedge_d(grid, *_potential(grid, F))
 
 
-def _raw_fluxes(psi: SphereField):
-    """Fluxes of the area form through the tori {x_k = l/2}, O(n^2) work.
+def _raw_fluxes(g, v):
+    """Fluxes of the area form of component-first v through the tori {x_k = l/2}, O(n^2).
 
     Slot k of pullback_area on the plane x_k = n/2 needs only that
     plane's two in-plane differences, so each flux is the plane's area
     density, through the same arithmetic, summed as slice_flux sums it;
     the plane is read as a slab one site thick, as diff reads a field.
     """
-    g = psi.grid
     mid = slice(g.n // 2, g.n // 2 + 1)
     raw = []
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        # a basic index, so a strided psi.values (as loaded) is not copied whole
-        p = _comp_first(psi.values[(slice(None),) * k + (mid,)])
+        # a basic index: a view of v, whatever its strides, never a copy
+        p = v[(slice(None),) * (k + 1) + (mid,)]
         di, dj = (diff(g, p, m + 1) for m in (i, j))
         raw.append(float(np.sum(_area(p, di, dj))) * g.h**2)
     return tuple(raw)
 
 
-def _classify(psi: SphereField, charge=True) -> _SphereClass:
-    """Fluxes of psi and, in the Hopf sector, its charge.
+def _classify(g, v, charge=True) -> _SphereClass:
+    """Fluxes of the sphere field of component-first values v and, in the Hopf sector, its charge.
 
     The Hopf sector is the one rule for when the charge exists: every
     raw flux within FLUX_ROUND_TOL of an integer, all of them 0.  The
     whole area form is built only for the charge.
     """
-    raw = _raw_fluxes(psi)
-    rounded = tuple(int(v) for v in np.rint(raw))
+    raw = _raw_fluxes(g, v)
+    rounded = tuple(int(x) for x in np.rint(raw))
     off = [k for k in range(3) if abs(raw[k] - rounded[k]) > FLUX_ROUND_TOL]
     flux_error = None
     if off:
@@ -118,7 +119,7 @@ def _classify(psi: SphereField, charge=True) -> _SphereClass:
     hopf = hopf_error = None
     if charge and sector:
         try:
-            hopf = _helicity(psi.grid, pullback_area(psi))
+            hopf = _helicity(g, _area_form(g, v))
         except NonExactForm as exc:
             hopf_error = str(exc)
     return _SphereClass(raw, rounded, flux_error, sector, hopf, hopf_error)
@@ -132,7 +133,7 @@ def fluxes(psi: SphereField):
     that far from an integer means the field is too coarse to classify,
     and guessing would silently misfile the homotopy class.
     """
-    c = _classify(psi, charge=False)
+    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0), charge=False)
     if c.flux_error is not None:
         raise NonIntegralFlux(c.flux_error)
     return c.rounded, c.raw
@@ -148,7 +149,7 @@ def hopf_charge(psi: SphereField) -> float:
     NonExactForm, which is the honest answer: the invariant does not
     exist there.
     """
-    c = _classify(psi)
+    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0))
     if c.hopf is None:
         raise NonExactForm(f"no Hopf charge: {c.hopf_reason}")
     return c.hopf
@@ -220,7 +221,7 @@ def _read(phi: SphereField, u: Optional[GroupField] = None) -> _Reading:
         # the degree first, so its temporaries and the conjugate never coexist
         deg = degree(u)
         psi = conjugate_field(u, phi)
-    c = _classify(psi)
+    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0))
     m = None if c.flux_error is not None else modulus(c.rounded)
     if deg is None:
         return _Reading(psi, c, m, None, None, None)

@@ -20,19 +20,17 @@ first; _comp_first and _site_last convert between the two layouts.
 
 The descent sweeps that layout in slabs of whole planes along the first
 site axis (_slabs, SLAB_SITES sites per slab), so a slab's temporaries
-stay in cache. _diff_into is the one central-difference stencil: it
-subtracts shifted slices straight into a given buffer, periodic within
-the array it is handed. Differences along the second and third site
-axes stay inside a slab; along the first, a slab reads its two
-neighbouring planes, the halo, from the whole field, or from a block
-padded with them, where no wrap is taken.
+stay in cache. Along the first axis a slab reads its two neighbouring
+planes, the halo, from the whole field or from a block padded with them.
 
-One central stencil, _diff_into, serves energies, gradients and fluxes:
-it keeps the discrete energy an explicit smooth function of site values,
-so its gradient is exact. One half-spectrum path (_rfft3, _irfft3,
-_half_spectrum) serves d and codiff, the Hodge split, the potential and
-the Parseval sums: its multiplier iK makes d compose to zero and the
-codifferential an exact adjoint. The two agree to O(h^2) on smooth data.
+One central stencil, _diff_into, serves energies, gradients and fluxes;
+it subtracts shifted slices straight into a given buffer, periodic within
+the array it is handed, and keeps the discrete energy an explicit smooth
+function of site values, so its gradient is exact. One half-spectrum
+path (_rfft3, _irfft3, _half_spectrum) serves d and codiff, the Hodge
+split, the potential and the Parseval sums: its multiplier iK makes d
+compose to zero and the codifferential an exact adjoint. The two agree
+to O(h^2) on smooth data.
 """
 
 from dataclasses import dataclass
@@ -275,14 +273,14 @@ CLOSED_TOL = 0.5
 
 
 def _potential(grid, F):
-    """Half-spectrum transform of F's coexact potential, component-first.
+    """Half-spectrum transform of the coexact potential of component-first F.
 
     alpha, with delta alpha = 0, d alpha = F and no harmonic part, exists
     only for F closed and with vanishing fluxes; otherwise NonExactForm.
     Returns (alpha_hat, K, weight) with K and weight from _half_spectrum,
     after the flux and closedness guards, which read F's one rfftn.
     """
-    Fh, div, K, k2, weight = _spectrum(grid, np.moveaxis(F, -1, 0))
+    Fh, div, K, k2, weight = _spectrum(grid, F)
     # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
     # averaged over the parallel slices
     flux = Fh[:, 0, 0, 0].real * grid.l**2 / grid.n**3

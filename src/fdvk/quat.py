@@ -1,10 +1,12 @@
 """Quaternion algebra on numpy arrays.
 
-Quaternions are arrays with last axis 4, components (w, x, y, z) along
-(1, i, j, k). Imaginary quaternions drop the real slot: last axis 3.
-All functions broadcast over leading axes, so a field of quaternions is
-just an (n, n, n, 4) array.  Each formula is written once, component-first
-(index 0 over components): _hamilton, _rotate, _qmap, _exp_im, _log_unit.
+Quaternions have components (w, x, y, z) along (1, i, j, k); imaginary
+quaternions drop the real slot.  Each formula is written once,
+component-first (index 0 over components), as the package uses it:
+_hamilton (with _mul), _rotate, _qmap, _exp_im, _log_unit.  The public
+mul, conj, norm, normalize, embed, exp_im, qmap and hopf take the
+site-last layout (last axis 4 or 3) and broadcast over leading axes, for
+the acceptance gate, the benchmark workloads and the tests.
 
 The inner product <p, q> = (p* q + q* p) / 2 is the Euclidean 4-dot.
 For imaginary p, q the useful identities are
@@ -25,7 +27,6 @@ J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])
 
 IM_I = np.array([1.0, 0.0, 0.0])
-IM_J = np.array([0.0, 1.0, 0.0])
 IM_K = np.array([0.0, 0.0, 1.0])
 
 # conj as a factor on component-first fields (3-D, index 0 over components)
@@ -62,26 +63,22 @@ def norm(q):
     return np.sqrt(np.sum(q * q, axis=-1))
 
 
-def normalize(q, tol=UNIT_TOL):
-    """Rescale to unit length; reject drift beyond tol.
+def normalize(q):
+    """Rescale to unit length; reject drift beyond UNIT_TOL.
 
-    Accumulated float error up to tol is silently repaired. Anything
+    Accumulated float error up to UNIT_TOL is silently repaired. Anything
     larger is a bug or bad data and raises.
     """
     n = norm(q)
-    if np.any(np.abs(n - 1.0) > tol):
+    if np.any(np.abs(n - 1.0) > UNIT_TOL):
         worst = float(np.max(np.abs(n - 1.0)))
-        raise ValueError(f"unit constraint violated by {worst:.3e} (tol {tol:.1e})")
+        raise ValueError(f"unit constraint violated by {worst:.3e} (tol {UNIT_TOL:.1e})")
     return q / n[..., None]
 
 
 def embed(v):
     """Imaginary 3-vector -> quaternion with zero real part."""
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
-
-
-def im(q):
-    return q[..., 1:]
 
 
 def _exp_im(v):
@@ -100,7 +97,11 @@ def exp_im(v):
 
 
 def _log_unit(q):
-    """log_unit of component-first quaternions, index 0 over components."""
+    """Imaginary part of the principal log of component-first unit quaternions.
+
+    Valid for Re q > 0 (rotation angle below pi); callers enforce that
+    via the adjacent-site dot check.
+    """
     w, vx, vy, vz = q
     s = np.sqrt(vx * vx + vy * vy + vz * vz)
     theta = np.arctan2(s, w)
@@ -109,32 +110,18 @@ def _log_unit(q):
     return q[1:] * factor
 
 
-def log_unit(q):
-    """Imaginary part of the principal log of a unit quaternion.
-
-    Valid for Re q > 0 (rotation angle below pi); callers enforce that
-    via the adjacent-site dot check.
-    """
-    return _site_last(_log_unit(np.moveaxis(q, -1, 0)))
-
-
 def _rotate(u, v):
     """The three components of u v u*, u a component-first quaternion, v an imaginary one."""
     uw, ux, uy, uz = u
     return _hamilton(_hamilton(u, (0.0, *v)), (uw, -ux, -uy, -uz))[1:]
 
 
-def conjugate_by(u, v):
-    """u v u* for unit u and imaginary v; a rotation of v."""
-    return np.stack(_rotate(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)), axis=-1)
-
-
 def hopf(q):
     """h(q) = q i q*, the Hopf fibration Sp1 -> S2."""
-    return conjugate_by(q, np.broadcast_to(IM_I, q.shape[:-1] + (3,)))
+    return np.stack(_rotate(np.moveaxis(q, -1, 0), IM_I), axis=-1)
 
 
-def qmap(z, lam, tol=UNIT_TOL):
+def qmap(z, lam):
     """The gauge map: qmap(z, lam) = q lam q* where z = q i q*.
 
     z is unit imaginary, lam lies in the circle subgroup spanned by 1
@@ -142,12 +129,12 @@ def qmap(z, lam, tol=UNIT_TOL):
     lam_w + lam_x z for every unit square root q.
     """
     z, lam = (np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (z, lam))
-    return _site_last(_qmap(z, lam, tol))
+    return _site_last(_qmap(z, lam))
 
 
-def _qmap(z, lam, tol=UNIT_TOL):
+def _qmap(z, lam):
     """qmap of component-first z and lam, component-first: lam_w + lam_x z."""
-    if np.any(np.abs(lam[2:]) > tol):
+    if np.any(np.abs(lam[2:]) > UNIT_TOL):
         raise ValueError("qmap: lam must lie in the span of 1 and i")
     lx = lam[1]
     return np.stack(np.broadcast_arrays(lam[0], lx * z[0], lx * z[1], lx * z[2]))

@@ -859,7 +859,7 @@ def ref_fix_gauge_site_last(avals, phivals, l, tol=1e-8, tie_eps=1e-9, max_passe
 
 
 def _ref_monitor(psi, iteration, gnorm, en):
-    c = _classify(psi)
+    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0))
     if c.hopf_error is not None and iteration == 0:
         raise NonExactForm(c.hopf_error)
     vk = None

@@ -36,6 +36,21 @@ def test_under_resolved_support():
     assert MIN_CELLS == 8
 
 
+def test_readback_refuses_a_misread_class():
+    # the reading rounds, it is not held to a drift tolerance: Q = 0.853 and
+    # 1.588 at n = 24 stand for charges 1 and 2
+    for charge in (1, 2):
+        generate(AnsatzSpec(kind="hopfion", charge=charge), Grid(24, TWO_PI))
+    cases = [
+        ("hopfion", 2, 18, r"Hopf charge 1\.33"),
+        ("hopfion", 3, 32, "Hopf charge None"),
+        ("ballmap", 3, 18, r"raw fluxes \(0\.4294"),
+    ]
+    for kind, charge, n, match in cases:
+        with pytest.raises(UnderResolved, match=match):
+            generate(AnsatzSpec(kind=kind, charge=charge), Grid(n, TWO_PI))
+
+
 def test_constant_and_equator():
     g = Grid(16, TWO_PI)
     c = generate(AnsatzSpec(kind="constant"), g)

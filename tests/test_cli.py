@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fdvk import cli
-from fdvk.ansatz import AnsatzSpec, generate
+from fdvk import cli, invariants
+from fdvk.ansatz import AnsatzSpec, _ball_lift, generate
 from fdvk.cli import (
     CSV_HEADER,
     MAGIC,
@@ -17,7 +17,7 @@ from fdvk.cli import (
     save_snapshot,
 )
 from fdvk.errors import ConfigError, SnapshotError
-from fdvk.fields import Connection, GroupField, SphereField, connection_of
+from fdvk.fields import SphereField, conjugate_field, connection_of, constant_sphere
 from fdvk.flow import FlowConfig
 from fdvk.lattice import Grid
 
@@ -220,6 +220,26 @@ def test_init_group_record_includes_degree(tmp_path, capsys):
     assert record["m"] == 0
 
 
+@pytest.mark.parametrize("kind, charge, n", [("hopfion", 2, 18), ("hopfion", 3, 32), ("ballmap", 3, 18)])
+def test_init_refuses_a_field_that_misreads_its_class(tmp_path, capsys, kind, charge, n):
+    # hopfion 2 at n = 18 reads Q = 1.331, the other two have no flux class
+    out = tmp_path / "bad.fdk"
+    argv = ["init", "--ansatz", kind, "--charge", str(charge), "--n", str(n), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["tube", "hopfion", "ballmap"])
+def test_init_prints_the_readback_it_took(tmp_path, capsys, monkeypatch, kind):
+    # generate reads the field back; init formats that reading, not a second one
+    calls = []
+    real = invariants._classify
+    monkeypatch.setattr(invariants, "_classify", lambda *args: calls.append(None) or real(*args))
+    assert main(["init", "--ansatz", kind, "--n", "20", "-o", str(tmp_path / "f.fdk")]) == 0
+    assert len(calls) == 1
+
+
 def test_init_refused_charge_leaves_no_file(tmp_path, capsys, refuse_charge):
     refuse_charge(1)
     out = tmp_path / "field.fdk"
@@ -229,9 +249,17 @@ def test_init_refused_charge_leaves_no_file(tmp_path, capsys, refuse_charge):
 
 
 @pytest.mark.parametrize("kind, charge", [("ballmap", 2), ("ballmap", 3), ("hopfion", 3)])
-def test_init_and_report_agree_on_unclassifiable_fields(tmp_path, capsys, kind, charge):
+def test_init_and_report_agree_on_unclassifiable_fields(tmp_path, capsys, monkeypatch, kind, charge):
     # n = 18 is too coarse for these: ballmap 2 reads degree 1.894, the
-    # other two a raw flux of 0.4294; both commands print null, not exit 2
+    # other two a raw flux of 0.4294; generate refuses them, so they are
+    # built from the ball lift and handed to init unread, and both
+    # commands print null, not exit 2
+    g = Grid(18, TWO_PI)
+    spec = AnsatzSpec(kind=kind, charge=charge)
+    field = _ball_lift(spec, g, azimuth_sign=1 if kind == "hopfion" else -1)
+    if kind == "hopfion":
+        field = conjugate_field(field, constant_sphere(g))
+    monkeypatch.setattr(cli, "_generate", lambda spec, grid: (field, None))
     out = tmp_path / "f.fdk"
     assert main(["init", "--ansatz", kind, "--charge", str(charge), "--n", "18", "-o", str(out)]) == 0
     rec = json.loads(capsys.readouterr().out)
@@ -362,7 +390,8 @@ def test_minimize_refused_charge_exit_code(tmp_path, capsys, refuse_charge, refu
         f"out.field = {tmp_path / 'r.fdk'}\n"
         f"out.trace = {tmp_path / 'r.csv'}\n"
     )
-    refuse_charge(refused_row)
+    # the first solve is generate's readback of the hopfion, then one per row
+    refuse_charge(refused_row + 1)
     assert main(["minimize", "--config", str(cfg)]) == code
     assert not (tmp_path / "r.fdk").exists()
     if code == 4:

@@ -260,6 +260,25 @@ def _hopfion20():
     return generate(AnsatzSpec(kind="hopfion", charge=1), Grid(20))
 
 
+def test_minimize_builds_one_sphere_field_per_run(monkeypatch):
+    built = []
+    real = flow.SphereField
+
+    def counted(*args):
+        built.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(flow, "SphereField", counted)
+    psi0 = _hopfion20()
+    cfg = FlowConfig(mode="hopf-class", max_iters=12, monitor_every=5, charge_drift_tol=0.3)
+    psi, trace = minimize(psi0, cfg)
+    assert [r.iteration for r in trace.rows] == [0, 5, 10, 12]
+    assert len(built) == 1 and isinstance(psi, real)
+    # no step accepted: psi0 itself comes back and nothing is built
+    psi, trace = minimize(psi0, FlowConfig(max_iters=0, charge_drift_tol=0.3))
+    assert psi is psi0 and len(built) == 1
+
+
 def _decaying_tube():
     g = Grid(24, TWO_PI)
     v = 0.52 * generate(AnsatzSpec(kind="tube", charge=1), g).values + 0.48 * np.array([0.0, 0.0, 1.0])
@@ -347,8 +366,9 @@ def test_refused_charge_mid_flow_matches_the_reference_loop(monkeypatch, refuse_
     cfg = FlowConfig(mode="hopf-class", max_iters=10, monitor_every=5, charge_drift_tol=0.3)
     outcomes = []
     for descend in (minimize, ref_minimize):
+        psi0 = _hopfion20()  # before arming: generate's readback solves a charge too
         refuse_charge(2)
-        outcomes.append(_outcome(descend, _hopfion20(), cfg))
+        outcomes.append(_outcome(descend, psi0, cfg))
         monkeypatch.undo()
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == ([0, 5], "ChargeDrift: Hopf charge became undefined at iteration 5")

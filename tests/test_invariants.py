@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdvk import quat
-from fdvk.ansatz import AnsatzSpec, generate, s1_winding
+from fdvk.ansatz import AnsatzSpec, _ball_lift, generate, s1_winding
 from fdvk.errors import NonExactForm, NonIntegralFlux
 from fdvk.fields import (
     GroupField,
@@ -28,6 +28,11 @@ from fdvk.invariants import (
 from fdvk.lattice import Grid, slice_flux
 
 TWO_PI = 2.0 * np.pi
+
+
+def comps(psi):
+    """The component-first view of a sphere field's values that _classify reads."""
+    return np.moveaxis(psi.values, -1, 0)
 
 
 def decayed_tube(g):
@@ -66,7 +71,7 @@ def test_nonintegral_flux_raises():
 def test_classifier_matches_public_readings():
     g = Grid(24, TWO_PI)
     tube = generate(AnsatzSpec(kind="tube", charge=1), g)
-    c = _classify(tube)
+    c = _classify(tube.grid, comps(tube))
     assert (c.rounded, c.raw) == fluxes(tube)
     assert c.flux_error is None and not c.hopf_sector
     assert c.hopf is None and c.hopf_error is None
@@ -74,14 +79,14 @@ def test_classifier_matches_public_readings():
     hopfion = generate(AnsatzSpec(kind="hopfion", charge=1), g)
     ball = generate(AnsatzSpec(kind="ballmap", charge=1), g)
     for psi in (hopfion, conjugate_field(ball, constant_sphere(g))):
-        c = _classify(psi)
+        c = _classify(psi.grid, comps(psi))
         assert (c.rounded, c.raw) == fluxes(psi)
         assert c.hopf_sector and c.flux_error is None
         assert c.hopf == hopf_charge(psi)  # bit-equal: one area form, one solve
-        assert _classify(psi, charge=False).hopf is None
+        assert _classify(psi.grid, comps(psi), charge=False).hopf is None
 
     blend = decayed_tube(g)
-    c = _classify(blend)
+    c = _classify(blend.grid, comps(blend))
     with pytest.raises(NonIntegralFlux) as err:
         fluxes(blend)
     assert c.flux_error == str(err.value)
@@ -99,18 +104,19 @@ def test_hopf_needs_vanishing_fluxes():
 
 def n18_ballmap(charge):
     """n = 18 ballmaps the grid cannot hold: charge 2 reads degree 1.894,
-    charge 3 conjugates the constant field to a raw flux of 0.4294."""
-    return generate(AnsatzSpec(kind="ballmap", charge=charge), Grid(18, TWO_PI))
+    charge 3 conjugates the constant field to a raw flux of 0.4294.
+    Built from the ball lift, since generate refuses both."""
+    return _ball_lift(AnsatzSpec(kind="ballmap", charge=charge), Grid(18, TWO_PI), azimuth_sign=-1)
 
 
 def test_hopf_charge_follows_the_one_sector_rule():
     g = Grid(18, TWO_PI)
     psi = conjugate_field(n18_ballmap(3), constant_sphere(g))
-    assert _classify(psi).flux_error is not None
+    assert _classify(psi.grid, comps(psi)).flux_error is not None
     with pytest.raises(NonExactForm, match="fluxes not classifiable"):
         hopf_charge(psi)
     hop = generate(AnsatzSpec(kind="hopfion", charge=1), g)
-    assert hopf_charge(hop) == _classify(hop).hopf
+    assert hopf_charge(hop) == _classify(hop.grid, comps(hop)).hopf
 
 
 @pytest.mark.parametrize("charge, match", [(2, "degree 1.8940"), (3, "flux 0.4294")])

@@ -139,7 +139,7 @@ def test_potential_inverts_d_on_exact_forms():
         g = Grid(n, TWO_PI)
         al = rng.standard_normal((n, n, n, 3))
         F = d(g, al, 1)
-        sol = np.moveaxis(_irfft3(g, _potential(g, F)[0]), 0, -1)
+        sol = np.moveaxis(_irfft3(g, _potential(g, np.moveaxis(F, -1, 0))[0]), 0, -1)
         assert sol.shape == (n, n, n, 3)
         assert form_norm(g, d(g, sol, 1) - F) <= 1e-9 * form_norm(g, F)
         assert form_norm(g, codiff(g, sol, 1)) <= 1e-9 * form_norm(g, sol)
@@ -150,8 +150,8 @@ def test_potential_rejects_flux_and_nonclosed(monkeypatch):
     g = Grid(8, TWO_PI)
     for ax in range(3):
         for sign in (1.0, -1.0):
-            F = np.zeros((8, 8, 8, 3))
-            F[..., ax] = sign / g.l**2  # unit flux through every slice
+            F = np.zeros((3, 8, 8, 8))
+            F[ax] = sign / g.l**2  # unit flux through every slice
             with pytest.raises(NonExactForm, match="obstruct"):
                 _potential(g, F)
     rng = np.random.default_rng(9)
@@ -163,6 +163,7 @@ def test_potential_rejects_flux_and_nonclosed(monkeypatch):
         ndF = form_norm(g, d(g, F, 2))
         ratio = ndF / ((2.0 * np.pi / g.l) * form_norm(g, F))
         assert ratio > lattice.CLOSED_TOL
+        F = np.moveaxis(F, -1, 0)  # _potential reads component-first forms
         with pytest.raises(NonExactForm, match="not closed"):
             _potential(g, F)
         with monkeypatch.context() as m:

@@ -1,4 +1,7 @@
-"""Quaternion algebra properties."""
+"""Quaternion algebra properties.
+
+The rotation and the logarithm are tested in the component-first form
+the package calls, quat._rotate and quat._log_unit."""
 
 import numpy as np
 import pytest
@@ -15,6 +18,11 @@ def batch(seed, m=40, unit=False):
     if unit:
         q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return q
+
+
+def rotate(u, v):
+    """u v u* of site-last u and v, through the component-first quat._rotate."""
+    return np.stack(quat._rotate(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)), axis=-1)
 
 
 @given(seeds)
@@ -47,11 +55,11 @@ def test_normalize_repairs_small_drift_and_rejects_large():
         quat.normalize(batch(5) * 7.3)
 
 
-def test_embed_im_roundtrip():
+def test_embed_roundtrip():
     v = batch(11)[:, 1:]
     q = quat.embed(v)
     assert np.allclose(q[..., 0], 0.0)
-    assert np.allclose(quat.im(q), v)
+    assert np.array_equal(q[..., 1:], v)
 
 
 @given(seeds)
@@ -61,16 +69,16 @@ def test_exp_log_roundtrip(seed):
     v *= (0.9 * np.pi / np.linalg.norm(v, axis=-1, keepdims=True)) * rng.random((30, 1))
     q = quat.exp_im(v)
     assert np.allclose(quat.norm(q), 1.0)
-    assert np.allclose(quat.log_unit(q), v, atol=1e-10)
+    assert np.allclose(np.moveaxis(quat._log_unit(np.moveaxis(q, -1, 0)), 0, -1), v, atol=1e-10)
 
 
 @given(seeds)
 def test_conjugation_is_a_rotation(seed):
     u = batch(seed, unit=True)
     v, w = batch(seed + 1)[:, 1:], batch(seed + 2)[:, 1:]
-    rv, rw = quat.conjugate_by(u, v), quat.conjugate_by(u, w)
+    rv, rw = rotate(u, v), rotate(u, w)
     assert np.allclose(np.sum(rv * rw, axis=-1), np.sum(v * w, axis=-1), atol=1e-10)
-    assert np.allclose(quat.conjugate_by(u, np.cross(v, w)), np.cross(rv, rw), atol=1e-10)
+    assert np.allclose(rotate(u, np.cross(v, w)), np.cross(rv, rw), atol=1e-10)
 
 
 def test_hopf_projection():
@@ -92,12 +100,12 @@ def test_qmap_stabilizes_and_rotates_the_tangent_plane():
     lam = np.stack([np.cos(th), np.sin(th), 0 * th, 0 * th], axis=-1)
     q = quat.qmap(z, lam)
     assert np.allclose(quat.norm(q), 1.0, atol=1e-12)
-    assert np.allclose(quat.conjugate_by(q, z), z, atol=1e-10)
+    assert np.allclose(rotate(q, z), z, atol=1e-10)
     # qmap(z, lam) = cos th + sin th * z, so conjugation turns the
     # tangent plane by twice the circle angle
     t = np.cross(z, rng.standard_normal((50, 3)))
     t /= np.linalg.norm(t, axis=-1, keepdims=True)
-    rt = quat.conjugate_by(q, t)
+    rt = rotate(q, t)
     assert np.allclose(np.sum(rt * t, axis=-1), np.cos(2 * th), atol=1e-10)
     assert np.allclose(np.sum(np.cross(t, rt) * z, axis=-1), np.sin(2 * th), atol=1e-10)
 
