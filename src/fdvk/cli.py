@@ -20,7 +20,7 @@ import numpy as np
 
 from .ansatz import KINDS, AnsatzSpec, _generate, generate
 from .errors import ChargeDrift, ConfigError, FdvkError, FluxChange, NonExactForm, SnapshotError
-from .fields import Connection, GroupField, SphereField, constant_sphere, energy, plaquette_curvature
+from .fields import Connection, GroupField, SphereField, _sweep, constant_sphere, plaquette_curvature
 from .flow import FlowConfig, minimize
 from .invariants import _read, chern_simons
 from .lattice import Grid, form_norm
@@ -264,7 +264,7 @@ def cmd_report(args):
         r = _reading(obj)
         if r.degree is None:
             report["degree_reason"] = "no framing map in a sphere snapshot"
-        en = energy(r.psi)
+        en = _sweep(obj.grid, r.v, keep=False)[0]
         report["e2"], report["e4"], report["energy"] = en.e2, en.e4, en.total
         block = _class_block(r)
         for key in ("fluxes", "raw_fluxes", "hopf", "degree"):

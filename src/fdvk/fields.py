@@ -13,6 +13,12 @@ the raw edge values, for which the round trip is exact.  All math here
 is component-first: edge logs are (direction, component, n, n, n), _logs
 reads a Connection that way, and a Connection, built only where a public
 function returns one, holds a site-last view of them.
+
+Both energies read their densities off the Gram matrix G_mu_nu =
+d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
+one routine, _assemble: e2 = tr G and, by Lagrange's identity, e4 =
+sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the descent's sweep also takes
+from G the slopes P_mu of flow.grad_energy.
 """
 
 from dataclasses import dataclass, field
@@ -114,13 +120,18 @@ def constant_group(grid, q=quat.ONE):
     return GroupField(grid, np.broadcast_to(np.asarray(q, float), (grid.n,) * 3 + (4,)).copy())
 
 
-def conjugate_field(u, phi):
-    """psi = u phi u* site by site."""
+def _conjugate(u, phi):
+    """u phi u* site by site, component-first and normalized."""
     u.grid.same(phi.grid)
     # component-first views, not copies: the rotation reads each value once
     psi = np.stack(quat._rotate(np.moveaxis(u.values, -1, 0), np.moveaxis(phi.values, -1, 0)))
     psi /= np.sqrt(_dot(psi, psi))
-    return SphereField(u.grid, _site_last(psi))
+    return psi
+
+
+def conjugate_field(u, phi):
+    """psi = u phi u* site by site."""
+    return SphereField(u.grid, _site_last(_conjugate(u, phi)))
 
 
 def _area(v, di, dj):
@@ -147,28 +158,43 @@ def pullback_area(psi):
     return np.moveaxis(_area_form(psi.grid, np.moveaxis(psi.values, -1, 0)), 0, -1)
 
 
-def _assemble(d, w, e2, e4, tmp, g2=None):
-    """The energy densities of three component-first derivatives d, d psi or D_a phi.
+# _GRAM[mu][nu] is the slot of G_mu_nu = d_mu . d_nu among the six _assemble forms
+_GRAM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
-    Writes the cross products (d1 x d2, d1 x d3, d2 x d3) into w, the
-    e2 density d1 d1 + d2 d2 + d3 d3 into e2 and the e4 density
-    w0 w0 + w1 w1 + w2 w2 into e4, per component; tmp is scratch of
-    e2's shape.  Given g2, raises g2[mu] to the largest |d_mu|^2 over
-    the sites, read off the squares the e2 density is made of.
+
+def _assemble(d, e2, e4, s, P=None, g2=None):
+    """The Gram densities of three component-first derivatives d, d psi or D_a phi.
+
+    s is scratch of shape (10,) + e2.shape.  Its first six slots take the
+    Gram matrix G_mu_nu = d_mu . d_nu (slots _GRAM); e2 gets
+    G00 + G11 + G22 and e4 gets sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2,
+    which is |d_mu x d_nu|^2 by Lagrange's identity.  Given P and g2,
+    writes P[mu] = (1 + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu}
+    G_mu_nu d_nu, half the derivative of e2 + e4 by d_mu, and raises
+    g2[mu] to the largest G_mu_mu = |d_mu|^2 over the sites.
     """
+    G, t, tv = s[:6], s[6], s[7:]
     for mu in range(3):
-        sq = tmp if mu else e2
-        np.multiply(d[mu], d[mu], out=sq)
-        if g2 is not None:
-            g2[mu] = np.maximum(g2[mu], np.max(sq[0] + sq[1] + sq[2]))
-        if mu:
-            e2 += sq
-    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        _cross(d[i], d[j], out=w[k])
-    np.multiply(w[0], w[0], out=e4)
-    for k in (1, 2):
-        np.multiply(w[k], w[k], out=tmp)
-        e4 += tmp
+        for nu in range(mu, 3):
+            k = _GRAM[mu][nu]
+            np.multiply(d[mu], d[nu], out=tv)
+            np.add(tv[0], tv[1], out=G[k])
+            G[k] += tv[2]
+    np.add(G[0], G[1], out=e2)
+    e2 += G[2]
+    e4[...] = 0.0
+    for i, (mu, nu) in enumerate(((0, 1), (0, 2), (1, 2))):
+        np.multiply(G[mu], G[nu], out=t)
+        e4 += np.subtract(t, np.multiply(G[3 + i], G[3 + i], out=tv[0]), out=t)
+    if P is None:
+        return
+    for mu, nu, lam in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        g2[mu] = np.maximum(g2[mu], np.max(G[mu]))
+        np.add(G[nu], 1.0, out=t)
+        t += G[lam]
+        np.multiply(t, d[mu], out=P[mu])
+        P[mu] -= np.multiply(G[_GRAM[mu][nu]], d[nu], out=tv)
+        P[mu] -= np.multiply(G[_GRAM[mu][lam]], d[lam], out=tv)
 
 
 def _energy(grid, e2, e4):
@@ -179,10 +205,10 @@ def _energy(grid, e2, e4):
 
 
 class _Slopes(NamedTuple):
-    """Component-first differences d[mu] = d_(mu+1) v, shape (3, 3, n, n, n),
-    and g2[mu], the largest |d_(mu+1) v|^2 over the sites."""
+    """P[mu] = half the derivative of the energy density by d_(mu+1) v, shape
+    (3, 3, n, n, n), and g2[mu], the largest |d_(mu+1) v|^2 over the sites."""
 
-    d: np.ndarray
+    P: np.ndarray
     g2: np.ndarray
 
 
@@ -190,31 +216,25 @@ def _sweep(grid, v, keep):
     """Energy of component-first unit values v in one slab sweep.
 
     Each slab of whole planes along the first site axis takes its three
-    central differences and goes through _assemble in cache-sized
-    buffers; the densities land in whole-field arrays that are summed
+    central differences into a slab buffer and goes through _assemble;
+    the scalar densities land in whole-field arrays that are summed
     once, so the energy does not depend on the slab size.  With keep,
-    returns (Energy, _Slopes, cross products (3, 3, n, n, n)) for the
-    descent; without, (Energy, None, None).
+    returns (Energy, _Slopes) for the descent; without, (Energy, None).
     """
     n = grid.n
     slabs = _slabs(n)
     t = slabs[0][1]
-    # whole-field derivative and cross-product arrays to keep, else one slab's
-    d_all = np.empty((3, 3, n if keep else t, n, n))
-    w_all = np.empty_like(d_all)
-    g2 = np.zeros(3)
-    e2, e4 = np.empty_like(v), np.empty_like(v)
-    tmp = np.empty((3, t, n, n))
+    d = np.empty((3, 3, t, n, n))
+    s = np.empty((10, t, n, n))
+    e2, e4 = np.empty(v.shape[1:]), np.empty(v.shape[1:])
+    P, g2 = (np.empty((3,) + v.shape), np.zeros(3)) if keep else (None, None)
     for a, b in slabs:
-        at = slice(a, b) if keep else slice(0, b - a)
-        d = d_all[:, :, at]
-        _diff_into(grid, v, 1, d[0], a, b)
-        _diff_into(grid, v[:, a:b], 2, d[1])
-        _diff_into(grid, v[:, a:b], 3, d[2])
-        _assemble(d, w_all[:, :, at], e2[:, a:b], e4[:, a:b], tmp[:, :b - a], g2 if keep else None)
-    if keep:
-        return _energy(grid, e2, e4), _Slopes(d_all, g2), w_all
-    return _energy(grid, e2, e4), None, None
+        dm = d[:, :, :b - a]
+        _diff_into(grid, v, 1, dm[0], a, b)
+        _diff_into(grid, v[:, a:b], 2, dm[1])
+        _diff_into(grid, v[:, a:b], 3, dm[2])
+        _assemble(dm, e2[a:b], e4[a:b], s[:, :b - a], None if P is None else P[:, :, a:b], g2)
+    return _energy(grid, e2, e4), (_Slopes(P, g2) if keep else None)
 
 
 def energy(psi):
@@ -222,7 +242,8 @@ def energy(psi):
 
     e2 integrates |d psi|^2; e4 integrates |d psi ^ d psi|^2, the sum
     of |d psi^a ^ d psi^b|^2 over the three component pairs, which
-    collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2.
+    collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2, read off the Gram
+    products as G_mu_mu G_nu_nu - G_mu_nu^2.
     """
     return _sweep(psi.grid, _comp_first(psi.values), keep=False)[0]
 
@@ -291,8 +312,8 @@ def covariant_derivative(a, phi):
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
     D = _covariant(a, phi)[0]
-    e2, e4, tmp = (np.empty_like(D[0]) for _ in range(3))
-    _assemble(D, np.empty_like(D), e2, e4, tmp)
+    e2, e4 = np.empty(D.shape[2:]), np.empty(D.shape[2:])
+    _assemble(D, e2, e4, np.empty((10,) + D.shape[2:]))
     return _energy(phi.grid, e2, e4)
 
 

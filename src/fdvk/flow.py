@@ -15,10 +15,13 @@ records, streams and guards (_guard) every trace row; a run builds one
 SphereField, the one minimize returns.
 
 The kernel (_kernel, _gradient, _search) sweeps the component-first
-layout in the slabs of lattice._slabs.  Densities are summed once over
-the whole field and each site's stencil terms are taken in one fixed
-order, so energies, gradients and step ceilings do not depend on the
-slab size.
+layout in the slabs of lattice._slabs.  _kernel's sweep forms, from the
+Gram products d_mu psi . d_nu psi, the two energy densities and one
+slope P_mu per direction; the gradient is -2 sum_mu A_mu P_mu, three
+stencils, then the tangent projection.  Densities are summed once over
+the whole field and each site's terms are taken in one fixed order, so
+energies, gradients and step ceilings do not depend on the slab size,
+and a lattice translation rolls them bit for bit.
 """
 
 from dataclasses import dataclass, field, fields
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import ChargeDrift, FluxChange, NonExactForm
 from .fields import SphereField, _sweep
 from .invariants import _classify
-from .lattice import _comp_first, _cross, _diff_into, _dot, _halo, _site_last, _slabs, form_norm
+from .lattice import _comp_first, _diff_into, _dot, _site_last, _slabs, form_norm
 
 # what each mode guards: (the rounded fluxes, the Hopf charge)
 _GUARDED = {"map-class": (True, True), "hopf-class": (False, True), "flux-only": (True, False)}
@@ -114,54 +117,33 @@ class FlowTrace:
 
 
 def _kernel(grid, v):
-    """Energy, differences and cross products of component-first values.
+    """Energy and slopes of component-first values.
 
     The one slab sweep over a field that the energy, the gradient and
-    the step ceiling share: (Energy, _Slopes of d_1 v, d_2 v, d_3 v with
-    their largest squares, (d_1 v x d_2 v, d_1 v x d_3 v, d_2 v x d_3 v)).
+    the step ceiling share: (Energy, _Slopes), the slopes P_mu of the
+    energy density in d_mu v and the largest |d_mu v|^2.
     """
     return _sweep(grid, v, keep=True)
 
 
-def _gradient(grid, v, dv, w):
-    """grad_energy on the component-first layout, from _kernel's output.
+def _gradient(grid, v, slopes):
+    """grad_energy on the component-first layout, from _kernel's slopes.
 
-    Sweeps the slabs of _kernel.  Per site the nine stencil terms are
-    subtracted in a fixed order, so the result does not depend on the
-    slab size.  The two terms differenced along the first site axis,
-    d_1 of d_nu v x w_1nu, take their cross product on the slab padded
-    with one halo plane on each side.
+    Sweeps the slabs of _kernel: -2 (A_1 P_0 + A_2 P_1 + A_3 P_2), then
+    the tangent projection.  A_1 reads P_0's two neighbouring planes
+    from the whole field.  Per site the terms are taken in one fixed
+    order, so the result does not depend on the slab size.
     """
-    n = grid.n
-    d = dv.d
+    P = slopes.P
     grad = np.empty_like(v)
-    slabs = _slabs(n)
-    t = slabs[0][1]
-    term_buf = np.empty((3, t, n, n))
-    cross_buf = np.empty((3, t, n, n))
-    halo_buf = np.empty((3, t + 2, n, n))
+    slabs = _slabs(grid.n)
+    term_buf = np.empty((3, slabs[0][1]) + v.shape[2:])
     for a, b in slabs:
-        m = b - a
-        g = grad[:, a:b]
-        term, c = term_buf[:, :m], cross_buf[:, :m]
-        # from zero, as grad -= ... reads: 0 - x, not -x, keeps the sign of a zero
-        g[...] = 0.0
-
-        def sub(f, ax, lo=0, hi=None):
-            # g -= 2 * (f[+1] - f[-1]) / 2h, the order grad_energy's formula reads
-            np.multiply(_diff_into(grid, f, ax, term, lo, hi), 2.0, out=term)
-            np.subtract(g, term, out=g)
-
-        sub(d[0], 1, a, b)
-        sub(d[1][:, a:b], 2)
-        sub(d[2][:, a:b], 3)
-        for (mu, nu), wmn in zip(((0, 1), (0, 2), (1, 2)), w):
-            if mu == 0:
-                ext = _cross(_halo(d[nu], a, b), _halo(wmn, a, b), out=halo_buf[:, :m + 2])
-                sub(ext, 1, 1, m + 1)
-            else:
-                sub(_cross(d[nu][:, a:b], wmn[:, a:b], out=c), mu + 1)
-            sub(_cross(wmn[:, a:b], d[mu][:, a:b], out=c), nu + 1)
+        g, term = grad[:, a:b], term_buf[:, :b - a]
+        _diff_into(grid, P[0], 1, g, a, b)
+        g += _diff_into(grid, P[1][:, a:b], 2, term)
+        g += _diff_into(grid, P[2][:, a:b], 3, term)
+        g *= -2.0
         vs = v[:, a:b]
         np.multiply(_dot(g, vs), vs, out=term)
         g -= term
@@ -215,17 +197,20 @@ def _search(grid, v, e0, grad, step, backtrack):
 def grad_energy(psi: SphereField) -> np.ndarray:
     """Exact gradient of the discrete energy, tangent to the sphere.
 
-    With A_mu the central difference, the Dirichlet part contributes
-    -2 sum_mu A_mu^2 psi (central differences are antisymmetric, so the
-    stencil is its own adjoint up to sign) and the quartic part
-    contributes -2 sum_{mu<nu} [A_mu(A_nu psi x w) + A_nu(w x A_mu psi)]
-    with w = A_mu psi x A_nu psi.  The pointwise projection g - (g.psi)psi
-    makes it the gradient of the constrained functional.  Returned
-    site-last, as a view of the component-first array computed.
+    With A_mu the central difference, the density depends on psi only
+    through d_mu = A_mu psi, and A_mu is its own adjoint up to sign, so
+    the gradient is -2 sum_mu A_mu P_mu with P_mu half the density's
+    derivative by d_mu: the Dirichlet part d_mu plus the quartic part
+    sum_{nu != mu} d_nu x (d_mu x d_nu), that is
+
+        P_mu = (1 + sum_{nu != mu} |d_nu|^2) d_mu - sum_{nu != mu} (d_mu . d_nu) d_nu.
+
+    The pointwise projection g - (g.psi)psi makes it the gradient of the
+    constrained functional.  Returned site-last, as a view of the
+    component-first array computed.
     """
     v = _comp_first(psi.values)
-    _, dv, w = _kernel(psi.grid, v)
-    return np.moveaxis(_gradient(psi.grid, v, dv, w), 0, -1)
+    return np.moveaxis(_gradient(psi.grid, v, _kernel(psi.grid, v)[1]), 0, -1)
 
 
 def step_ceiling(psi: SphereField) -> float:
@@ -255,9 +240,9 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
         raise ValueError("step must be positive")
     g = psi.grid
     v = _comp_first(psi.values)
-    en, dv, w = _kernel(g, v)
-    grad = _gradient(g, v, dv, w)
-    del dv, w
+    en, dv = _kernel(g, v)
+    grad = _gradient(g, v, dv)
+    del dv
     if not np.any(grad):
         return psi, step, True
     step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
@@ -344,12 +329,12 @@ def minimize(
     trace = FlowTrace()
     g = psi0.grid
     v = _comp_first(psi0.values)
-    en, dv, w = _kernel(g, v)
+    en, dv = _kernel(g, v)
     step, it, ref, stop = cfg.step0, 0, None, None
     while True:
         step = min(step, _ceiling(g, dv))
-        grad = _gradient(g, v, dv, w)
-        del dv, w
+        grad = _gradient(g, v, dv)
+        del dv
         gnorm = form_norm(g, grad)
         if gnorm <= cfg.grad_tol:
             stop = "grad_tol"
@@ -366,9 +351,9 @@ def minimize(
             if trace.last().iteration != it:
                 _observe(cfg, trace, on_row, ref, g, v, it, gnorm, en)
             break
-        # the accepted candidate's energy, differences and cross products
-        # carry forward; the old gradient goes first to keep the peak low
-        v, en, dv, w = found
+        # the accepted candidate's energy and slopes carry forward; the
+        # old gradient goes first to keep the peak low
+        v, en, dv = found
         del found, grad
         step /= cfg.backtrack
         it += 1

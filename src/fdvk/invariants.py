@@ -25,10 +25,10 @@ from .fields import (
     SphereField,
     _area,
     _area_form,
+    _conjugate,
     _logs,
     _logs_of,
     _site_logs,
-    conjugate_field,
 )
 from .lattice import _cross, _dot, _half_spectrum, _potential, _rfft3, diff, integrate
 
@@ -56,8 +56,8 @@ class _SphereClass(NamedTuple):
 class _Reading(NamedTuple):
     """Class readings of phi or of a framed pair (phi, u); None where undefined."""
 
-    psi: SphereField  # u phi u*, or phi when unframed
-    c: _SphereClass  # the class of psi
+    v: np.ndarray  # u phi u* component-first, or a component-first view of phi when unframed
+    c: _SphereClass  # the class of v
     m: Optional[int]  # modulus of the rounded fluxes
     degree: Optional[float]
     degree_class: Optional[int]  # the degree mod 2m
@@ -216,15 +216,15 @@ def _read(phi: SphereField, u: Optional[GroupField] = None) -> _Reading:
     its integer or when the fluxes, and with them m, are unclassifiable.
     """
     if u is None:
-        psi, deg = phi, None
+        v, deg = np.moveaxis(phi.values, -1, 0), None
     else:
         # the degree first, so its temporaries and the conjugate never coexist
         deg = degree(u)
-        psi = conjugate_field(u, phi)
-    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0))
+        v = _conjugate(u, phi)
+    c = _classify(phi.grid, v)
     m = None if c.flux_error is not None else modulus(c.rounded)
     if deg is None:
-        return _Reading(psi, c, m, None, None, None)
+        return _Reading(v, c, m, None, None, None)
     cls = int(np.rint(deg))
     err = None
     if abs(deg - cls) > FLUX_ROUND_TOL:
@@ -233,7 +233,7 @@ def _read(phi: SphereField, u: Optional[GroupField] = None) -> _Reading:
         cls, err = None, "fluxes not classifiable"
     elif m > 0:
         cls %= 2 * m
-    return _Reading(psi, c, m, deg, cls, err)
+    return _Reading(v, c, m, deg, cls, err)
 
 
 def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:

@@ -21,7 +21,7 @@ first; _comp_first and _site_last convert between the two layouts.
 The descent sweeps that layout in slabs of whole planes along the first
 site axis (_slabs, SLAB_SITES sites per slab), so a slab's temporaries
 stay in cache. Along the first axis a slab reads its two neighbouring
-planes, the halo, from the whole field or from a block padded with them.
+planes, the halo, from the whole field.
 
 One central stencil, _diff_into, serves energies, gradients and fluxes;
 it subtracts shifted slices straight into a given buffer, periodic within
@@ -96,9 +96,9 @@ def diff(grid, f, mu):
 def _diff_into(grid, f, ax, out, lo=0, hi=None):
     """(f[i + 1] - f[i - 1]) / 2h along axis ax for i = lo .. hi - 1, into out.
 
-    f is periodic along ax; out holds hi - lo entries there. Entries
-    1 .. m - 2 of an axis of length m take no wrap, which is how a block
-    padded with one halo plane on each side is differenced.
+    f is periodic along ax; out holds hi - lo entries there, so a slab
+    lo .. hi - 1 of a whole field reads its halo planes lo - 1 and hi
+    from f, wrapping only at the ends of the axis.
     """
     m = f.shape[ax]
     hi = m if hi is None else hi
@@ -126,14 +126,6 @@ def _slabs(n):
     """(start, stop) plane ranges of the slab sweep along the first site axis."""
     t = min(n, max(1, SLAB_SITES // n**2))
     return [(a, min(a + t, n)) for a in range(0, n, t)]
-
-
-def _halo(f, a, b):
-    """Planes a - 1 .. b of component-first f along the first site axis, periodic."""
-    n = f.shape[1]
-    if 0 < a and b < n:
-        return f[:, a - 1:b + 1]
-    return np.take(f, np.arange(a - 1, b + 1) % n, axis=1)
 
 
 def _comp_first(values):

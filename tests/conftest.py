@@ -90,11 +90,11 @@ def nan_candidates(monkeypatch):
         calls = []
 
         def kernel(grid, v):
-            en, dv, w = real(grid, v)
+            en, slopes = real(grid, v)
             calls.append(None)
             if len(calls) > after:
                 en = en._replace(total=float("nan"))
-            return en, dv, w
+            return en, slopes
 
         monkeypatch.setattr(flow, "_kernel", kernel)
         return calls

@@ -895,10 +895,10 @@ def ref_minimize(psi0, cfg, on_row=None):
     psi = psi0
     g = psi0.grid
     v = _comp_first(psi0.values)
-    en, dv, w = flow._kernel(g, v)
-    grad = flow._gradient(g, v, dv, w)
+    en, dv = flow._kernel(g, v)
+    grad = flow._gradient(g, v, dv)
     ceiling = flow._ceiling(g, dv)
-    del dv, w
+    del dv
     gnorm = form_norm(g, grad)
     row, start = _ref_monitor(psi, 0, gnorm, en)
     record(row)
@@ -940,12 +940,12 @@ def ref_minimize(psi0, cfg, on_row=None):
         if found is None:
             stop = "line_search_stalled"
             break
-        v, en, dv, w = found
+        v, en, dv = found
         del found, grad
         step = min(step / cfg.backtrack, flow._ceiling(g, dv))
         it += 1
-        grad = flow._gradient(g, v, dv, w)
-        del dv, w
+        grad = flow._gradient(g, v, dv)
+        del dv
         gnorm = form_norm(g, grad)
         if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
             psi = SphereField(g, _site_last(v))

@@ -8,14 +8,19 @@ the energy to 1e-14 relative.  An axis permutation permutes the raw
 fluxes, negated by an odd one; a reflection negates the Hopf charge and
 the two fluxes through planes it mirrors.  Permutations and reflections
 reach the class reader as strided views of one array, so its flux
-planes and its area form read non-contiguous values.
+planes and its area form read non-contiguous values.  Permutations and
+reflections keep the energy to 1e-14 relative.  A target rotation R in
+SO(3) keeps the energy (1e-13 relative) and the Hopf charge (1e-12),
+and the gradient rotates with R (1e-13 of its largest component): the
+Gram products d_mu psi . d_nu psi the kernel is built on are invariant
+under R, up to rounding.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fdvk import lattice
 from fdvk.ansatz import AnsatzSpec, generate
@@ -41,6 +46,17 @@ def _random_field(g, seed):
     return SphereField(g, _unit(raw))
 
 
+def _broken_hopfion(g, seed):
+    """A unit hopfion with its symmetries broken by a random smooth field, site-last."""
+    return _unit(generate(AnsatzSpec(kind="hopfion"), g).values + TrigPoly(seed, 3, amp=0.15).sample(g))
+
+
+def _few_planes(m, n):
+    # two planes per slab: several slabs, and a short last one at odd n
+    m.setattr(lattice, "SLAB_SITES", 2 * n * n)
+    assert len(lattice._slabs(n)) > 2
+
+
 @pytest.mark.parametrize("n", SIZES)
 @settings(max_examples=8, deadline=None)
 @given(seed=seeds, shift=st.tuples(*[st.integers(-40, 40)] * 3))
@@ -49,9 +65,7 @@ def test_translation_rolls_the_gradient_bit_for_bit(n, seed, shift):
     psi = _random_field(g, seed)
     moved = SphereField(g, np.roll(psi.values, shift, axis=(0, 1, 2)))
     with pytest.MonkeyPatch.context() as m:
-        # two planes per slab: several slabs, and a short last one at odd n
-        m.setattr(lattice, "SLAB_SITES", 2 * n * n)
-        assert len(lattice._slabs(n)) > 2
+        _few_planes(m, n)
         want = np.roll(grad_energy(psi), shift, axis=(0, 1, 2))
         got = grad_energy(moved)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
@@ -92,3 +106,50 @@ def test_reflection_negates_the_hopf_charge(n, seed):
         for k in range(3):
             want = c.raw[k] if k == ax - 1 else -c.raw[k]
             assert abs(r.raw[k] - want) <= FLUX_TOL
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=3, deadline=None)
+@given(seed=seeds)
+def test_permutations_and_reflections_keep_the_energy(n, seed):
+    g = Grid(n)
+    vals = _random_field(g, seed).values
+    with pytest.MonkeyPatch.context() as m:
+        _few_planes(m, n)
+        e = energy(SphereField(g, vals))
+        moved = [vals.transpose(*p, 3) for p in itertools.permutations(range(3))]
+        moved += [vals[(slice(None),) * ax + (slice(None, None, -1),)] for ax in range(3)]
+        for w in moved:
+            got = energy(SphereField(g, np.ascontiguousarray(w)))
+            for a, b in zip(got, e):
+                assert abs(a - b) <= 1e-14 * abs(b)
+
+
+def _rotation(seed):
+    """A random R in SO(3): the QR factor of a Gaussian matrix, signs fixed."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=3, deadline=None)
+@given(seed=seeds)
+def test_target_rotation_keeps_energy_and_charge_and_rotates_the_gradient(n, seed):
+    g = Grid(n)
+    vals = _broken_hopfion(g, seed)
+    R = _rotation(seed)
+    psi, turned = SphereField(g, vals), SphereField(g, vals @ R.T)
+    with pytest.MonkeyPatch.context() as m:
+        _few_planes(m, n)
+        e, e_turned = energy(psi), energy(turned)
+        grad, grad_turned = grad_energy(psi), grad_energy(turned)
+    for a, b in zip(e_turned, e):
+        assert abs(a - b) <= 1e-13 * abs(b)
+    assert np.max(np.abs(grad_turned - grad @ R.T)) <= 1e-13 * np.max(np.abs(grad))
+    c = _classify(g, np.moveaxis(vals, -1, 0))
+    # the perturbation can push a flux reading past the rounding window at
+    # these n; the charge is compared where it exists
+    assume(c.hopf is not None)
+    q_turned = _classify(g, np.moveaxis(turned.values, -1, 0)).hopf
+    assert abs(c.hopf) > 0.5 and abs(q_turned - c.hopf) <= 1e-12
