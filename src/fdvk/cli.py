@@ -86,7 +86,8 @@ def load_snapshot(path):
     """Read a snapshot back into the matching field type.
 
     The constructors re-validate the unit constraints, so a corrupted
-    payload fails here rather than downstream.
+    payload fails here rather than downstream.  They get a C-contiguous
+    site-last copy, so nothing reads the x-fastest payload order strided.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -106,7 +107,7 @@ def load_snapshot(path):
             f"{path}: payload is {len(blob) - 18} bytes, expected {expect - 18}"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=18)
-    v = flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3)
+    v = np.ascontiguousarray(flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3))
     grid = Grid(n, l)
     cls, _, shape = _KINDS[kind]
     try:

@@ -134,17 +134,39 @@ def conjugate_field(u, phi):
     return SphereField(u.grid, _site_last(_conjugate(u, phi)))
 
 
-def _area(v, di, dj):
-    """v . (di x dj) / 4 pi of component-first values: one pullback_area slot."""
-    return _dot(v, _cross(di, dj)) / FOUR_PI
+def _area(v, di, dj, out=None, s=None):
+    """v . (di x dj) / 4 pi of component-first values, one pullback_area slot, summed
+    as _dot sums; into out, with s scratch of shape (4,) + out.shape, when given."""
+    s = np.empty((4,) + di.shape[1:]) if s is None else s
+    c = _cross(di, dj, s[:3], s[3])
+    out = np.multiply(v[0], c[0], out=out)
+    out += np.multiply(v[1], c[1], out=s[3])
+    out += np.multiply(v[2], c[2], out=s[3])
+    out /= FOUR_PI
+    return out
+
+
+def _slab_diffs(grid, v):
+    """(a, b, dm) per slab a .. b - 1 of planes along the first site axis, dm the three
+    central differences of component-first v there, in one reused buffer; halos from v."""
+    slabs = _slabs(grid.n)
+    d = np.empty((3, 3, slabs[0][1]) + v.shape[2:])
+    for a, b in slabs:
+        dm = d[:, :, :b - a]
+        _diff_into(grid, v, 1, dm[0], a, b)
+        _diff_into(grid, v[:, a:b], 2, dm[1])
+        _diff_into(grid, v[:, a:b], 3, dm[2])
+        yield a, b, dm
 
 
 def _area_form(g, v):
-    """pullback_area of component-first v, (3, n, n, n); elementwise, so v may be any view."""
-    dv = [diff(g, v, mu) for mu in (1, 2, 3)]
+    """pullback_area of component-first v, any view, (3, n, n, n), in one slab sweep
+    with reused slab buffers: each site as _area computes it, whatever the slab size."""
+    s = np.empty((4, _slabs(g.n)[0][1]) + v.shape[2:])
     out = np.empty(v.shape)
-    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        out[k] = _area(v, dv[i], dv[j])
+    for a, b, dm in _slab_diffs(g, v):
+        for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+            _area(v[:, a:b], dm[i], dm[j], out[k, a:b], s[:, :b - a])
     return out
 
 
@@ -221,18 +243,10 @@ def _sweep(grid, v, keep):
     once, so the energy does not depend on the slab size.  With keep,
     returns (Energy, _Slopes) for the descent; without, (Energy, None).
     """
-    n = grid.n
-    slabs = _slabs(n)
-    t = slabs[0][1]
-    d = np.empty((3, 3, t, n, n))
-    s = np.empty((10, t, n, n))
+    s = np.empty((10, _slabs(grid.n)[0][1]) + v.shape[2:])
     e2, e4 = np.empty(v.shape[1:]), np.empty(v.shape[1:])
     P, g2 = (np.empty((3,) + v.shape), np.zeros(3)) if keep else (None, None)
-    for a, b in slabs:
-        dm = d[:, :, :b - a]
-        _diff_into(grid, v, 1, dm[0], a, b)
-        _diff_into(grid, v[:, a:b], 2, dm[1])
-        _diff_into(grid, v[:, a:b], 3, dm[2])
+    for a, b, dm in _slab_diffs(grid, v):
         _assemble(dm, e2[a:b], e4[a:b], s[:, :b - a], None if P is None else P[:, :, a:b], g2)
     return _energy(grid, e2, e4), (_Slopes(P, g2) if keep else None)
 

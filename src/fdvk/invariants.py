@@ -77,8 +77,15 @@ def _wedge_d(grid, Ah, K, weight):
 
 
 def _helicity(grid, F):
-    """Integral of alpha ^ d(alpha) for the coexact potential alpha of component-first F."""
-    return _wedge_d(grid, *_potential(grid, F))
+    """Integral of alpha ^ d(alpha) for the coexact potential alpha of component-first F.
+
+    By Parseval on F's guarded spectrum F_hat = x + i y: alpha's transform
+    A = i K x F_hat / k2 is orthogonal to K, so _wedge_d's Re(conj(A) . i K x A)
+    is Re(conj(A) . F_hat) = 2 K . (x x y) / k2, and A is never formed.
+    """
+    Fh, K, k2, weight = _potential(grid, F)
+    t = _dot(K, _cross(Fh.real, Fh.imag)) / k2
+    return 2.0 * float(np.sum(weight * t)) * grid.h**3 / grid.n**3
 
 
 def _raw_fluxes(g, v):

@@ -143,18 +143,19 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b, out=None):
+def _cross(a, b, out=None, tmp=None):
     """a x b of component-first vectors, index 0 running over components.
 
     Written out as np.cross computes it, a_i b_j - a_j b_i, so the two
     agree bit for bit; a and b may be arrays or triples that broadcast.
+    Given out and tmp, a buffer for one product, it allocates nothing.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))
         out = np.empty((3,) + shape, dtype=np.result_type(a[0], b[0]))
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[i], b[j], out=out[k])
-        out[k] -= a[j] * b[i]
+        out[k] -= np.multiply(a[j], b[i], out=tmp)
     return out
 
 
@@ -265,12 +266,11 @@ CLOSED_TOL = 0.5
 
 
 def _potential(grid, F):
-    """Half-spectrum transform of the coexact potential of component-first F.
+    """(F_hat, K, k2, weight) of _spectrum, once F has a coexact potential alpha.
 
     alpha, with delta alpha = 0, d alpha = F and no harmonic part, exists
-    only for F closed and with vanishing fluxes; otherwise NonExactForm.
-    Returns (alpha_hat, K, weight) with K and weight from _half_spectrum,
-    after the flux and closedness guards, which read F's one rfftn.
+    only for F closed and with vanishing fluxes, else NonExactForm (the guards
+    read F's one rfftn); its transform is i K x F_hat / k2, zero where K is.
     """
     Fh, div, K, k2, weight = _spectrum(grid, F)
     # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
@@ -281,6 +281,4 @@ def _potential(grid, F):
     ndF = _parseval_norm(grid, weight, div)
     if ndF > CLOSED_TOL * (2.0 * np.pi / grid.l) * form_norm(grid, F) + 1e-12:
         raise NonExactForm("2-form is not closed")
-    # alpha = curl of the componentwise Poisson preimage; div-free by
-    # construction (the cross product vanishes where K does)
-    return 1j * _cross(K, Fh) * (1.0 / k2), K, weight
+    return Fh, K, k2, weight

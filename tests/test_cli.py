@@ -40,6 +40,8 @@ def test_snapshot_round_trips_bitwise(tmp_path):
         assert type(back) is type(obj)
         assert back.grid == obj.grid
         assert np.array_equal(back.values, obj.values)
+        # a site-last copy, not a strided view of the x-fastest payload
+        assert back.values.flags.c_contiguous
 
 
 def test_snapshot_header_layout(tmp_path):

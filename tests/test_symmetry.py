@@ -13,7 +13,11 @@ reflections keep the energy to 1e-14 relative.  A target rotation R in
 SO(3) keeps the energy (1e-13 relative) and the Hopf charge (1e-12),
 and the gradient rotates with R (1e-13 of its largest component): the
 Gram products d_mu psi . d_nu psi the kernel is built on are invariant
-under R, up to rounding.
+under R, up to rounding.  A reflection negates the degree of a ballmap
+times a random smooth group field (1e-12).  On the same random fields the
+class reading's kernels meet their oracles: the Parseval helicity is
+within 1e-12 of tests/oracles.py::ref_helicity, and the slab-swept area
+form is bit-identical to the one-slab sweep and to ref_pullback_area.
 """
 
 import itertools
@@ -22,13 +26,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fdvk import lattice
+from fdvk import lattice, quat
 from fdvk.ansatz import AnsatzSpec, generate
-from fdvk.fields import SphereField, energy
+from fdvk.fields import GroupField, SphereField, _area_form, energy, pullback_area
 from fdvk.flow import grad_energy
-from fdvk.invariants import _classify, _raw_fluxes
+from fdvk.invariants import _classify, _helicity, _raw_fluxes, degree
 from fdvk.lattice import Grid
 from fieldgen import TrigPoly
+from oracles import ref_helicity, ref_pullback_area
 
 SIZES = [19, 21, 33]
 # raw fluxes are O(1) sums over a plane: only their summation order differs
@@ -98,7 +103,10 @@ def test_reflection_negates_the_hopf_charge(n, seed):
     vals = generate(AnsatzSpec(kind="hopfion"), g).values + TrigPoly(seed, 3, amp=0.15).sample(g)
     v = np.moveaxis(_unit(vals), -1, 0)
     c = _classify(g, v)
-    assert c.hopf_sector and abs(c.hopf) > 0.5
+    # the perturbation can push a flux reading past the rounding window at
+    # these n; the charge is compared where it exists
+    assume(c.hopf is not None)
+    assert abs(c.hopf) > 0.5
     for ax in (1, 2, 3):
         # x_a -> n - 1 - x_a maps the plane x_a = n // 2 of odd n to itself
         r = _classify(g, v[(slice(None),) * ax + (slice(None, None, -1),)])
@@ -153,3 +161,42 @@ def test_target_rotation_keeps_energy_and_charge_and_rotates_the_gradient(n, see
     assume(c.hopf is not None)
     q_turned = _classify(g, np.moveaxis(turned.values, -1, 0)).hopf
     assert abs(c.hopf) > 0.5 and abs(q_turned - c.hopf) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=3, deadline=None)
+@given(seed=seeds)
+def test_reflection_negates_the_degree(n, seed):
+    g = Grid(n)
+    ball = generate(AnsatzSpec(kind="ballmap"), g).values
+    vals = quat.mul(ball, quat.exp_im(TrigPoly(seed, 3, amp=0.3).sample(g)))
+    deg = degree(GroupField(g, vals))
+    assert abs(deg) > 0.5
+    for ax in range(3):
+        mirrored = np.ascontiguousarray(vals[(slice(None),) * ax + (slice(None, None, -1),)])
+        assert abs(degree(GroupField(g, mirrored)) + deg) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=3, deadline=None)
+@given(seed=seeds)
+def test_helicity_matches_the_oracle(n, seed):
+    g = Grid(n)
+    vals = _broken_hopfion(g, seed)
+    assume(_classify(g, np.moveaxis(vals, -1, 0), charge=False).hopf_sector)
+    F = pullback_area(SphereField(g, vals))
+    assert abs(_helicity(g, np.moveaxis(F, -1, 0)) - ref_helicity(F, g.l)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=3, deadline=None)
+@given(seed=seeds)
+def test_area_form_independent_of_slab_size(n, seed):
+    g = Grid(n)
+    v = np.moveaxis(_random_field(g, seed).values, -1, 0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lattice, "SLAB_SITES", n**3)
+        whole = _area_form(g, v)
+        _few_planes(m, n)
+        assert np.array_equal(_area_form(g, v), whole)
+    assert np.array_equal(np.moveaxis(whole, 0, -1), ref_pullback_area(np.moveaxis(v, 0, -1), g.h))
