@@ -12,7 +12,8 @@ edges (avg_back); holonomy and developing-map reconstruction consume
 the raw edge values, for which the round trip is exact.  All math here
 is component-first: edge logs are (direction, component, n, n, n), _logs
 reads a Connection that way, and a Connection, built only where a public
-function returns one, holds a site-last view of them.
+function returns one, holds a site-last view of them.  _edge_logs forms
+them from step quaternions slab by slab, for connection_of and gauge moves.
 
 Both energies read their densities off the Gram matrix G_mu_nu =
 d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import quat
 from .errors import UnresolvableField
-from .lattice import Grid, _comp_first, _cross, _diff_into, _dot, _site_last, _slabs, avg_back, diff
+from .lattice import Grid, _comp_first, _cross, _diff_into, _dot, _shifted, _site_last, _slabs, avg_back, diff
 
 FOUR_PI = 4.0 * np.pi
 
@@ -102,7 +103,7 @@ def _site_logs(grid, logs):
     """Component-first edge logarithms moved to sites by the two-edge average."""
     out = np.empty(logs.shape)
     for mu in range(3):
-        out[mu] = avg_back(grid, logs[mu], mu + 1)
+        avg_back(grid, logs[mu], mu + 1, out[mu])
     return out
 
 
@@ -124,7 +125,7 @@ def _conjugate(u, phi):
     """u phi u* site by site, component-first and normalized."""
     u.grid.same(phi.grid)
     # component-first views, not copies: the rotation reads each value once
-    psi = np.stack(quat._rotate(np.moveaxis(u.values, -1, 0), np.moveaxis(phi.values, -1, 0)))
+    psi = quat._rotate(np.moveaxis(u.values, -1, 0), np.moveaxis(phi.values, -1, 0))
     psi /= np.sqrt(_dot(psi, psi))
     return psi
 
@@ -262,17 +263,26 @@ def energy(psi):
     return _sweep(psi.grid, _comp_first(psi.values), keep=False)[0]
 
 
-def _edge_logs(grid, steps, refusal):
-    """Edge logarithms log(step_mu) / h of component-first steps, (3, 3, n, n, n).
+def _edge_logs(grid, left, right, refusal, mid=None, out=None):
+    """Edge logarithms log(step_mu) / h, (3, 3, n, n, n), of the unit steps
+    left (mid_mu right(. + e_mu)), all component-first, or left right(. + e_mu).
 
-    A step with Re <= 0 has no principal logarithm: UnresolvableField(refusal).
+    Swept slab by slab through reused buffers, directions in order: a step
+    with Re <= 0 raises UnresolvableField(refusal) for the first such one.
     """
-    out = np.empty((3, 3) + (grid.n,) * 3)
-    for mu, step in enumerate(steps):
-        if np.any(step[0] <= 0.0):
-            raise UnresolvableField(refusal.format(mu=mu + 1))
-        np.divide(quat._log_unit(step), grid.h, out=out[mu])
-        del step  # freed before the next step is formed
+    n = grid.n
+    out = np.empty((3, 3) + (n,) * 3) if out is None else out
+    r, inner, s, tmp = np.empty((4, 4, _slabs(n)[0][1], n, n))
+    for mu in range(3):
+        for a, b in _slabs(n):
+            step = _shifted(right, mu + 1, r[:, :b - a], a, b)
+            if mid is not None:
+                step = quat._hamilton(mid[mu, :, a:b], step, inner[:, :b - a], tmp[0, :b - a])
+            step = quat._hamilton(left[:, a:b], step, s[:, :b - a], tmp[0, :b - a])
+            if np.any(step[0] <= 0.0):
+                raise UnresolvableField(refusal.format(mu=mu + 1))
+            quat._log_unit(step, out[mu, :, a:b], tmp[:2, :b - a])
+            out[mu, :, a:b] /= grid.h
     return out
 
 
@@ -282,11 +292,9 @@ def _edge_connection(grid, logs):
 
 
 def _logs_of(u):
-    """The edge logarithms of connection_of(u), component-first."""
-    # one contiguous conjugate of u, from which the shifted copies of u are formed
-    ubar = np.multiply(np.moveaxis(u.values, -1, 0), quat._CONJ, order="C")
-    steps = (quat._mul(ubar, np.roll(ubar, -1, axis=ax) * quat._CONJ) for ax in (1, 2, 3))
-    return _edge_logs(u.grid, steps, "adjacent sites along direction {mu} differ by "
+    """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu)."""
+    uc = _comp_first(u.values)
+    return _edge_logs(u.grid, uc * quat._CONJ, uc, "adjacent sites along direction {mu} differ by "
                       "90 degrees or more; refine the grid")
 
 

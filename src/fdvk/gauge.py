@@ -7,6 +7,8 @@ moving the represented map psi = u phi u*; fix_gauge uses that freedom
 to kill the exact part of the longitudinal component <a, phi> and to
 push its harmonic coefficients into the fundamental window [0, 1).
 Edge data stay component-first; fix_gauge's passes build no Connection.
+Transports, plaquettes and gauge moves sweep slabs of planes through
+reused buffers, the same floats whatever the slab size.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,8 @@ import numpy as np
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
 from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs, _logs
-from .lattice import _comp_first, _half_spectrum, _irfft3, _parseval_norm, _site_last, _spectrum, avg_back
+from .lattice import (_comp_first, _dot, _half_spectrum, _irfft3, _parseval_norm, _shifted, _site_last,
+                      _slabs, _spectrum, avg_back)
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
@@ -71,25 +74,37 @@ def holonomy(a: Connection) -> Holonomy:
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
         steps = quat._exp_im(_logs(a)[(ax, slice(None)) + take] * g.h)
-        p = reduce(quat._mul, steps.T, quat.ONE)
+        p = reduce(quat._hamilton, steps.T, quat.ONE)
         out[ax] = p / quat.norm(p)
     return Holonomy(out)
 
 
 def _transports(a: Connection):
     """Edge transports exp(h a), contiguous (3, 4, n, n, n): direction, component."""
-    v = np.ascontiguousarray(_logs(a)) * a.grid.h
-    return np.stack([quat._exp_im(vmu) for vmu in v])
+    n, logs = a.grid.n, _logs(a)
+    t = np.empty((3, 4) + (n,) * 3)
+    v = np.empty((5, _slabs(n)[0][1], n, n))  # h a_mu in a slab, then exp_im's scratch
+    for mu in range(3):
+        for lo, hi in _slabs(n):
+            np.multiply(logs[mu, :, lo:hi], a.grid.h, out=v[:3, :hi - lo])
+            quat._exp_im(v[:3, :hi - lo], t[mu, :, lo:hi], v[3:, :hi - lo])
+    return t
 
 
 def _plaquette_deviation(t):
+    """Largest deviation from 1 of the transport around any plaquette of t, slab by slab."""
+    n = t.shape[-1]
+    buf = np.empty((4, 4, _slabs(n)[0][1], n, n))
     worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            fwd = quat._hamilton(t[i], np.roll(t[j], -1, axis=i + 1))
-            bw, bx, by, bz = quat._hamilton(t[j], np.roll(t[i], -1, axis=j + 1))
-            p = quat._hamilton(fwd, (bw, -bx, -by, -bz))
-            worst = max(worst, np.max(np.abs(p[0] - 1.0)), *(np.max(np.abs(c)) for c in p[1:]))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for lo, hi in _slabs(n):
+            r, fwd, bwd, p = buf[:, :, :hi - lo]
+            f = quat._hamilton(t[i, :, lo:hi], _shifted(t[j], i + 1, r, lo, hi), fwd, p[0])
+            b = quat._hamilton(t[j, :, lo:hi], _shifted(t[i], j + 1, r, lo, hi), bwd, p[0])
+            np.negative(b[1:], out=b[1:])
+            d = quat._hamilton(f, b, p, r[0])
+            d[0] -= 1.0
+            worst = max(worst, np.max(np.abs(d, out=d)))
     return float(worst)
 
 
@@ -127,16 +142,20 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     """
     t = _flat_transports(a, flat_tol)
     n = a.grid.n
-    u = np.empty((4, n, n, n))
-    u[:, 0, 0, 0] = quat.ONE
+    # walk axis first, w[k] = u(., ., k): each step along it is one contiguous block
+    w = np.empty((n, 4, n, n))
+    t2 = np.ascontiguousarray(np.moveaxis(t[2], -1, 0))
+    w[0, :, 0, 0] = quat.ONE
+    tmp = np.empty((n, n))
     for i in range(n - 1):
-        u[:, i + 1, 0, 0] = quat._mul(u[:, i, 0, 0], t[0, :, i, 0, 0])
+        quat._hamilton(w[0, :, i, 0], t[0, :, i, 0, 0], w[0, :, i + 1, 0], tmp[0, 0, ...])
     for j in range(n - 1):
-        u[:, :, j + 1, 0] = quat._mul(u[:, :, j, 0], t[1, :, :, j, 0])
+        quat._hamilton(w[0, :, :, j], t[1, :, :, j, 0], w[0, :, :, j + 1], tmp[0])
     for k in range(n - 1):
-        u[:, :, :, k + 1] = quat._mul(u[:, :, :, k], t[2, :, :, :, k])
+        quat._hamilton(w[k], t2[k], w[k + 1], tmp)
+    u = np.moveaxis(w, 0, -1)
     last = ((n - 1, 0, 0), (0, n - 1, 0), (0, 0, n - 1))
-    loops = [quat._mul(u[(slice(None),) + e], t[(ax, slice(None)) + e]) for ax, e in enumerate(last)]
+    loops = [quat._hamilton(u[(slice(None),) + e], t[(ax, slice(None)) + e]) for ax, e in enumerate(last)]
     hol = Holonomy(np.stack([p / quat.norm(p) for p in loops]))
     if hol.deviation() > HOLONOMY_TOL:
         raise NontrivialHolonomy(
@@ -154,12 +173,10 @@ def circle_field(grid, theta) -> GroupField:
     return GroupField(grid, vals)
 
 
-def _transformed(grid, t, gval):
+def _transformed(grid, t, gval, out=None):
     """Edge logarithms of the transports g* t_mu g(. + e_mu), t and g = gval component-first."""
-    gbar = gval * quat._CONJ
-    steps = (quat._mul(gbar, quat._hamilton(t[mu], np.roll(gval, -1, axis=mu + 1))) for mu in range(3))
-    return _edge_logs(grid, steps, "gauge factor rotates an edge by 90 degrees or more; "
-                      "the transformed connection has no principal logarithm")
+    return _edge_logs(grid, gval * quat._CONJ, gval, "gauge factor rotates an edge by 90 degrees or more; "
+                      "the transformed connection has no principal logarithm", t, out)
 
 
 def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connection:
@@ -225,19 +242,19 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     ks = np.where(ks == 0.0, 1.0, ks)
 
     logs = _logs(a)
-    # <a, phi> at sites, site-last in memory: the mean sums as in tests/oracles.py
-    long = np.moveaxis(np.empty((g.n,) * 3 + (3,)), -1, 0)
+    # <a, phi> at sites, contiguous; s takes one direction's two-edge average
+    long, s = np.empty((2, 3) + (g.n,) * 3)
+    gval = np.empty((4,) + (g.n,) * 3)
+    moved = None  # the pass logs, once a pass has moved the transports
     angle = 0.0
     windings = np.zeros(3, dtype=int)
     passes = 0
     while True:
         for mu in range(3):
-            s = avg_back(g, logs[mu], mu + 1)
-            np.multiply(s[0], p[0], out=long[mu])
-            long[mu] += s[1] * p[1]
-            long[mu] += s[2] * p[2]
-        del s  # not held through the move below, the peak of a pass
-        coeffs = g.l * long.mean(axis=(1, 2, 3)) / (2.0 * np.pi)
+            _dot(avg_back(g, logs[mu], mu + 1, s), p, long[mu], s[0])
+        # each mean sums its sites one after another, as a site-last mean does (tests/oracles.py)
+        means = [np.cumsum(c.ravel(), out=s[0].ravel())[-1] for c in long]
+        coeffs = g.l * (np.array(means) / g.n**3) / (2.0 * np.pi)
         _, div, _, k2, weight = _spectrum(g, long)
         if passes == 0:
             removed = _parseval_norm(g, weight, div / np.sqrt(k2))
@@ -258,8 +275,10 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
             if steps[k]:
                 theta = theta + 2.0 * np.pi * steps[k] * x.reshape((-1,) + (1,) * (2 - k)) / g.l
         angle += theta - theta[0, 0, 0]
-        gval = quat._qmap(p, (np.cos(angle), np.sin(angle), 0.0, 0.0))
-        logs = _transformed(g, t, gval)
+        # qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi
+        np.cos(angle, out=gval[0])
+        np.multiply(np.sin(angle, out=s[0]), p, out=gval[1:])
+        logs = moved = _transformed(g, t, gval, moved)
         windings += steps
 
     ties = np.abs(coeffs - np.round(coeffs)) <= TIE_EPS

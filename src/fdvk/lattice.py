@@ -18,10 +18,10 @@ logs, so stencils and products stream through contiguous components.
 diff and avg_back act on the last three axes, _cross and _dot on the
 first; _comp_first and _site_last convert between the two layouts.
 
-The descent sweeps that layout in slabs of whole planes along the first
-site axis (_slabs, SLAB_SITES sites per slab), so a slab's temporaries
-stay in cache. Along the first axis a slab reads its two neighbouring
-planes, the halo, from the whole field.
+The descent and the gauge layer sweep that layout in slabs of whole
+planes along the first site axis (_slabs, SLAB_SITES sites per slab), so
+a slab's temporaries stay in cache. Along the first axis a slab reads its
+neighbouring planes, the halo, from the whole field (_shifted, _diff_into).
 
 One central stencil, _diff_into, serves energies, gradients and fluxes;
 it subtracts shifted slices straight into a given buffer, periodic within
@@ -128,6 +128,30 @@ def _slabs(n):
     return [(a, min(a + t, n)) for a in range(0, n, t)]
 
 
+def _shifted(f, mu, out, a=0, b=None, step=1):
+    """f(x + step e_mu), step = +-1, at planes a .. b - 1 of the first site axis, into out.
+
+    The site axes are the last three of f, periodic.  Along the first the
+    slab reads planes a + step .. b - 1 + step, wrapping only at the ends.
+    """
+    ax = f.ndim - 4 + mu
+    if mu != 1:
+        f, a, b = f[..., a:b, :, :], 0, None
+    n = f.shape[ax]
+    b = n if b is None else b
+
+    def at(lo, hi):
+        return (slice(None),) * ax + (slice(lo, hi),)
+
+    lo, hi = max(a + step, 0), min(b + step, n)
+    out[at(lo - step - a, hi - step - a)] = f[at(lo, hi)]
+    if a + step < 0:
+        out[at(0, 1)] = f[at(n - 1, n)]
+    if b + step > n:
+        out[at(b - a - 1, b - a)] = f[at(0, 1)]
+    return out
+
+
 def _comp_first(values):
     """Values with a trailing component axis as a contiguous array with it first."""
     return np.ascontiguousarray(np.moveaxis(values, -1, 0))
@@ -138,9 +162,13 @@ def _site_last(q):
     return np.ascontiguousarray(np.moveaxis(q, 0, -1))
 
 
-def _dot(a, b):
-    """a . b of component-first vectors, summed left to right as np.sum sums a last axis."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _dot(a, b, out=None, tmp=None):
+    """a . b of component-first vectors, summed left to right as np.sum sums a last axis;
+    into out, with tmp a buffer for one product (it may be a[0]), when given."""
+    out = np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[1], b[1], out=tmp)
+    out += np.multiply(a[2], b[2], out=tmp)
+    return out
 
 
 def _cross(a, b, out=None, tmp=None):
@@ -159,16 +187,18 @@ def _cross(a, b, out=None, tmp=None):
     return out
 
 
-def avg_back(grid, f, mu):
+def avg_back(grid, f, mu, out=None):
     """Average of a value with its backward neighbor along mu.
 
     Moves an edge-held value (sample at x + h/2 e_mu) to the site x at
     second order; the workhorse for consuming edge-logarithm
     connections in site-centered formulas.  The site axes are the last
-    three of f, as for diff.
+    three of f, as for diff.  Into out, of f's shape, when given.
     """
     check_direction(mu)
-    return 0.5 * (f + np.roll(f, 1, axis=np.ndim(f) - 4 + mu))
+    f = np.asarray(f)
+    out = _shifted(f, mu, np.empty(f.shape, np.result_type(f, 1.0)) if out is None else out, step=-1)
+    return np.multiply(np.add(f, out, out=out), 0.5, out=out)
 
 
 def d(grid, w, deg):

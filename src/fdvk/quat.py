@@ -3,10 +3,12 @@
 Quaternions have components (w, x, y, z) along (1, i, j, k); imaginary
 quaternions drop the real slot.  Each formula is written once,
 component-first (index 0 over components), as the package uses it:
-_hamilton (with _mul), _rotate, _qmap, _exp_im, _log_unit.  The public
-mul, conj, norm, normalize, embed, exp_im, qmap and hopf take the
-site-last layout (last axis 4 or 3) and broadcast over leading axes, for
-the acceptance gate, the benchmark workloads and the tests.
+_hamilton, _rotate, _qmap, _exp_im, _log_unit; the slab sweeps hand
+_hamilton, _exp_im and _log_unit out buffers, the same floats either
+way.  The public mul, conj, norm, normalize, embed, exp_im, qmap and
+hopf take the site-last layout (last axis 4 or 3) and broadcast over
+leading axes, for the acceptance gate, the benchmark workloads and the
+tests.
 
 The inner product <p, q> = (p* q + q* p) / 2 is the Euclidean 4-dot.
 For imaginary p, q the useful identities are
@@ -17,7 +19,7 @@ For imaginary p, q the useful identities are
 
 import numpy as np
 
-from .lattice import _site_last
+from .lattice import _dot, _site_last
 
 UNIT_TOL = 1e-9
 
@@ -33,26 +35,34 @@ IM_K = np.array([0.0, 0.0, 1.0])
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None, None]
 
 
-def _hamilton(p, q):
-    """The four components of the Hamilton product, p and q component-first."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return [
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    ]
+# component c of p q is pw q_c, then each p_i q_j added or subtracted in
+# this order, as in pw qw - px qx - py qy - pz qz
+_TERMS = (
+    ((np.subtract, 1, 1), (np.subtract, 2, 2), (np.subtract, 3, 3)),
+    ((np.add, 1, 0), (np.add, 2, 3), (np.subtract, 3, 2)),
+    ((np.subtract, 1, 3), (np.add, 2, 0), (np.add, 3, 1)),
+    ((np.add, 1, 2), (np.subtract, 2, 1), (np.add, 3, 0)),
+)
 
 
-def _mul(p, q):
-    """Hamilton product of component-first quaternions, index 0 over components."""
-    return np.stack(_hamilton(p, q))
+def _hamilton(p, q, out=None, tmp=None):
+    """Hamilton product p q of component-first quaternions, index 0 over components;
+    into out, (4,) + sites, apart from p and q, with tmp a buffer for one product,
+    when given.  The terms sum in one order either way, so the floats agree."""
+    p, q = tuple(p), tuple(q)
+    if out is None:
+        out = np.empty((4,) + np.broadcast_shapes(*map(np.shape, p + q)), np.result_type(*p, *q))
+    tmp = np.empty(out.shape[1:], out.dtype) if tmp is None else tmp
+    for c, terms in enumerate(_TERMS):
+        np.multiply(p[0], q[c], out=out[c, ...])
+        for op, i, j in terms:
+            op(out[c, ...], np.multiply(p[i], q[j], out=tmp), out=out[c, ...])
+    return out
 
 
 def mul(p, q):
     """Hamilton product, broadcasting over leading axes."""
-    return np.stack(_hamilton(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)), axis=-1)
+    return _site_last(_hamilton(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)))
 
 
 def conj(q):
@@ -81,14 +91,26 @@ def embed(v):
     return np.concatenate([np.zeros(v.shape[:-1] + (1,)), v], axis=-1)
 
 
-def _exp_im(v):
-    """exp_im of component-first imaginary quaternions, index 0 over components."""
-    vx, vy, vz = v
-    theta = np.sqrt(vx * vx + vy * vy + vz * vz)
-    small = theta < 1e-12
+def _quotient(num, den, fallback):
+    """np.where(small, fallback(), num / np.where(small, 1.0, den)), small = den < 1e-12;
+    into num, with no mask or fallback formed, when no den is small."""
+    small = den < 1e-12
+    if small.any():
+        return np.where(small, fallback(), num / np.where(small, 1.0, den))
+    return np.divide(num, den, out=num)
+
+
+def _exp_im(v, out=None, tmp=None):
+    """exp_im of component-first imaginary quaternions, index 0 over components;
+    into out, (4,) + sites, with scratch tmp, (2,) + sites, when given."""
+    out = np.empty((4,) + np.shape(v[0])) if out is None else out
+    tmp = np.empty((2,) + np.shape(v[0])) if tmp is None else tmp
+    theta = np.sqrt(_dot(v, v, tmp[0, ...], tmp[1, ...]), out=tmp[0, ...])
+    np.cos(theta, out=out[0, ...])
     # sin(t)/t with a series fallback so t = 0 is exact
-    factor = np.where(small, 1.0 - theta * theta / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-    return np.concatenate([np.cos(theta)[None], v * factor])
+    factor = _quotient(np.sin(theta, out=tmp[1, ...]), theta, lambda: 1.0 - theta * theta / 6.0)
+    np.multiply(v, factor, out=out[1:])
+    return out
 
 
 def exp_im(v):
@@ -96,18 +118,19 @@ def exp_im(v):
     return _site_last(_exp_im(np.moveaxis(v, -1, 0)))
 
 
-def _log_unit(q):
+def _log_unit(q, out=None, tmp=None):
     """Imaginary part of the principal log of component-first unit quaternions.
 
-    Valid for Re q > 0 (rotation angle below pi); callers enforce that
-    via the adjacent-site dot check.
+    Valid for Re q > 0 (rotation angle below pi); callers enforce that via the
+    adjacent-site dot check.  Into out, (3,) + sites, with scratch tmp, when given.
     """
-    w, vx, vy, vz = q
-    s = np.sqrt(vx * vx + vy * vy + vz * vz)
-    theta = np.arctan2(s, w)
-    small = s < 1e-12
-    factor = np.where(small, 1.0 / np.where(np.abs(w) > 1e-12, w, 1.0), theta / np.where(small, 1.0, s))
-    return q[1:] * factor
+    w = q[0]
+    out = np.empty((3,) + np.shape(w)) if out is None else out
+    tmp = np.empty((2,) + np.shape(w)) if tmp is None else tmp  # (2,) + sites
+    s = np.sqrt(_dot(q[1:], q[1:], tmp[0, ...], tmp[1, ...]), out=tmp[0, ...])
+    theta = np.arctan2(s, w, out=tmp[1, ...])
+    factor = _quotient(theta, s, lambda: 1.0 / np.where(np.abs(w) > 1e-12, w, 1.0))
+    return np.multiply(q[1:], factor, out=out)
 
 
 def _rotate(u, v):

@@ -443,3 +443,30 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, n):
     out = tmp_path / "h.fdk"
     assert main(["init", "--ansatz", "hopfion", "--n", str(n), "-o", str(out)]) == 2
     assert not out.exists()
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    # the parser is built once per process; every call still parses afresh
+    assert cli._build_parser() is cli._build_parser()
+    a, b = tmp_path / "a.fdk", tmp_path / "b.fdk"
+    assert main(["init", "--ansatz", "tube", "--charge", "2", "--axis", "3", "--n", "20", "-o", str(a)]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["fluxes"] == [0, 0, 1]
+    assert main(["report", str(a)]) == 0
+    assert json.loads(capsys.readouterr().out)["raw_fluxes"] == first["raw_fluxes"]
+    with pytest.raises(SystemExit) as usage:
+        main(["init", "--ansatz", "tube", "--n", "20"])  # no -o
+    assert usage.value.code == 2
+    capsys.readouterr()
+    # no option of the first init carries over: the default axis is 1
+    assert main(["init", "--ansatz", "tube", "--n", "20", "-o", str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["fluxes"] == [1, 0, 0]
+
+
+def test_commands_are_looked_up_when_called(tmp_path, capsys, monkeypatch):
+    # a cmd_<name> replaced after the parser is built is the one that runs
+    cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.field) or 0)
+    assert main(["report", str(tmp_path / "x.fdk")]) == 0
+    assert seen == [str(tmp_path / "x.fdk")]

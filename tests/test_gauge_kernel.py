@@ -16,20 +16,31 @@ degree sums its triple product in another order than the einsum
 reference (1e-12 absolute); chern_simons sums a ^ da by Parseval (1e-12
 absolute), hodge_parts projects on the half spectrum (1e-12 absolute).
 Odd n exercise the half-spectrum weights.
+
+The gauge layer sweeps slabs of planes (lattice._slabs): at n = 19, 21
+and 33 with lattice.SLAB_SITES lowered to two planes per slab, so that
+every sweep has several slabs, a short last one and a wrapped shifted
+read, each output is bit-identical to the one-slab sweep and to the
+oracles, and a right-angle edge found only in the last slab is refused
+for the same direction as by the whole-field check.  quat._hamilton,
+_exp_im and _log_unit give the same floats into out buffers as allocated.
 """
 
 import numpy as np
 import pytest
 
-from fdvk import gauge, quat
-from fdvk.errors import NontrivialHolonomy
-from fdvk.ansatz import AnsatzSpec, generate
-from fdvk.fields import Connection, SphereField, conjugate_field, connection_of, constant_sphere
-from fdvk.gauge import circle_field, develop, fix_gauge, hodge_parts, holonomy, plaquette_deviation
+from fdvk import gauge, lattice, quat
+from fdvk.errors import NontrivialHolonomy, UnresolvableField
+from fdvk.ansatz import AnsatzSpec, generate, s1_winding
+from fdvk.fields import Connection, GroupField, SphereField, conjugate_field, connection_of, constant_sphere
+from fdvk.gauge import (
+    circle_field, develop, fix_gauge, gauge_transform, hodge_parts, holonomy, plaquette_deviation,
+)
 from fdvk.invariants import chern_simons, degree
 from fdvk.lattice import Grid, form_norm
 from fieldgen import smooth_group_field, smooth_sphere_field
 from oracles import (
+    RefUnresolvable,
     ref_chern_simons,
     ref_conjugate_by,
     ref_conjugate_field,
@@ -210,3 +221,91 @@ def test_conjugate_field_bit_identical_to_site_last_rotation(n):
     for u in (smooth_group_field(g, 6), generate(AnsatzSpec(kind="ballmap", charge=-1), g)):
         for p in (phi, constant_sphere(g)):
             assert _same_bits(conjugate_field(u, p).values, ref_conjugate_field(u.values, p.values))
+
+
+def _framed_pair(g):
+    # a degree-one ballmap times a smooth group field and a circle winding
+    ball = generate(AnsatzSpec(kind="ballmap", charge=1), g).values
+    u = quat.mul(quat.mul(ball, smooth_group_field(g, 7).values), s1_winding(g, (1, 0, -1)).values)
+    return GroupField(g, u / quat.norm(u)[..., None]), smooth_sphere_field(g, 8)
+
+
+def _gauge_outputs(u, phi):
+    a = connection_of(u)
+    fixed, report = fix_gauge(a, phi)
+    lam = circle_field(u.grid, 0.4 * np.sin(u.grid.axes()[1]))
+    return {
+        "a": a.values, "fixed": fixed.values, "report": report, "degree": degree(u),
+        "develop": develop(a).values, "develop_fixed": develop(fixed).values,
+        "plaquettes": (plaquette_deviation(a), plaquette_deviation(fixed)),
+        "moved": gauge_transform(a, phi, lam).values,
+    }
+
+
+@pytest.mark.parametrize("n", [19, 21, 33])
+def test_slab_swept_gauge_kernels_independent_of_slab_size(n, monkeypatch):
+    g = Grid(n)
+    u, phi = _framed_pair(g)
+    monkeypatch.setattr(lattice, "SLAB_SITES", n**3)
+    assert lattice._slabs(n) == [(0, n)]
+    whole = _gauge_outputs(u, phi)
+    monkeypatch.setattr(lattice, "SLAB_SITES", 2 * n * n)
+    slabs = lattice._slabs(n)
+    assert len(slabs) > 2 and slabs[-1][1] - slabs[-1][0] == 1
+    got = _gauge_outputs(u, phi)
+    for key, want in whole.items():
+        assert np.array_equal(got[key], want) if isinstance(want, np.ndarray) else got[key] == want, key
+    h = g.h
+    assert np.array_equal(got["a"], ref_connection_of(u.values, h))
+    assert abs(got["degree"] - ref_degree(u.values, g.l)) <= TOL
+    assert np.array_equal(got["develop"], ref_develop(got["a"], h))
+    assert np.array_equal(got["develop_fixed"], ref_develop(got["fixed"], h))
+    assert got["plaquettes"] == tuple(ref_plaquette_deviation(got[k], h) for k in ("a", "fixed"))
+    ref = ref_fix_gauge_site_last(got["a"], phi.values, g.l)
+    report = got["report"]
+    assert report.passes > 0 and report.windings != (0, 0, 0)
+    assert np.array_equal(got["fixed"], ref["values"])
+    assert report.harmonic_coeffs == ref["harmonic_coeffs"]
+    assert report.exact_part_norm == ref["exact_part_norm"]
+    assert (report.passes, report.windings, report.ties) == (ref["passes"], ref["windings"], ref["ties"])
+
+
+@pytest.mark.parametrize("planes", [2, 19])
+def test_right_angle_edge_in_the_last_slab_is_refused_for_its_direction(planes, monkeypatch):
+    # steps along x are exp(i 0.6 pi / 18) except on the wrapped edge
+    # x = 18 -> 0, exp(-i 0.6 pi) with real part below 0, in the last slab
+    # only; steps along y do the same at y = 18 -> 0 in every slab, the
+    # first included.  The whole-field check refuses direction 1, the
+    # first that fails.
+    n = 19
+    g = Grid(n)
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * n * n)
+    x, y, _ = g.axes()
+    alpha, beta = 0.6 * np.pi * x / (g.l - g.h), 0.6 * np.pi * y / (g.l - g.h)
+    zero = np.zeros_like(x)
+    ex = np.stack([np.cos(alpha), np.sin(alpha), zero, zero], axis=-1)
+    ey = np.stack([np.cos(beta), zero, np.sin(beta), zero], axis=-1)
+    u = GroupField(g, quat.mul(ex, ey))
+    with pytest.raises(RefUnresolvable):
+        ref_connection_of(u.values, g.h)
+    with pytest.raises(UnresolvableField, match="along direction 1 "):
+        connection_of(u)
+    with pytest.raises(UnresolvableField, match="along direction 1 "):
+        degree(u)
+
+
+def test_quaternion_formulas_write_out_buffers_bit_for_bit():
+    rng = np.random.default_rng(11)
+    p, q = rng.standard_normal((2, 4, 5, 6, 7))
+    q[:, 0, 0, 0] = 0.0  # a zero quaternion takes the small-angle fallbacks below
+    out, tmp = np.empty((4, 5, 6, 7)), np.empty((2, 5, 6, 7))
+    want = quat._hamilton(p, q)
+    assert _same_bits(quat._hamilton(p, q, out, tmp[0]), want)
+    assert _same_bits(np.moveaxis(want, 0, -1), ref_mul(np.moveaxis(p, 0, -1), np.moveaxis(q, 0, -1)))
+    # a strided out, and the allocating form's own scratch
+    strided = np.empty((5, 4, 6, 7)).swapaxes(0, 1)
+    assert _same_bits(quat._hamilton(p, q, strided), want)
+    v = 0.3 * q[1:]
+    assert _same_bits(quat._exp_im(v, out, tmp), quat._exp_im(v))
+    unit = quat._exp_im(v)
+    assert _same_bits(quat._log_unit(unit, out[:3], tmp), quat._log_unit(unit))
