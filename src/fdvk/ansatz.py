@@ -173,12 +173,12 @@ def _generate(spec, grid):
         # mirror azimuth of the hopfion lift, so degree = +charge; it frames the
         # constant field, which a degree-d map conjugates to Hopf charge -d
         field, want = _ball_lift(spec, grid, azimuth_sign=-1 if q >= 0 else 1), ((0, 0, 0), -q, q)
-    r = _read(constant_sphere(grid), field) if spec.kind == "ballmap" else _read(field)
-    rounded = tuple(x if x is None else round(x) for x in (r.c.hopf, r.degree))
-    if (None if r.c.flux_error else r.c.rounded, *rounded) != want:
+    r = _read(field)
+    rounded = tuple(x if x is None else round(x) for x in (r.hopf, r.degree))
+    if (None if r.flux_error else r.rounded, *rounded) != want:
         raise UnderResolved(
-            f"{spec.kind} of charge {q} at n = {grid.n} reads back raw fluxes {r.c.raw}, "
-            f"Hopf charge {r.c.hopf} and degree {r.degree}, not the advertised fluxes "
+            f"{spec.kind} of charge {q} at n = {grid.n} reads back raw fluxes {r.raw}, "
+            f"Hopf charge {r.hopf} and degree {r.degree}, not the advertised fluxes "
             f"{want[0]}, Hopf charge {want[1]} and degree {want[2]}; refine the grid"
         )
     return field, r

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ansatz import KINDS, AnsatzSpec, _generate, generate
 from .errors import ChargeDrift, ConfigError, FdvkError, FluxChange, NonExactForm, SnapshotError
-from .fields import Connection, GroupField, SphereField, _sweep, constant_sphere, plaquette_curvature
+from .fields import Connection, GroupField, SphereField, _sweep, plaquette_curvature
 from .flow import FlowConfig, minimize
 from .invariants import _read, chern_simons
 from .lattice import Grid, form_norm
@@ -99,8 +99,6 @@ def load_snapshot(path):
         raise SnapshotError(f"{path}: unknown kind byte {kind}")
     (n,) = struct.unpack("<I", blob[6:10])
     (l,) = struct.unpack("<d", blob[10:18])
-    if n == 0 or not np.isfinite(l) or l <= 0:
-        raise SnapshotError(f"{path}: bad header (n = {n}, l = {l})")
     comps = _COMPS[kind]
     expect = 18 + n**3 * comps * 8
     if len(blob) != expect:
@@ -109,10 +107,10 @@ def load_snapshot(path):
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=18)
     v = np.ascontiguousarray(flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3))
-    grid = Grid(n, l)
     cls, _, shape = _KINDS[kind]
     try:
-        return cls(grid, v.reshape((n, n, n) + shape))
+        # Grid's own rules refuse the header: n below 4, l not finite and positive, or out of range
+        return cls(Grid(n, l), v.reshape((n, n, n) + shape))
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
 
@@ -182,28 +180,20 @@ def _require_finite(path, report):
                 raise SnapshotError(f"{path}: {key} evaluates to {x!r}, not a finite number")
 
 
-def _reading(obj):
-    """The invariants reading of a sphere field, or of the constant field framed by a group field."""
-    if isinstance(obj, GroupField):
-        return _read(constant_sphere(obj.grid), obj)
-    return _read(obj)
-
-
 def _class_block(r):
     """Fluxes, charge and degree of an invariants reading, None where undefined.
 
     A charge the potential solve refuses is bad input, not a missing reading.
     """
-    c = r.c
-    if c.hopf_error is not None:
-        raise NonExactForm(c.hopf_error)
+    if r.hopf_error is not None:
+        raise NonExactForm(r.hopf_error)
     return {
-        "fluxes": None if c.flux_error is not None else list(c.rounded),
-        "raw_fluxes": list(c.raw),
+        "fluxes": None if r.flux_error is not None else list(r.rounded),
+        "raw_fluxes": list(r.raw),
         "m": r.m,
         "degree": r.degree,
         "degree_class": r.degree_class,
-        "hopf": c.hopf,
+        "hopf": r.hopf,
     }
 
 
@@ -245,7 +235,7 @@ def cmd_init(args):
     # generate's readback (a constant or equator field is read here), formatted
     # before the write, so a refused field or record leaves no snapshot
     field, r = _generate(spec, grid)
-    line = json.dumps(_class_block(_reading(field) if r is None else r), allow_nan=False)
+    line = json.dumps(_class_block(_read(field) if r is None else r), allow_nan=False)
     save_snapshot(args.out, field)
     print(line, flush=True)
     print(f"wrote {args.ansatz} snapshot to {args.out}", file=sys.stderr)
@@ -263,7 +253,7 @@ def cmd_report(args):
         report["flatness"] = form_norm(obj.grid, plaquette_curvature(obj))
         report["reason"] = "map invariants undefined for a bare connection"
     else:
-        r = _reading(obj)
+        r = _read(obj)
         if r.degree is None:
             report["degree_reason"] = "no framing map in a sphere snapshot"
         en = _sweep(obj.grid, r.v, keep=False)[0]
@@ -271,10 +261,10 @@ def cmd_report(args):
         block = _class_block(r)
         for key in ("fluxes", "raw_fluxes", "hopf", "degree"):
             report[key] = block[key]
-        if r.c.flux_error is not None:
-            report["fluxes_reason"] = r.c.flux_error
-        if r.c.hopf is None:
-            report["hopf_reason"] = r.c.hopf_reason
+        if r.flux_error is not None:
+            report["fluxes_reason"] = r.flux_error
+        if r.hopf is None:
+            report["hopf_reason"] = r.hopf_reason
         report["cs_reason"] = "not a connection snapshot"
         report["flatness_reason"] = "not a connection snapshot"
     _require_finite(args.field, report)

@@ -13,7 +13,8 @@ the raw edge values, for which the round trip is exact.  All math here
 is component-first: edge logs are (direction, component, n, n, n), _logs
 reads a Connection that way, and a Connection, built only where a public
 function returns one, holds a site-last view of them.  _edge_logs forms
-them from step quaternions slab by slab, for connection_of and gauge moves.
+them from step quaternions, for connection_of and gauge moves; it, the energy
+and the area form sweep the slabs of lattice._slab_sweep.
 
 Both energies read their densities off the Gram matrix G_mu_nu =
 d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import quat
 from .errors import UnresolvableField
-from .lattice import Grid, _comp_first, _cross, _diff_into, _dot, _shifted, _site_last, _slabs, avg_back, diff
+from .lattice import (Grid, _comp_first, _cross, _diff_into, _dot, _shifted, _site_last, _slab_sweep,
+                      avg_back, diff, integrate)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -139,35 +141,27 @@ def _area(v, di, dj, out=None, s=None):
     """v . (di x dj) / 4 pi of component-first values, one pullback_area slot, summed
     as _dot sums; into out, with s scratch of shape (4,) + out.shape, when given."""
     s = np.empty((4,) + di.shape[1:]) if s is None else s
-    c = _cross(di, dj, s[:3], s[3])
-    out = np.multiply(v[0], c[0], out=out)
-    out += np.multiply(v[1], c[1], out=s[3])
-    out += np.multiply(v[2], c[2], out=s[3])
+    out = _dot(v, _cross(di, dj, s[:3], s[3]), out, s[3])
     out /= FOUR_PI
     return out
 
 
-def _slab_diffs(grid, v):
-    """(a, b, dm) per slab a .. b - 1 of planes along the first site axis, dm the three
-    central differences of component-first v there, in one reused buffer; halos from v."""
-    slabs = _slabs(grid.n)
-    d = np.empty((3, 3, slabs[0][1]) + v.shape[2:])
-    for a, b in slabs:
-        dm = d[:, :, :b - a]
-        _diff_into(grid, v, 1, dm[0], a, b)
-        _diff_into(grid, v[:, a:b], 2, dm[1])
-        _diff_into(grid, v[:, a:b], 3, dm[2])
-        yield a, b, dm
+def _slab_diffs(grid, v, dm, a, b):
+    """The three central differences of component-first v at planes a .. b - 1 into dm; halos from v."""
+    _diff_into(grid, v, 1, dm[0], a, b)
+    _diff_into(grid, v[:, a:b], 2, dm[1])
+    _diff_into(grid, v[:, a:b], 3, dm[2])
 
 
 def _area_form(g, v):
-    """pullback_area of component-first v, any view, (3, n, n, n), in one slab sweep
-    with reused slab buffers: each site as _area computes it, whatever the slab size."""
-    s = np.empty((4, _slabs(g.n)[0][1]) + v.shape[2:])
+    """pullback_area of component-first v, any view, (3, n, n, n), in one slab sweep:
+    each site as _area computes it, whatever the slab size."""
+    slabs = _slab_sweep(g.n, (4,), (3, 3))
     out = np.empty(v.shape)
-    for a, b, dm in _slab_diffs(g, v):
+    for a, b, s, dm in slabs:
+        _slab_diffs(g, v, dm, a, b)
         for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-            _area(v[:, a:b], dm[i], dm[j], out[k, a:b], s[:, :b - a])
+            _area(v[:, a:b], dm[i], dm[j], out[k, a:b], s)
     return out
 
 
@@ -222,8 +216,7 @@ def _assemble(d, e2, e4, s, P=None, g2=None):
 
 def _energy(grid, e2, e4):
     """Energy of whole-field densities: each summed once, in memory order."""
-    h3 = grid.h**3
-    e2, e4 = float(np.sum(e2)) * h3, float(np.sum(e4)) * h3
+    e2, e4 = integrate(grid, e2), integrate(grid, e4)
     return Energy(e2, e4, e2 + e4)
 
 
@@ -244,11 +237,13 @@ def _sweep(grid, v, keep):
     once, so the energy does not depend on the slab size.  With keep,
     returns (Energy, _Slopes) for the descent; without, (Energy, None).
     """
-    s = np.empty((10, _slabs(grid.n)[0][1]) + v.shape[2:])
+    # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax)
+    slabs = _slab_sweep(grid.n, (10,), (3, 3))
     e2, e4 = np.empty(v.shape[1:]), np.empty(v.shape[1:])
     P, g2 = (np.empty((3,) + v.shape), np.zeros(3)) if keep else (None, None)
-    for a, b, dm in _slab_diffs(grid, v):
-        _assemble(dm, e2[a:b], e4[a:b], s[:, :b - a], None if P is None else P[:, :, a:b], g2)
+    for a, b, s, dm in slabs:
+        _slab_diffs(grid, v, dm, a, b)
+        _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2)
     return _energy(grid, e2, e4), (_Slopes(P, g2) if keep else None)
 
 
@@ -267,21 +262,21 @@ def _edge_logs(grid, left, right, refusal, mid=None, out=None):
     """Edge logarithms log(step_mu) / h, (3, 3, n, n, n), of the unit steps
     left (mid_mu right(. + e_mu)), all component-first, or left right(. + e_mu).
 
-    Swept slab by slab through reused buffers, directions in order: a step
-    with Re <= 0 raises UnresolvableField(refusal) for the first such one.
+    Swept slab by slab, directions in order: a step with Re <= 0 raises
+    UnresolvableField(refusal) for the first such one.
     """
     n = grid.n
     out = np.empty((3, 3) + (n,) * 3) if out is None else out
-    r, inner, s, tmp = np.empty((4, 4, _slabs(n)[0][1], n, n))
+    slabs = _slab_sweep(n, (3, 4), (2,))
     for mu in range(3):
-        for a, b in _slabs(n):
-            step = _shifted(right, mu + 1, r[:, :b - a], a, b)
+        for a, b, (r, inner, s), tmp in slabs:
+            step = _shifted(right, mu + 1, r, a, b)
             if mid is not None:
-                step = quat._hamilton(mid[mu, :, a:b], step, inner[:, :b - a], tmp[0, :b - a])
-            step = quat._hamilton(left[:, a:b], step, s[:, :b - a], tmp[0, :b - a])
+                step = quat._hamilton(mid[mu, :, a:b], step, inner, tmp[0])
+            step = quat._hamilton(left[:, a:b], step, s, tmp[0])
             if np.any(step[0] <= 0.0):
                 raise UnresolvableField(refusal.format(mu=mu + 1))
-            quat._log_unit(step, out[mu, :, a:b], tmp[:2, :b - a])
+            quat._log_unit(step, out[mu, :, a:b], tmp)
             out[mu, :, a:b] /= grid.h
     return out
 

@@ -15,8 +15,8 @@ records, streams and guards (_guard) every trace row; a run builds one
 SphereField, the one minimize returns.
 
 The kernel (_kernel, _gradient, _search) sweeps the component-first
-layout in the slabs of lattice._slabs.  _kernel's sweep forms, from the
-Gram products d_mu psi . d_nu psi, the two energy densities and one
+layout in the slabs of lattice._slab_sweep.  _kernel's sweep forms, from
+the Gram products d_mu psi . d_nu psi, the two energy densities and one
 slope P_mu per direction; the gradient is -2 sum_mu A_mu P_mu, three
 stencils, then the tangent projection.  Densities are summed once over
 the whole field and each site's terms are taken in one fixed order, so
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ChargeDrift, FluxChange, NonExactForm
 from .fields import SphereField, _sweep
 from .invariants import _classify
-from .lattice import _comp_first, _diff_into, _dot, _site_last, _slabs, form_norm
+from .lattice import _comp_first, _diff_into, _dot, _site_last, _slab_sweep, form_norm
 
 # what each mode guards: (the rounded fluxes, the Hopf charge)
 _GUARDED = {"map-class": (True, True), "hopf-class": (False, True), "flux-only": (True, False)}
@@ -136,10 +136,8 @@ def _gradient(grid, v, slopes):
     """
     P = slopes.P
     grad = np.empty_like(v)
-    slabs = _slabs(grid.n)
-    term_buf = np.empty((3, slabs[0][1]) + v.shape[2:])
-    for a, b in slabs:
-        g, term = grad[:, a:b], term_buf[:, :b - a]
+    for a, b, term in _slab_sweep(grid.n, (3,)):
+        g = grad[:, a:b]
         _diff_into(grid, P[0], 1, g, a, b)
         g += _diff_into(grid, P[1][:, a:b], 2, term)
         g += _diff_into(grid, P[2][:, a:b], 3, term)
@@ -170,28 +168,30 @@ def _search(grid, v, e0, grad, step, backtrack):
     candidate is rejected unevaluated.  Any other non-finite candidate
     has a NaN energy, which the <= test rejects.
     """
-    slabs = _slabs(grid.n)
-    tmp = np.empty((3, slabs[0][1]) + v.shape[2:])
     # slab by slab, in the whole-field order; a NaN anywhere still ends the search
-    gmax = float(np.max([np.max(np.abs(grad[:, a:b], out=tmp[:, :b - a])) for a, b in slabs]))
+    gmax = float(np.max([np.max(np.abs(grad[:, a:b], out=tmp)) for a, b, tmp in _slab_sweep(grid.n, (3,))]))
     cand = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
         while step * gmax > 1e-16:
-            for a, b in slabs:
-                c = cand[:, a:b]
-                np.subtract(v[:, a:b], np.multiply(step, grad[:, a:b], out=tmp[:, :b - a]), out=c)
-                n2, sq = np.multiply(c[0], c[0], out=tmp[0, :b - a]), tmp[1, :b - a]
-                n2 += np.multiply(c[1], c[1], out=sq)
-                n2 += np.multiply(c[2], c[2], out=sq)
-                if not np.isfinite(np.max(n2)):
-                    break
-                c /= np.sqrt(n2, out=n2)
-            else:
+            if _candidate(grid, v, grad, step, cand):
                 found = _kernel(grid, cand)
                 if found[0].total <= e0:
                     return step, (cand, *found)
             step *= backtrack
     return step, None
+
+
+def _candidate(grid, v, grad, step, cand):
+    """Fill cand with v - step grad normalized, slab by slab, its scratch freed on return
+    before the energy is taken; False at the first slab with a squared norm not finite."""
+    for a, b, tmp in _slab_sweep(grid.n, (3,)):
+        c = cand[:, a:b]
+        np.subtract(v[:, a:b], np.multiply(step, grad[:, a:b], out=tmp), out=c)
+        n2 = _dot(c, c, tmp[0], tmp[1])
+        if not np.isfinite(np.max(n2)):
+            return False
+        c /= np.sqrt(n2, out=n2)
+    return True
 
 
 def grad_energy(psi: SphereField) -> np.ndarray:

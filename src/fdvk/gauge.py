@@ -7,8 +7,9 @@ moving the represented map psi = u phi u*; fix_gauge uses that freedom
 to kill the exact part of the longitudinal component <a, phi> and to
 push its harmonic coefficients into the fundamental window [0, 1).
 Edge data stay component-first; fix_gauge's passes build no Connection.
-Transports, plaquettes and gauge moves sweep slabs of planes through
-reused buffers, the same floats whatever the slab size.
+Transports, plaquettes and gauge moves sweep the slabs of
+lattice._slab_sweep, the same floats whatever the slab size; develop
+runs one walk along a leading axis, _walk, over three views.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import quat
 from .errors import NontrivialHolonomy, NotFlat
 from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs, _logs
 from .lattice import (_comp_first, _dot, _half_spectrum, _irfft3, _parseval_norm, _shifted, _site_last,
-                      _slabs, _spectrum, avg_back)
+                      _slab_sweep, _spectrum, avg_back)
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
@@ -83,22 +84,18 @@ def _transports(a: Connection):
     """Edge transports exp(h a), contiguous (3, 4, n, n, n): direction, component."""
     n, logs = a.grid.n, _logs(a)
     t = np.empty((3, 4) + (n,) * 3)
-    v = np.empty((5, _slabs(n)[0][1], n, n))  # h a_mu in a slab, then exp_im's scratch
-    for mu in range(3):
-        for lo, hi in _slabs(n):
-            np.multiply(logs[mu, :, lo:hi], a.grid.h, out=v[:3, :hi - lo])
-            quat._exp_im(v[:3, :hi - lo], t[mu, :, lo:hi], v[3:, :hi - lo])
+    for lo, hi, v in _slab_sweep(n, (5,)):  # v: h a_mu, then exp_im's scratch
+        for mu in range(3):
+            np.multiply(logs[mu, :, lo:hi], a.grid.h, out=v[:3])
+            quat._exp_im(v[:3], t[mu, :, lo:hi], v[3:])
     return t
 
 
 def _plaquette_deviation(t):
     """Largest deviation from 1 of the transport around any plaquette of t, slab by slab."""
-    n = t.shape[-1]
-    buf = np.empty((4, 4, _slabs(n)[0][1], n, n))
     worst = 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for lo, hi in _slabs(n):
-            r, fwd, bwd, p = buf[:, :, :hi - lo]
+    for lo, hi, (r, fwd, bwd, p) in _slab_sweep(t.shape[-1], (4, 4)):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
             f = quat._hamilton(t[i, :, lo:hi], _shifted(t[j], i + 1, r, lo, hi), fwd, p[0])
             b = quat._hamilton(t[j, :, lo:hi], _shifted(t[i], j + 1, r, lo, hi), bwd, p[0])
             np.negative(b[1:], out=b[1:])
@@ -128,6 +125,13 @@ def plaquette_deviation(a: Connection) -> float:
     return _plaquette_deviation(_transports(a))
 
 
+def _walk(w, t):
+    """w[k + 1] = w[k] t[k] along the leading axis from w[0], quaternion components on axis 1."""
+    tmp = np.empty(w.shape[2:])
+    for k in range(len(w) - 1):
+        quat._hamilton(w[k], t[k], w[k + 1], tmp)
+
+
 def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     """Reconstruct u with a = u* du, u(origin) = 1.
 
@@ -144,15 +148,10 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     n = a.grid.n
     # walk axis first, w[k] = u(., ., k): each step along it is one contiguous block
     w = np.empty((n, 4, n, n))
-    t2 = np.ascontiguousarray(np.moveaxis(t[2], -1, 0))
     w[0, :, 0, 0] = quat.ONE
-    tmp = np.empty((n, n))
-    for i in range(n - 1):
-        quat._hamilton(w[0, :, i, 0], t[0, :, i, 0, 0], w[0, :, i + 1, 0], tmp[0, 0, ...])
-    for j in range(n - 1):
-        quat._hamilton(w[0, :, :, j], t[1, :, :, j, 0], w[0, :, :, j + 1], tmp[0])
-    for k in range(n - 1):
-        quat._hamilton(w[k], t2[k], w[k + 1], tmp)
+    _walk(np.moveaxis(w[0, :, :, 0], 1, 0), np.moveaxis(t[0, :, :, 0, 0], 1, 0))
+    _walk(np.moveaxis(w[0], 2, 0), np.moveaxis(t[1, :, :, :, 0], 2, 0))
+    _walk(w, np.ascontiguousarray(np.moveaxis(t[2], -1, 0)))
     u = np.moveaxis(w, 0, -1)
     last = ((n - 1, 0, 0), (0, n - 1, 0), (0, 0, n - 1))
     loops = [quat._hamilton(u[(slice(None),) + e], t[(ax, slice(None)) + e]) for ax, e in enumerate(last)]
@@ -222,7 +221,9 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     most MAX_PASSES of them.  The circle factor is pinned to 1 at the
     origin, which keeps develop of the result aligned with develop of
     the input.  Coefficients within 1e-9 of an integer round to the
-    window endpoint 0 and are flagged.
+    window endpoint 0 and are flagged.  The canonical gauge depends on
+    the origin at O(h^2): a translated pair keeps the windings, the ties
+    and the conjugated field, but its coefficients move at that order.
 
     The circle group is abelian, so the rotations compose to exp(i angle),
     angle the sum of the pass angles: each pass moves the input

@@ -7,7 +7,8 @@ fields additionally carry a degree, computed from the cubic integral of
 their flattening connection, and any connection has a Chern--Simons
 number.  _read decides, without raising, which of these readings a
 field or framed pair has and why the others are missing; fluxes,
-hopf_charge and homotopy_record raise from it.
+hopf_charge and homotopy_record raise from it.  It and _classify return
+one reading record, _Reading; the Parseval sums are lattice._parseval.
 _classify reads component-first values (3, n, n, n) where they live:
 the descent's iterate, or a SphereField's view np.moveaxis(values, -1, 0).
 """
@@ -29,19 +30,27 @@ from .fields import (
     _logs,
     _logs_of,
     _site_logs,
+    constant_sphere,
 )
-from .lattice import _cross, _dot, _half_spectrum, _potential, _rfft3, diff, integrate
+from .lattice import _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
 
-class _SphereClass(NamedTuple):
+class _Reading(NamedTuple):
+    """Class readings of a sphere field, or of a framed pair (phi, u); None where undefined."""
+
     raw: tuple  # slice fluxes through the tori {x_k = l/2}
     rounded: tuple
     flux_error: Optional[str]  # why rounded is no class: a reading off its integer
+    m: Optional[int]  # modulus of the rounded fluxes
     hopf_sector: bool
     hopf: Optional[float]
     hopf_error: Optional[str]  # why a Hopf-sector charge has no potential (NonExactForm)
+    v: Optional[np.ndarray] = None  # from _read: u phi u*, or a view of phi, component-first
+    degree: Optional[float] = None
+    degree_class: Optional[int] = None  # the degree mod 2m
+    degree_error: Optional[str] = None  # why a framed pair's degree has no class
 
     @property
     def hopf_reason(self):
@@ -53,17 +62,6 @@ class _SphereClass(NamedTuple):
         return self.hopf_error
 
 
-class _Reading(NamedTuple):
-    """Class readings of phi or of a framed pair (phi, u); None where undefined."""
-
-    v: np.ndarray  # u phi u* component-first, or a component-first view of phi when unframed
-    c: _SphereClass  # the class of v
-    m: Optional[int]  # modulus of the rounded fluxes
-    degree: Optional[float]
-    degree_class: Optional[int]  # the degree mod 2m
-    degree_error: Optional[str]  # why a framed pair's degree has no class
-
-
 def _wedge_d(grid, Ah, K, weight):
     """Integral of alpha ^ d(alpha) by Parseval from alpha's component-first rfftn Ah.
 
@@ -72,8 +70,7 @@ def _wedge_d(grid, Ah, K, weight):
     with lattice._half_spectrum's K and weights.
     """
     dAh = 1j * _cross(K, Ah)
-    dot = np.sum((Ah.conj() * dAh).real, axis=0)
-    return float(np.sum(weight * dot)) * grid.h**3 / grid.n**3
+    return _parseval(grid, weight, np.sum((Ah.conj() * dAh).real, axis=0))
 
 
 def _helicity(grid, F):
@@ -84,8 +81,7 @@ def _helicity(grid, F):
     is Re(conj(A) . F_hat) = 2 K . (x x y) / k2, and A is never formed.
     """
     Fh, K, k2, weight = _potential(grid, F)
-    t = _dot(K, _cross(Fh.real, Fh.imag)) / k2
-    return 2.0 * float(np.sum(weight * t)) * grid.h**3 / grid.n**3
+    return 2.0 * _parseval(grid, weight, _dot(K, _cross(Fh.real, Fh.imag)) / k2)
 
 
 def _raw_fluxes(g, v):
@@ -106,7 +102,7 @@ def _raw_fluxes(g, v):
     return tuple(raw)
 
 
-def _classify(g, v, charge=True) -> _SphereClass:
+def _classify(g, v, charge=True) -> _Reading:
     """Fluxes of the sphere field of component-first values v and, in the Hopf sector, its charge.
 
     The Hopf sector is the one rule for when the charge exists: every
@@ -122,6 +118,7 @@ def _classify(g, v, charge=True) -> _SphereClass:
             f"flux {raw[off[0]]:.4f} along direction {off[0] + 1} is not within "
             f"{FLUX_ROUND_TOL} of an integer; field is under-resolved"
         )
+    m = None if off else modulus(rounded)
     sector = not off and rounded == (0, 0, 0)
     hopf = hopf_error = None
     if charge and sector:
@@ -129,7 +126,7 @@ def _classify(g, v, charge=True) -> _SphereClass:
             hopf = _helicity(g, _area_form(g, v))
         except NonExactForm as exc:
             hopf_error = str(exc)
-    return _SphereClass(raw, rounded, flux_error, sector, hopf, hopf_error)
+    return _Reading(raw, rounded, flux_error, m, sector, hopf, hopf_error)
 
 
 def fluxes(psi: SphereField):
@@ -216,31 +213,33 @@ class HomotopyRecord:
             raise ValueError("degree class must be reduced mod 2m")
 
 
-def _read(phi: SphereField, u: Optional[GroupField] = None) -> _Reading:
-    """Every class reading of phi, or of the pair (phi, u), without raising.
+def _read(phi, u: Optional[GroupField] = None) -> _Reading:
+    """Every class reading of phi, of the pair (phi, u), or of a group field phi
+    framing the constant field, without raising.
 
     The degree of u counts only mod 2m, so it has no class when it is off
     its integer or when the fluxes, and with them m, are unclassifiable.
     """
+    if isinstance(phi, GroupField):
+        phi, u = constant_sphere(phi.grid), phi
     if u is None:
         v, deg = np.moveaxis(phi.values, -1, 0), None
     else:
         # the degree first, so its temporaries and the conjugate never coexist
         deg = degree(u)
         v = _conjugate(u, phi)
-    c = _classify(phi.grid, v)
-    m = None if c.flux_error is not None else modulus(c.rounded)
+    r = _classify(phi.grid, v)._replace(v=v)
     if deg is None:
-        return _Reading(v, c, m, None, None, None)
+        return r
     cls = int(np.rint(deg))
     err = None
     if abs(deg - cls) > FLUX_ROUND_TOL:
         cls, err = None, f"degree {deg:.4f} is not within {FLUX_ROUND_TOL} of an integer"
-    elif m is None:
+    elif r.m is None:
         cls, err = None, "fluxes not classifiable"
-    elif m > 0:
-        cls %= 2 * m
-    return _Reading(v, c, m, deg, cls, err)
+    elif r.m > 0:
+        cls %= 2 * r.m
+    return r._replace(degree=deg, degree_class=cls, degree_error=err)
 
 
 def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
@@ -252,10 +251,10 @@ def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
     vanish (elsewhere it is undefined).
     """
     r = _read(phi, u)
-    if r.c.flux_error is not None:
-        raise NonIntegralFlux(r.c.flux_error)
+    if r.flux_error is not None:
+        raise NonIntegralFlux(r.flux_error)
     if r.degree_error is not None:
         raise NonIntegralFlux(r.degree_error)
-    if r.c.hopf_error is not None:
-        raise NonExactForm(r.c.hopf_error)
-    return HomotopyRecord(r.c.rounded, r.c.raw, r.m, r.degree, r.degree_class, r.c.hopf)
+    if r.hopf_error is not None:
+        raise NonExactForm(r.hopf_error)
+    return HomotopyRecord(r.rounded, r.raw, r.m, r.degree, r.degree_class, r.hopf)

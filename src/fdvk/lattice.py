@@ -19,9 +19,10 @@ diff and avg_back act on the last three axes, _cross and _dot on the
 first; _comp_first and _site_last convert between the two layouts.
 
 The descent and the gauge layer sweep that layout in slabs of whole
-planes along the first site axis (_slabs, SLAB_SITES sites per slab), so
-a slab's temporaries stay in cache. Along the first axis a slab reads its
-neighbouring planes, the halo, from the whole field (_shifted, _diff_into).
+planes along the first site axis, SLAB_SITES sites per slab, so a slab's
+temporaries stay in cache; _slab_sweep, the one slab plan, lists each
+slab's planes with scratch allocated once per sweep and cut to the slab.
+A slab reads its halo planes from the whole field (_shifted, _diff_into).
 
 One central stencil, _diff_into, serves energies, gradients and fluxes;
 it subtracts shifted slices straight into a given buffer, periodic within
@@ -29,8 +30,8 @@ the array it is handed, and keeps the discrete energy an explicit smooth
 function of site values, so its gradient is exact. One half-spectrum
 path (_rfft3, _irfft3, _half_spectrum) serves d and codiff, the Hodge
 split, the potential and the Parseval sums: its multiplier iK makes d
-compose to zero and the codifferential an exact adjoint. The two agree
-to O(h^2) on smooth data.
+compose to zero and the codifferential an exact adjoint, and _parseval is
+its one quadrature. The two agree to O(h^2) on smooth data.
 """
 
 from dataclasses import dataclass
@@ -126,6 +127,14 @@ def _slabs(n):
     """(start, stop) plane ranges of the slab sweep along the first site axis."""
     t = min(n, max(1, SLAB_SITES // n**2))
     return [(a, min(a + t, n)) for a in range(0, n, t)]
+
+
+def _slab_sweep(n, *leads):
+    """(a, b, *s) for each slab a .. b - 1 of _slabs(n), listed: s one scratch buffer per
+    shape in leads, lead + (planes, n, n), allocated here, once, and cut to the slab."""
+    slabs = _slabs(n)
+    bufs = [np.empty(lead + (slabs[0][1], n, n)) for lead in leads]
+    return [(a, b, *(s[..., :b - a, :, :] for s in bufs)) for a, b in slabs]
 
 
 def _shifted(f, mu, out, a=0, b=None, step=1):
@@ -285,9 +294,14 @@ def _spectrum(grid, w):
     return wh, _dot(K, wh), K, np.where(k2 == 0.0, 1.0, k2), weight
 
 
+def _parseval(grid, weight, x):
+    """h^3 / n^3 sum weight x: the integral of a product of real fields from its half-spectrum terms x."""
+    return float(np.sum(weight * x)) * grid.h**3 / grid.n**3
+
+
 def _parseval_norm(grid, weight, fh):
     """form_norm of the real field whose rfftn transform is fh."""
-    return float(np.sqrt(np.sum(weight * np.abs(fh) ** 2) * grid.h**3 / grid.n**3))
+    return float(np.sqrt(_parseval(grid, weight, np.abs(fh) ** 2)))
 
 
 # ||dF|| / ((2 pi / l) ||F||) above this is not discretization residue

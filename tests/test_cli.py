@@ -1,6 +1,8 @@
 """Snapshot format, run configs, subcommands, exit codes."""
 
 import json
+import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +103,17 @@ def test_snapshot_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(scaled))
     with pytest.raises(SnapshotError):
         load_snapshot(bad)
+
+
+def test_snapshot_refuses_a_header_the_grid_refuses(tmp_path):
+    # a payload of the size the header promises, for an n or an l that Grid refuses:
+    # the refusal is a SnapshotError that names the file
+    bad = tmp_path / "bad.fdk"
+    for n, l in ((3, TWO_PI), (6, 1e300)):
+        vals = np.broadcast_to([1.0, 0.0, 0.0], (n, n, n, 3))
+        bad.write_bytes(MAGIC + struct.pack("<BId", 0, n, l) + np.asarray(vals, "<f8").tobytes())
+        with pytest.raises(SnapshotError, match=re.escape(str(bad))):
+            load_snapshot(bad)
 
 
 def test_failed_snapshot_write_keeps_the_old_file(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 """The public contract: the names the package exports, the console script, where
-Fourier transforms live, and the one array layout inside the package."""
+Fourier transforms and the slab plan live, and the one array layout inside the package."""
 
 import importlib
 import inspect
@@ -42,6 +42,14 @@ def test_fourier_transforms_only_in_lattice():
              if p.name != "lattice.py" and re.search(r"\bnp\.fft\b|\bnumpy\.fft\b", p.read_text())]
     assert users == []
     assert re.search(r"\bnp\.fft\b", (src / "lattice.py").read_text())
+
+
+def test_slab_plan_only_in_lattice():
+    # every slab sweep goes through lattice._slab_sweep, which cuts the scratch to the slab
+    src = Path(fdvk.__file__).parent
+    others = [p for p in sorted(src.glob("*.py")) if p.name != "lattice.py"]
+    assert [p.name for p in others if "_slabs(" in p.read_text()] == []
+    assert [p.name for p in others if re.search(r":\s*(b - a|hi - lo)\b", p.read_text())] == []
 
 
 def test_one_layout_inside_the_package():

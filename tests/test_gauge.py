@@ -1,7 +1,6 @@
 """Holonomy, developing map, Hodge split, canonical gauge."""
 
 import importlib.util
-import re
 from pathlib import Path
 
 import numpy as np
@@ -213,19 +212,3 @@ def test_fix_gauge_refuses_a_cumulative_angle_past_a_right_angle():
     phi = smooth_sphere_field(g, 100, amp=0.5)
     with pytest.raises(UnresolvableField, match="gauge factor rotates"):
         fix_gauge(a, phi)
-
-
-def test_gauge_canonical_script_smoke(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "gauge_canonical.py"
-    spec = importlib.util.spec_from_file_location("gauge_canonical", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--n", "12"]) == 0
-    out = capsys.readouterr().out
-
-    def reading(label):
-        return float(re.search(label + r"\s*:\s*(\S+)", out).group(1))
-
-    assert reading("conjugated field drift") <= 1e-8
-    assert reading("idempotence drift") <= 1e-8
-    assert re.search(r"ties\s*:\s*\(True,", out)

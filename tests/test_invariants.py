@@ -130,7 +130,7 @@ def test_degree_has_no_class_without_the_flux_modulus():
     # an integral degree still has no class mod 2m when m is unreadable
     g = Grid(24, TWO_PI)
     r = _read(decayed_tube(g), constant_group(g))
-    assert r.c.flux_error is not None and r.m is None
+    assert r.flux_error is not None and r.m is None
     assert r.degree == 0.0 and r.degree_class is None
     assert r.degree_error == "fluxes not classifiable"
 

@@ -48,3 +48,17 @@ def test_convergence_prints_three_tables(capsys):
     ]
     # every table has a row per size
     assert len(re.findall(r"^\s+(18|24)\s", out, flags=re.M)) == 6
+
+
+def test_gauge_canonical_script_smoke(capsys):
+    assert _script("gauge_canonical").main(["--n", "12"]) == 0
+    out = capsys.readouterr().out
+
+    def reading(label):
+        return re.search(label + r"\s*:\s*(.+)$", out, flags=re.M).group(1)
+
+    assert float(reading("conjugated field drift")) <= 1e-8
+    # a fixed connection is a fixed point: the second fix moves nothing
+    assert reading("idempotence drift") == "0.000e+00"
+    # the pure unit winding sits on the integer in every direction
+    assert reading("ties") == "(True, True, True)"

@@ -14,7 +14,11 @@ SO(3) keeps the energy (1e-13 relative) and the Hopf charge (1e-12),
 and the gradient rotates with R (1e-13 of its largest component): the
 Gram products d_mu psi . d_nu psi the kernel is built on are invariant
 under R, up to rounding.  A reflection negates the degree of a ballmap
-times a random smooth group field (1e-12).  On the same random fields the
+times a random smooth group field (1e-12).  fix_gauge of a translated
+pair keeps the windings and the ties, and its conjugated field u phi u*
+is the translated one turned by develop's pin rotation (1e-12); the
+harmonic coefficients move at O(h^2), since the canonical gauge depends
+on the origin at that order.  On the same random fields the
 class reading's kernels meet their oracles: the Parseval helicity is
 within 1e-12 of tests/oracles.py::ref_helicity, and the slab-swept area
 form is bit-identical to the one-slab sweep and to ref_pullback_area.
@@ -28,11 +32,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fdvk import lattice, quat
 from fdvk.ansatz import AnsatzSpec, generate
-from fdvk.fields import GroupField, SphereField, _area_form, energy, pullback_area
+from fdvk.fields import (GroupField, SphereField, _area_form, conjugate_field, connection_of, constant_group,
+                         energy, pullback_area)
 from fdvk.flow import grad_energy
+from fdvk.gauge import develop, fix_gauge
 from fdvk.invariants import _classify, _helicity, _raw_fluxes, degree
 from fdvk.lattice import Grid
-from fieldgen import TrigPoly
+from fieldgen import TrigPoly, smooth_group_field, smooth_sphere_field
 from oracles import ref_helicity, ref_pullback_area
 
 SIZES = [19, 21, 33]
@@ -200,3 +206,26 @@ def test_area_form_independent_of_slab_size(n, seed):
         _few_planes(m, n)
         assert np.array_equal(_area_form(g, v), whole)
     assert np.array_equal(np.moveaxis(whole, 0, -1), ref_pullback_area(np.moveaxis(v, 0, -1), g.h))
+
+
+@pytest.mark.parametrize("shift", [(5, 0, 0), (3, 7, 11)])
+def test_fix_gauge_of_a_translated_pair(shift):
+    g = Grid(24)
+    u, phi = smooth_group_field(g, 7), smooth_sphere_field(g, 107)
+
+    def moved(f):
+        return type(f)(g, np.roll(f.values, shift, axis=(0, 1, 2)))
+
+    a = connection_of(u)
+    fixed, rep = fix_gauge(a, phi)
+    fixed_s, rep_s = fix_gauge(connection_of(moved(u)), moved(phi))
+    assert rep.windings == rep_s.windings == (1, 1, 1)
+    assert rep.ties == rep_s.ties
+    # develop pins u(origin) = 1, so the translated pair develops to
+    # q* u(. - shift), q = u at the site the shift brings to the origin
+    q = develop(a).values[tuple(-np.array(shift) % g.n)]
+    want = conjugate_field(constant_group(g, quat.conj(q)), moved(conjugate_field(develop(fixed), phi)))
+    assert np.max(np.abs(conjugate_field(develop(fixed_s), moved(phi)).values - want.values)) <= 1e-12
+    # the canonical gauge depends on the origin at O(h^2): the coefficients
+    # differ by up to 1.9e-5 here, and the pass counts by one
+    assert np.max(np.abs(np.subtract(rep.harmonic_coeffs, rep_s.harmonic_coeffs))) <= 1e-3
