@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quat
 from .errors import UnderResolved
-from .fields import GroupField, SphereField, conjugate_field, constant_sphere
+from .fields import GroupField, SphereField, _freeze, conjugate_field, constant_sphere
 from .gauge import circle_field
 from .invariants import _read
 from .lattice import Grid, check_direction
@@ -101,7 +101,7 @@ def _equator(grid):
     x1 = grid.axes()[0]
     th = 2 * np.pi * x1 / grid.l
     vals = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
-    return SphereField(grid, vals)
+    return SphereField(grid, _freeze(vals))
 
 
 def _tube(spec, grid):
@@ -121,7 +121,7 @@ def _tube(spec, grid):
     vals[..., k] = np.cos(g)
     vals[..., nu] = np.sin(g) * np.cos(th)
     vals[..., ka] = np.sin(g) * np.sin(th)
-    return SphereField(grid, vals)
+    return SphereField(grid, _freeze(vals))
 
 
 def _ball_lift(spec, grid, azimuth_sign):
@@ -148,7 +148,7 @@ def _ball_lift(spec, grid, azimuth_sign):
     vals = np.concatenate(
         [np.cos(f)[..., None], np.sin(f)[..., None] * dirs], axis=-1
     )
-    return GroupField(grid, vals)
+    return GroupField(grid, _freeze(vals))
 
 
 def _generate(spec, grid):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ansatz import KINDS, AnsatzSpec, _generate, generate
 from .errors import ChargeDrift, ConfigError, FdvkError, FluxChange, NonExactForm, SnapshotError
-from .fields import Connection, GroupField, SphereField, _sweep, plaquette_curvature
+from .fields import Connection, GroupField, SphereField, _freeze, _sweep, plaquette_curvature
 from .flow import FlowConfig, minimize
 from .invariants import _read, chern_simons
 from .lattice import Grid, form_norm
@@ -76,7 +76,7 @@ def save_snapshot(path, obj):
             fh.write(struct.pack("<B", kind))
             fh.write(struct.pack("<I", g.n))
             fh.write(struct.pack("<d", g.l))
-            fh.write(payload.tobytes())
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -88,7 +88,8 @@ def load_snapshot(path):
 
     The constructors re-validate the unit constraints, so a corrupted
     payload fails here rather than downstream.  They get a C-contiguous
-    site-last copy, so nothing reads the x-fastest payload order strided.
+    site-last copy, frozen in place, so nothing reads the x-fastest
+    payload order strided and no second copy is made.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -106,7 +107,7 @@ def load_snapshot(path):
             f"{path}: payload is {len(blob) - 18} bytes, expected {expect - 18}"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=18)
-    v = np.ascontiguousarray(flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3))
+    v = _freeze(np.ascontiguousarray(flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3)))
     cls, _, shape = _KINDS[kind]
     try:
         # Grid's own rules refuse the header: n below 4, l not finite and positive, or out of range

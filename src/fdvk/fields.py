@@ -16,6 +16,14 @@ function returns one, holds a site-last view of them.  _edge_logs forms
 them from step quaternions, for connection_of and gauge moves; it, the energy
 and the area form sweep the slabs of lattice._slab_sweep.
 
+Fields are immutable: their values are read-only arrays.  A field the
+package builds keeps the array it built, frozen in place (_freeze); a
+caller's array is copied once unless nothing can write to it.  So what
+is computed from a field's values holds as long as the field: a
+Connection keeps its plaquette deviation (one float, set by gauge), and
+connection_of(u) leaves on u a weak reference to the Connection it
+returns, whose edge logarithms _logs_of(u) reads while it is alive.
+
 Both energies read their densities off the Gram matrix G_mu_nu =
 d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
 one routine, _assemble: e2 = tr G and, by Lagrange's identity, e4 =
@@ -23,6 +31,7 @@ sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the descent's sweep also takes
 from G the slopes P_mu of flow.grad_energy.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,8 +45,38 @@ from .lattice import (Grid, _comp_first, _cross, _diff_into, _dot, _shifted, _si
 FOUR_PI = 4.0 * np.pi
 
 
+def _read_only(v):
+    """Whether nothing can write to v: v and every array it views are read-only,
+    down to one that owns its memory."""
+    while isinstance(v, np.ndarray):
+        if v.flags.writeable:
+            return False
+        v = v.base
+    return v is None
+
+
+def _kept(values):
+    """values as a read-only float array: itself when nothing can write to it, else a copy."""
+    v = np.asarray(values, dtype=float)
+    if not _read_only(v):
+        v = v.copy()
+        v.flags.writeable = False
+    return v
+
+
+def _freeze(v):
+    """v, an array the package built for a field, made read-only in place, so no copy is made."""
+    v.flags.writeable = False
+    return v
+
+
+def _reduce(field):
+    """Pickle and copy a field through its constructor: values read-only again, no memo carried."""
+    return type(field), (field.grid, field.values)
+
+
 def _check_values(grid, values, comps, kind):
-    values = np.asarray(values, dtype=float)
+    values = _kept(values)
     if values.shape != (grid.n, grid.n, grid.n, comps):
         raise ValueError(f"{kind} values must have shape (n, n, n, {comps})")
     if not np.all(np.isfinite(values)):
@@ -52,44 +91,61 @@ def _check_values(grid, values, comps, kind):
 
 @dataclass(frozen=True)
 class SphereField:
-    """Map from the torus to S2, one unit imaginary quaternion per site."""
+    """Map from the torus to S2, one unit imaginary quaternion per site; values read-only."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         v = _check_values(self.grid, self.values, 3, "SphereField")
-        # stored as given: renormalizing here would break the bit-exact
-        # snapshot round trip
+        # not renormalized: that would break the bit-exact snapshot round trip
         object.__setattr__(self, "values", v)
+
+    __reduce__ = _reduce
 
 
 @dataclass(frozen=True)
 class GroupField:
-    """Map from the torus to Sp1, one unit quaternion per site."""
+    """Map from the torus to Sp1, one unit quaternion per site; values read-only.
+
+    connection_of(u) leaves on u a weak reference to the Connection it
+    returns; while that Connection is alive, degree(u) reads its edge
+    logarithms instead of forming them again.  Nothing else is kept.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    _connection = None  # weakref.ref to connection_of(self), set there
 
     def __post_init__(self):
         v = _check_values(self.grid, self.values, 4, "GroupField")
         object.__setattr__(self, "values", v)
 
+    __reduce__ = _reduce
+
 
 @dataclass(frozen=True)
 class Connection:
-    """sp1-valued discrete 1-form in the edge-logarithm convention."""
+    """sp1-valued discrete 1-form in the edge-logarithm convention; values read-only.
+
+    The plaquette deviation of its transports is computed at most once
+    and kept here as one float (gauge._deviation); each caller compares
+    it with its own flatness tolerance.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    _plaquette = None  # plaquette deviation, set by gauge._deviation
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _kept(self.values)
         if v.shape != (self.grid.n,) * 3 + (3, 3):
             raise ValueError("Connection values must have shape (n, n, n, 3, 3)")
         if not np.all(np.isfinite(v)):
             raise ValueError("Connection values must be finite")
         object.__setattr__(self, "values", v)
+
+    __reduce__ = _reduce
 
     def site_values(self):
         """Edge values moved to sites by the two-edge average, O(h^2)."""
@@ -116,11 +172,11 @@ class Energy(NamedTuple):
 
 
 def constant_sphere(grid, v=quat.IM_I):
-    return SphereField(grid, np.broadcast_to(np.asarray(v, float), (grid.n,) * 3 + (3,)).copy())
+    return SphereField(grid, _freeze(np.broadcast_to(np.asarray(v, float), (grid.n,) * 3 + (3,)).copy()))
 
 
 def constant_group(grid, q=quat.ONE):
-    return GroupField(grid, np.broadcast_to(np.asarray(q, float), (grid.n,) * 3 + (4,)).copy())
+    return GroupField(grid, _freeze(np.broadcast_to(np.asarray(q, float), (grid.n,) * 3 + (4,)).copy()))
 
 
 def _conjugate(u, phi):
@@ -134,7 +190,7 @@ def _conjugate(u, phi):
 
 def conjugate_field(u, phi):
     """psi = u phi u* site by site."""
-    return SphereField(u.grid, _site_last(_conjugate(u, phi)))
+    return SphereField(u.grid, _freeze(_site_last(_conjugate(u, phi))))
 
 
 def _area(v, di, dj, out=None, s=None):
@@ -282,12 +338,16 @@ def _edge_logs(grid, left, right, refusal, mid=None, out=None):
 
 
 def _edge_connection(grid, logs):
-    """The Connection of component-first edge logarithms, a site-last view of them."""
-    return Connection(grid, np.moveaxis(logs, (0, 1), (3, 4)))
+    """The Connection of component-first edge logarithms, a site-last view of them, frozen."""
+    return Connection(grid, np.moveaxis(_freeze(logs), (0, 1), (3, 4)))
 
 
 def _logs_of(u):
-    """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu)."""
+    """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu);
+    read off the Connection connection_of(u) returned last while that is alive."""
+    a = u._connection() if u._connection else None
+    if a is not None:
+        return _logs(a)
     uc = _comp_first(u.values)
     return _edge_logs(u.grid, uc * quat._CONJ, uc, "adjacent sites along direction {mu} differ by "
                       "90 degrees or more; refine the grid")
@@ -300,7 +360,9 @@ def connection_of(u):
     through the developing map is the design property; the price is the
     half-edge offset documented on Connection.
     """
-    return _edge_connection(u.grid, _logs_of(u))
+    a = _edge_connection(u.grid, _logs_of(u))
+    object.__setattr__(u, "_connection", weakref.ref(a))
+    return a
 
 
 def _covariant(a, phi):

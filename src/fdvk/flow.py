@@ -30,7 +30,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
-from .fields import SphereField, _sweep
+from .fields import SphereField, _freeze, _sweep
 from .invariants import _classify
 from .lattice import _comp_first, _diff_into, _dot, _site_last, _slab_sweep, form_norm
 
@@ -248,7 +248,7 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
     if found is None:
         return psi, step, False
-    return SphereField(g, _site_last(found[0])), step, True
+    return SphereField(g, _freeze(_site_last(found[0]))), step, True
 
 
 def _guard(cfg, ref, row, c, trace):
@@ -358,4 +358,4 @@ def minimize(
         step /= cfg.backtrack
         it += 1
     trace.stop_reason = stop
-    return (SphereField(g, _site_last(v)) if it else psi0), trace
+    return (SphereField(g, _freeze(_site_last(v))) if it else psi0), trace

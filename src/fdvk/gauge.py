@@ -9,17 +9,25 @@ push its harmonic coefficients into the fundamental window [0, 1).
 Edge data stay component-first; fix_gauge's passes build no Connection.
 Transports, plaquettes and gauge moves sweep the slabs of
 lattice._slab_sweep, the same floats whatever the slab size; develop
-runs one walk along a leading axis, _walk, over three views.
+walks the first axis in Python floats (_line_walk), then runs one walk
+along a leading axis, _walk, over two views.
+
+Fields are immutable, so a Connection's plaquette deviation is computed
+once, by whichever of fix_gauge, develop and plaquette_deviation first
+needs it, and kept on the Connection as one float (_deviation); each
+call still compares it with its own flat_tol.  The transports are built
+again per call, not kept.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
-from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs, _logs
+from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs, _freeze, _logs
 from .lattice import (_comp_first, _dot, _half_spectrum, _irfft3, _parseval_norm, _shifted, _site_last,
                       _slab_sweep, _spectrum, avg_back)
 
@@ -105,10 +113,18 @@ def _plaquette_deviation(t):
     return float(worst)
 
 
+def _deviation(a: Connection, t=None):
+    """The plaquette deviation of a, from its transports t when given: computed
+    once per Connection and kept on it, a float."""
+    if a._plaquette is None:
+        object.__setattr__(a, "_plaquette", _plaquette_deviation(_transports(a) if t is None else t))
+    return a._plaquette
+
+
 def _flat_transports(a: Connection, flat_tol):
     """_transports(a), after checking the plaquettes against flat_tol."""
     t = _transports(a)
-    dev = _plaquette_deviation(t)
+    dev = _deviation(a, t)
     if dev > flat_tol:
         raise NotFlat(f"plaquette transport deviates from 1 by {dev:.3e}")
     return t
@@ -122,7 +138,7 @@ def plaquette_deviation(a: Connection) -> float:
     matter how coarse the grid, while the finite-difference curvature
     of fields.plaquette_curvature only vanishes at O(h^2).
     """
-    return _plaquette_deviation(_transports(a))
+    return _deviation(a)
 
 
 def _walk(w, t):
@@ -130,6 +146,12 @@ def _walk(w, t):
     tmp = np.empty(w.shape[2:])
     for k in range(len(w) - 1):
         quat._hamilton(w[k], t[k], w[k + 1], tmp)
+
+
+def _line_walk(t):
+    """_walk of one line of (n, 4) values t from w[0] = 1, in Python floats: the same floats,
+    without 28 ufunc calls per step."""
+    return np.array(list(accumulate(t[:-1].tolist(), quat._hamilton_floats, initial=quat.ONE.tolist())))
 
 
 def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
@@ -148,8 +170,7 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     n = a.grid.n
     # walk axis first, w[k] = u(., ., k): each step along it is one contiguous block
     w = np.empty((n, 4, n, n))
-    w[0, :, 0, 0] = quat.ONE
-    _walk(np.moveaxis(w[0, :, :, 0], 1, 0), np.moveaxis(t[0, :, :, 0, 0], 1, 0))
+    w[0, :, :, 0] = _line_walk(t[0, :, :, 0, 0].T).T
     _walk(np.moveaxis(w[0], 2, 0), np.moveaxis(t[1, :, :, :, 0], 2, 0))
     _walk(w, np.ascontiguousarray(np.moveaxis(t[2], -1, 0)))
     u = np.moveaxis(w, 0, -1)
@@ -161,7 +182,7 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
             f"loop holonomy deviates from (1,1,1) by {hol.deviation():.3e}"
         )
     u = _site_last(u)
-    return GroupField(a.grid, u / quat.norm(u)[..., None])
+    return GroupField(a.grid, _freeze(u / quat.norm(u)[..., None]))
 
 
 def circle_field(grid, theta) -> GroupField:
@@ -169,12 +190,14 @@ def circle_field(grid, theta) -> GroupField:
     th = np.asarray(theta, dtype=float)
     zero = np.zeros_like(th)
     vals = np.stack([np.cos(th), np.sin(th), zero, zero], axis=-1)
-    return GroupField(grid, vals)
+    return GroupField(grid, _freeze(vals))
 
 
-def _transformed(grid, t, gval, out=None):
-    """Edge logarithms of the transports g* t_mu g(. + e_mu), t and g = gval component-first."""
-    return _edge_logs(grid, gval * quat._CONJ, gval, "gauge factor rotates an edge by 90 degrees or more; "
+def _transformed(grid, t, gval, gbar=None, out=None):
+    """Edge logarithms of the transports g* t_mu g(. + e_mu), t and g = gval component-first;
+    g* formed into gbar when given."""
+    gbar = np.multiply(gval, quat._CONJ, out=gbar)
+    return _edge_logs(grid, gbar, gval, "gauge factor rotates an edge by 90 degrees or more; "
                       "the transformed connection has no principal logarithm", t, out)
 
 
@@ -245,7 +268,8 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     logs = _logs(a)
     # <a, phi> at sites, contiguous; s takes one direction's two-edge average
     long, s = np.empty((2, 3) + (g.n,) * 3)
-    gval = np.empty((4,) + (g.n,) * 3)
+    # qmap(phi, exp(i angle)) and its conjugate, written each pass
+    gval, gbar = np.empty((2, 4) + (g.n,) * 3)
     moved = None  # the pass logs, once a pass has moved the transports
     angle = 0.0
     windings = np.zeros(3, dtype=int)
@@ -279,7 +303,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
         # qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi
         np.cos(angle, out=gval[0])
         np.multiply(np.sin(angle, out=s[0]), p, out=gval[1:])
-        logs = moved = _transformed(g, t, gval, moved)
+        logs = moved = _transformed(g, t, gval, gbar, moved)
         windings += steps
 
     ties = np.abs(coeffs - np.round(coeffs)) <= TIE_EPS

@@ -5,10 +5,12 @@ quaternions drop the real slot.  Each formula is written once,
 component-first (index 0 over components), as the package uses it:
 _hamilton, _rotate, _qmap, _exp_im, _log_unit; the slab sweeps hand
 _hamilton, _exp_im and _log_unit out buffers, the same floats either
-way.  The public mul, conj, norm, normalize, embed, exp_im, qmap and
-hopf take the site-last layout (last axis 4 or 3) and broadcast over
-leading axes, for the acceptance gate, the benchmark workloads and the
-tests.
+way.  _hamilton_floats runs _hamilton's table on one pair of
+quaternions given as Python floats, for walks along a line, the same
+floats again.  The public mul, conj, norm, normalize, embed, exp_im,
+qmap and hopf take the site-last layout (last axis 4 or 3) and
+broadcast over leading axes, for the acceptance gate, the benchmark
+workloads and the tests.
 
 The inner product <p, q> = (p* q + q* p) / 2 is the Euclidean 4-dot.
 For imaginary p, q the useful identities are
@@ -16,6 +18,8 @@ For imaginary p, q the useful identities are
     [p, q] = 2 cross(p, q)
     Re(p q r) = -det[p, q, r]
 """
+
+import operator
 
 import numpy as np
 
@@ -57,6 +61,21 @@ def _hamilton(p, q, out=None, tmp=None):
         np.multiply(p[0], q[c], out=out[c, ...])
         for op, i, j in terms:
             op(out[c, ...], np.multiply(p[i], q[j], out=tmp), out=out[c, ...])
+    return out
+
+
+# the float operator of each _TERMS ufunc: IEEE operations, so the same roundings
+_FLOAT_OP = {np.add: operator.add, np.subtract: operator.sub}
+
+
+def _hamilton_floats(p, q):
+    """_hamilton of two quaternions of four Python floats each, as a list of four floats."""
+    out = []
+    for c, terms in enumerate(_TERMS):
+        s = p[0] * q[c]
+        for op, i, j in terms:
+            s = _FLOAT_OP[op](s, p[i] * q[j])
+        out.append(s)
     return out
 
 

@@ -1,5 +1,6 @@
 """Snapshot format, run configs, subcommands, exit codes."""
 
+import hashlib
 import json
 import re
 import struct
@@ -44,6 +45,21 @@ def test_snapshot_round_trips_bitwise(tmp_path):
         assert np.array_equal(back.values, obj.values)
         # a site-last copy, not a strided view of the x-fastest payload
         assert back.values.flags.c_contiguous
+
+
+def test_snapshot_bytes_are_the_header_and_the_payload_tobytes(tmp_path):
+    # the contiguous payload array is written as it lies in memory: the file is
+    # the header followed by payload.tobytes(), for each kind
+    g = Grid(20, TWO_PI)
+    group = generate(AnsatzSpec(kind="ballmap", charge=1), g)
+    sphere = generate(AnsatzSpec(kind="hopfion", charge=1), g)
+    for kind, obj in ((cli.KIND_SPHERE, sphere), (cli.KIND_GROUP, group), (cli.KIND_CONNECTION, connection_of(group))):
+        v = np.asarray(obj.values, dtype=float).reshape(g.n, g.n, g.n, -1)
+        payload = np.ascontiguousarray(v.transpose(2, 1, 0, 3), dtype="<f8")
+        old = MAGIC + struct.pack("<BId", kind, g.n, g.l) + payload.tobytes()
+        path = tmp_path / f"b{kind}.fdk"
+        save_snapshot(path, obj)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(old).hexdigest()
 
 
 def test_snapshot_header_layout(tmp_path):

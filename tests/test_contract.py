@@ -1,6 +1,8 @@
 """The public contract: the names the package exports, the console script, where
-Fourier transforms and the slab plan live, and the one array layout inside the package."""
+Fourier transforms and the slab plan live, the one array layout inside the package,
+and no module importing a name it never uses."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -69,3 +71,28 @@ def test_console_script_is_the_cli_main():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, attr = scripts["fdvk"].partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def _unused_imports(path):
+    """(line, name) of each name path imports and never reads; names in __all__ are read."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*":
+                    bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for d in ("src/fdvk", "tests", "scripts") for p in sorted((root / d).glob("*.py"))]
+    assert len(paths) > 20
+    unused = {p.relative_to(root).as_posix(): u for p in paths if (u := _unused_imports(p))}
+    assert unused == {}

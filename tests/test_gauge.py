@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fdvk import gauge, quat
-from fdvk.ansatz import AnsatzSpec, generate
 from fdvk.errors import NotFlat, UnresolvableField
 from fdvk.fields import Connection, GroupField, connection_of, constant_group, constant_sphere
 from fdvk.gauge import (
@@ -184,7 +183,7 @@ def test_fix_gauge_integer_coefficient_is_a_tie():
 def test_connection_of_refuses_a_right_angle_edge():
     # u(x)* u(x + e_1) = j at one edge: Re = 0, no principal logarithm
     g = Grid(8, TWO_PI)
-    vals = constant_group(g).values
+    vals = constant_group(g).values.copy()  # field values are read-only
     vals[3, 2, 5] = quat.J
     with pytest.raises(UnresolvableField, match="direction 1"):
         connection_of(GroupField(g, vals))
