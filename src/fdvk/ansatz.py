@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quat
 from .errors import UnderResolved
-from .fields import GroupField, SphereField, _freeze, conjugate_field, constant_sphere
+from .fields import GroupField, SphereField, _field, conjugate_field, constant_sphere
 from .gauge import circle_field
 from .invariants import _read
 from .lattice import Grid, check_direction
@@ -100,8 +100,7 @@ def _check_resolved(spec, grid):
 def _equator(grid):
     x1 = grid.axes()[0]
     th = 2 * np.pi * x1 / grid.l
-    vals = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
-    return SphereField(grid, _freeze(vals))
+    return _field(SphereField, grid, np.stack([np.cos(th), np.sin(th), np.zeros_like(th)]))
 
 
 def _tube(spec, grid):
@@ -117,11 +116,11 @@ def _tube(spec, grid):
     # -chi (not +chi) makes the flux along the tube axis +1; the twist
     # rotates the disk frame spec.charge times per trip around the loop
     th = -chi + 2 * np.pi * spec.charge * axes[k] / grid.l
-    vals = np.empty(g.shape + (3,))
-    vals[..., k] = np.cos(g)
-    vals[..., nu] = np.sin(g) * np.cos(th)
-    vals[..., ka] = np.sin(g) * np.sin(th)
-    return SphereField(grid, _freeze(vals))
+    vals = np.empty((3,) + g.shape)
+    vals[k] = np.cos(g)
+    vals[nu] = np.sin(g) * np.cos(th)
+    vals[ka] = np.sin(g) * np.sin(th)
+    return _field(SphereField, grid, vals)
 
 
 def _ball_lift(spec, grid, azimuth_sign):
@@ -141,14 +140,8 @@ def _ball_lift(spec, grid, azimuth_sign):
     gamma = np.arctan2(d3, d2)
     q = abs(int(spec.charge))
     a = azimuth_sign * q * gamma
-    dirs = np.stack(
-        [np.cos(polar), np.sin(polar) * np.cos(a), np.sin(polar) * np.sin(a)],
-        axis=-1,
-    )
-    vals = np.concatenate(
-        [np.cos(f)[..., None], np.sin(f)[..., None] * dirs], axis=-1
-    )
-    return GroupField(grid, _freeze(vals))
+    dirs = np.stack([np.cos(polar), np.sin(polar) * np.cos(a), np.sin(polar) * np.sin(a)])
+    return _field(GroupField, grid, np.concatenate([np.cos(f)[None], np.sin(f) * dirs]))
 
 
 def _generate(spec, grid):

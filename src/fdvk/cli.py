@@ -21,7 +21,7 @@ import numpy as np
 
 from .ansatz import KINDS, AnsatzSpec, _generate, generate
 from .errors import ChargeDrift, ConfigError, FdvkError, FluxChange, NonExactForm, SnapshotError
-from .fields import Connection, GroupField, SphereField, _freeze, _sweep, plaquette_curvature
+from .fields import Connection, GroupField, SphereField, _cf, _field, _sweep, plaquette_curvature
 from .flow import FlowConfig, minimize
 from .invariants import _read, chern_simons
 from .lattice import Grid, form_norm
@@ -62,8 +62,8 @@ def save_snapshot(path, obj):
     """
     kind = _kind_of(obj)
     g = obj.grid
-    v = np.asarray(obj.values, dtype=float).reshape(g.n, g.n, g.n, _COMPS[kind])
-    payload = np.ascontiguousarray(v.transpose(2, 1, 0, 3), dtype="<f8")
+    v = _cf(obj).reshape(_COMPS[kind], g.n, g.n, g.n)
+    payload = np.ascontiguousarray(v.transpose(3, 2, 1, 0), dtype="<f8")
     # written beside the target and renamed over it, so a failed write
     # never leaves a truncated snapshot under the target's name
     path = os.fspath(path)
@@ -87,9 +87,9 @@ def load_snapshot(path):
     """Read a snapshot back into the matching field type.
 
     The constructors re-validate the unit constraints, so a corrupted
-    payload fails here rather than downstream.  They get a C-contiguous
-    site-last copy, frozen in place, so nothing reads the x-fastest
-    payload order strided and no second copy is made.
+    payload fails here rather than downstream.  The payload is moved
+    once into the component-first array the field stores, so nothing
+    reads the x-fastest payload order strided and no second copy is made.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -107,11 +107,11 @@ def load_snapshot(path):
             f"{path}: payload is {len(blob) - 18} bytes, expected {expect - 18}"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=18)
-    v = _freeze(np.ascontiguousarray(flat.reshape(n, n, n, comps).transpose(2, 1, 0, 3)))
     cls, _, shape = _KINDS[kind]
+    v = np.ascontiguousarray(np.moveaxis(flat.reshape((n, n, n) + shape), (0, 1, 2), (-1, -2, -3)))
     try:
         # Grid's own rules refuse the header: n below 4, l not finite and positive, or out of range
-        return cls(Grid(n, l), v.reshape((n, n, n) + shape))
+        return _field(cls, Grid(n, l), v)
     except ValueError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
 

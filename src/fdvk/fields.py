@@ -10,19 +10,21 @@ samples the continuum 1-form at the edge midpoint x + h/2 e_mu. Code
 that needs the value at the site itself averages the two incident
 edges (avg_back); holonomy and developing-map reconstruction consume
 the raw edge values, for which the round trip is exact.  All math here
-is component-first: edge logs are (direction, component, n, n, n), _logs
-reads a Connection that way, and a Connection, built only where a public
-function returns one, holds a site-last view of them.  _edge_logs forms
-them from step quaternions, for connection_of and gauge moves; it, the energy
-and the area form sweep the slabs of lattice._slab_sweep.
+is component-first: edge logs are (direction, component, n, n, n).
+_edge_logs forms them from step quaternions, for connection_of and gauge
+moves; it, the energy and the area form sweep lattice._slab_sweep.
 
-Fields are immutable: their values are read-only arrays.  A field the
-package builds keeps the array it built, frozen in place (_freeze); a
-caller's array is copied once unless nothing can write to it.  So what
-is computed from a field's values holds as long as the field: a
-Connection keeps its plaquette deviation (one float, set by gauge), and
-connection_of(u) leaves on u a weak reference to the Connection it
-returns, whose edge logarithms _logs_of(u) reads while it is alive.
+Every field stores one C-contiguous, read-only, component-first array,
+(3, n, n, n), (4, n, n, n) or (3, 3, n, n, n), and its values are the
+site-last view of it.  This module alone knows that rule: _field builds
+a field from an array the package built, frozen in place (_freeze), and
+_cf reads the stored array back.  A caller's array is copied once, into
+that layout, unless nothing can write to it and its component-first view
+is C-contiguous (_kept).  So what is computed from a field's values
+holds as long as the field: a Connection keeps its plaquette deviation
+(one float, set by gauge), and connection_of(u) leaves on u a weak
+reference to the Connection it returns, whose edge logarithms
+_logs_of(u) reads while it is alive.
 
 Both energies read their densities off the Gram matrix G_mu_nu =
 d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
@@ -39,8 +41,8 @@ import numpy as np
 
 from . import quat
 from .errors import UnresolvableField
-from .lattice import (Grid, _comp_first, _cross, _diff_into, _dot, _shifted, _site_last, _slab_sweep,
-                      avg_back, diff, integrate)
+from .lattice import (Grid, _aligned, _cross, _diff_into, _dot, _shifted, _site_last, _slab_sweep, avg_back,
+                      diff, integrate)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -55,19 +57,31 @@ def _read_only(v):
     return v is None
 
 
-def _kept(values):
-    """values as a read-only float array: itself when nothing can write to it, else a copy."""
-    v = np.asarray(values, dtype=float)
-    if not _read_only(v):
-        v = v.copy()
-        v.flags.writeable = False
-    return v
-
-
 def _freeze(v):
-    """v, an array the package built for a field, made read-only in place, so no copy is made."""
+    """v made read-only in place, with the array it views (an aligned buffer), so no copy is made."""
+    if isinstance(v.base, np.ndarray):
+        v.base.flags.writeable = False
     v.flags.writeable = False
     return v
+
+
+def _kept(values):
+    """Site-last values as a read-only component-first array: their own view when nothing
+    can write to them and that view is C-contiguous, else one copy into that layout."""
+    v = np.moveaxis(values, (0, 1, 2), (-3, -2, -1))
+    return v if _read_only(v) and v.flags.c_contiguous else _freeze(v.copy())
+
+
+def _field(cls, grid, v):
+    """The field of cls storing v, a C-contiguous component-first array the package built,
+    frozen in place with the array it views (_freeze)."""
+    return cls(grid, np.moveaxis(_freeze(v), (-3, -2, -1), (0, 1, 2)))
+
+
+def _cf(f):
+    """The component-first view of a field's values, the array it stores: C-contiguous,
+    read-only, the per-site axes first and the site axes last."""
+    return np.moveaxis(f.values, (0, 1, 2), (-3, -2, -1))
 
 
 def _reduce(field):
@@ -75,18 +89,20 @@ def _reduce(field):
     return type(field), (field.grid, field.values)
 
 
-def _check_values(grid, values, comps, kind):
-    values = _kept(values)
-    if values.shape != (grid.n, grid.n, grid.n, comps):
-        raise ValueError(f"{kind} values must have shape (n, n, n, {comps})")
-    if not np.all(np.isfinite(values)):
+def _store(f, shape, unit):
+    """Check f's site-last values, shape (n, n, n) + shape, and store them component-first
+    (_kept), values their site-last view; unit requires a unit vector at every site."""
+    kind = type(f).__name__
+    v = np.asarray(f.values, dtype=float)
+    if v.shape != (f.grid.n,) * 3 + shape:
+        raise ValueError(f"{kind} values must have shape (n, n, n, {', '.join(map(str, shape))})")
+    v = _kept(v)
+    if not np.all(np.isfinite(v)):
         raise ValueError(f"{kind} values must be finite")
-    v = np.moveaxis(values, -1, 0)  # summed left to right, as np.sum sums the last axis
-    n = np.sqrt(_dot(v, v) + v[3] * v[3] if comps == 4 else _dot(v, v))
-    if np.any(np.abs(n - 1.0) > quat.UNIT_TOL):
-        worst = float(np.max(np.abs(n - 1.0)))
-        raise ValueError(f"{kind} off the unit sphere by {worst:.3e}")
-    return values
+    off = np.abs(quat._norm(v) - 1.0) if unit else 0.0
+    if np.any(off > quat.UNIT_TOL):
+        raise ValueError(f"{kind} off the unit sphere by {float(np.max(off)):.3e}")
+    object.__setattr__(f, "values", np.moveaxis(v, (-3, -2, -1), (0, 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -97,9 +113,8 @@ class SphereField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = _check_values(self.grid, self.values, 3, "SphereField")
         # not renormalized: that would break the bit-exact snapshot round trip
-        object.__setattr__(self, "values", v)
+        _store(self, (3,), unit=True)
 
     __reduce__ = _reduce
 
@@ -118,8 +133,7 @@ class GroupField:
     _connection = None  # weakref.ref to connection_of(self), set there
 
     def __post_init__(self):
-        v = _check_values(self.grid, self.values, 4, "GroupField")
-        object.__setattr__(self, "values", v)
+        _store(self, (4,), unit=True)
 
     __reduce__ = _reduce
 
@@ -138,23 +152,13 @@ class Connection:
     _plaquette = None  # plaquette deviation, set by gauge._deviation
 
     def __post_init__(self):
-        v = _kept(self.values)
-        if v.shape != (self.grid.n,) * 3 + (3, 3):
-            raise ValueError("Connection values must have shape (n, n, n, 3, 3)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("Connection values must be finite")
-        object.__setattr__(self, "values", v)
+        _store(self, (3, 3), unit=False)
 
     __reduce__ = _reduce
 
     def site_values(self):
         """Edge values moved to sites by the two-edge average, O(h^2)."""
-        return np.moveaxis(_site_logs(self.grid, _logs(self)), (0, 1), (3, 4))
-
-
-def _logs(a):
-    """The edge logarithms of a Connection, component-first: a (3, 3, n, n, n) view."""
-    return np.moveaxis(a.values, (3, 4), (0, 1))
+        return np.moveaxis(_site_logs(self.grid, _cf(self)), (0, 1), (3, 4))
 
 
 def _site_logs(grid, logs):
@@ -172,25 +176,24 @@ class Energy(NamedTuple):
 
 
 def constant_sphere(grid, v=quat.IM_I):
-    return SphereField(grid, _freeze(np.broadcast_to(np.asarray(v, float), (grid.n,) * 3 + (3,)).copy()))
+    return _field(SphereField, grid, np.asarray(v, float).repeat(grid.n**3).reshape((-1,) + (grid.n,) * 3))
 
 
 def constant_group(grid, q=quat.ONE):
-    return GroupField(grid, _freeze(np.broadcast_to(np.asarray(q, float), (grid.n,) * 3 + (4,)).copy()))
+    return _field(GroupField, grid, np.asarray(q, float).repeat(grid.n**3).reshape((-1,) + (grid.n,) * 3))
 
 
 def _conjugate(u, phi):
-    """u phi u* site by site, component-first and normalized."""
+    """u phi u* site by site, component-first and normalized: a new (3, n, n, n) array, so the
+    rotation's (4, n, n, n) result is not kept alive by it."""
     u.grid.same(phi.grid)
-    # component-first views, not copies: the rotation reads each value once
-    psi = quat._rotate(np.moveaxis(u.values, -1, 0), np.moveaxis(phi.values, -1, 0))
-    psi /= np.sqrt(_dot(psi, psi))
-    return psi
+    psi = quat._rotate(_cf(u), _cf(phi))
+    return psi / quat._norm(psi)
 
 
 def conjugate_field(u, phi):
     """psi = u phi u* site by site."""
-    return SphereField(u.grid, _freeze(_site_last(_conjugate(u, phi))))
+    return _field(SphereField, u.grid, _conjugate(u, phi))
 
 
 def _area(v, di, dj, out=None, s=None):
@@ -228,7 +231,7 @@ def pullback_area(psi):
     total flux through a slice counts preimages of a regular value.
     Returned site-last, as a view of the component-first array built.
     """
-    return np.moveaxis(_area_form(psi.grid, np.moveaxis(psi.values, -1, 0)), 0, -1)
+    return np.moveaxis(_area_form(psi.grid, _cf(psi)), 0, -1)
 
 
 # _GRAM[mu][nu] is the slot of G_mu_nu = d_mu . d_nu among the six _assemble forms
@@ -295,8 +298,8 @@ def _sweep(grid, v, keep):
     """
     # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax)
     slabs = _slab_sweep(grid.n, (10,), (3, 3))
-    e2, e4 = np.empty(v.shape[1:]), np.empty(v.shape[1:])
-    P, g2 = (np.empty((3,) + v.shape), np.zeros(3)) if keep else (None, None)
+    e2, e4 = _aligned(v.shape[1:]), _aligned(v.shape[1:])
+    P, g2 = (_aligned((3,) + v.shape), np.zeros(3)) if keep else (None, None)
     for a, b, s, dm in slabs:
         _slab_diffs(grid, v, dm, a, b)
         _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2)
@@ -311,7 +314,7 @@ def energy(psi):
     collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2, read off the Gram
     products as G_mu_mu G_nu_nu - G_mu_nu^2.
     """
-    return _sweep(psi.grid, _comp_first(psi.values), keep=False)[0]
+    return _sweep(psi.grid, _cf(psi), keep=False)[0]
 
 
 def _edge_logs(grid, left, right, refusal, mid=None, out=None):
@@ -337,18 +340,13 @@ def _edge_logs(grid, left, right, refusal, mid=None, out=None):
     return out
 
 
-def _edge_connection(grid, logs):
-    """The Connection of component-first edge logarithms, a site-last view of them, frozen."""
-    return Connection(grid, np.moveaxis(_freeze(logs), (0, 1), (3, 4)))
-
-
 def _logs_of(u):
     """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu);
     read off the Connection connection_of(u) returned last while that is alive."""
     a = u._connection() if u._connection else None
     if a is not None:
-        return _logs(a)
-    uc = _comp_first(u.values)
+        return _cf(a)
+    uc = _cf(u)
     return _edge_logs(u.grid, uc * quat._CONJ, uc, "adjacent sites along direction {mu} differ by "
                       "90 degrees or more; refine the grid")
 
@@ -360,7 +358,7 @@ def connection_of(u):
     through the developing map is the design property; the price is the
     half-edge offset documented on Connection.
     """
-    a = _edge_connection(u.grid, _logs_of(u))
+    a = _field(Connection, u.grid, _logs_of(u))
     object.__setattr__(u, "_connection", weakref.ref(a))
     return a
 
@@ -371,8 +369,8 @@ def _covariant(a, phi):
     D[mu] = d_mu phi + 2 ab[mu] x phi has the shape of ab, (3, 3, n, n, n).
     """
     a.grid.same(phi.grid)
-    p = _comp_first(phi.values)
-    ab = _site_logs(phi.grid, _logs(a))
+    p = _cf(phi)
+    ab = _site_logs(phi.grid, _cf(a))
     D = np.empty_like(ab)
     for mu in range(3):
         np.add(diff(phi.grid, p, mu + 1), 2.0 * _cross(ab[mu], p), out=D[mu])
@@ -404,7 +402,7 @@ def decompose(a, phi):
     is pointwise algebra on the stored arrays; no edge averaging.
     """
     a.grid.same(phi.grid)
-    A, p = _logs(a), _comp_first(phi.values)
+    A, p = _cf(a), _cf(phi)
     long = np.stack([_dot(A[mu], p) for mu in range(3)])
     # phi [a, phi] / 2 = phi x (a x phi), the projection off phi
     tang = np.stack([_cross(p, _cross(A[mu], p)) for mu in range(3)])
@@ -421,7 +419,7 @@ def plaquette_curvature(a):
     the (i, j) plaquette with (i, j, k) cyclic.
     """
     h = a.grid.h
-    A = _logs(a)
+    A = _cf(a)
     out = np.empty(A.shape)
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
         ai, aj = A[i], A[j]

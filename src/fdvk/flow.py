@@ -30,9 +30,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
-from .fields import SphereField, _freeze, _sweep
+from .fields import SphereField, _cf, _field, _sweep
 from .invariants import _classify
-from .lattice import _comp_first, _diff_into, _dot, _site_last, _slab_sweep, form_norm
+from .lattice import _aligned, _diff_into, _dot, _slab_sweep, form_norm
 
 # what each mode guards: (the rounded fluxes, the Hopf charge)
 _GUARDED = {"map-class": (True, True), "hopf-class": (False, True), "flux-only": (True, False)}
@@ -135,7 +135,7 @@ def _gradient(grid, v, slopes):
     order, so the result does not depend on the slab size.
     """
     P = slopes.P
-    grad = np.empty_like(v)
+    grad = _aligned(v.shape)
     for a, b, term in _slab_sweep(grid.n, (3,)):
         g = grad[:, a:b]
         _diff_into(grid, P[0], 1, g, a, b)
@@ -170,7 +170,7 @@ def _search(grid, v, e0, grad, step, backtrack):
     """
     # slab by slab, in the whole-field order; a NaN anywhere still ends the search
     gmax = float(np.max([np.max(np.abs(grad[:, a:b], out=tmp)) for a, b, tmp in _slab_sweep(grid.n, (3,))]))
-    cand = np.empty_like(v)
+    cand = _aligned(v.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         while step * gmax > 1e-16:
             if _candidate(grid, v, grad, step, cand):
@@ -209,7 +209,7 @@ def grad_energy(psi: SphereField) -> np.ndarray:
     constrained functional.  Returned site-last, as a view of the
     component-first array computed.
     """
-    v = _comp_first(psi.values)
+    v = _cf(psi)
     return np.moveaxis(_gradient(psi.grid, v, _kernel(psi.grid, v)[1]), 0, -1)
 
 
@@ -225,7 +225,7 @@ def step_ceiling(psi: SphereField) -> float:
     anti-aligns the classes is invisible to the line search until the
     field is ruined.
     """
-    return _ceiling(psi.grid, _kernel(psi.grid, _comp_first(psi.values))[1])
+    return _ceiling(psi.grid, _kernel(psi.grid, _cf(psi))[1])
 
 
 def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
@@ -239,7 +239,7 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     if step <= 0:
         raise ValueError("step must be positive")
     g = psi.grid
-    v = _comp_first(psi.values)
+    v = _cf(psi)
     en, dv = _kernel(g, v)
     grad = _gradient(g, v, dv)
     del dv
@@ -248,7 +248,7 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
     if found is None:
         return psi, step, False
-    return SphereField(g, _freeze(_site_last(found[0]))), step, True
+    return _field(SphereField, g, found[0]), step, True
 
 
 def _guard(cfg, ref, row, c, trace):
@@ -328,7 +328,9 @@ def minimize(
     """
     trace = FlowTrace()
     g = psi0.grid
-    v = _comp_first(psi0.values)
+    # a working copy on a cache line, as the kernel's buffers are: psi0's array lies where the heap put it
+    v = _aligned(_cf(psi0).shape)
+    v[...] = _cf(psi0)
     en, dv = _kernel(g, v)
     step, it, ref, stop = cfg.step0, 0, None, None
     while True:
@@ -358,4 +360,4 @@ def minimize(
         step /= cfg.backtrack
         it += 1
     trace.stop_reason = stop
-    return (SphereField(g, _freeze(_site_last(v))) if it else psi0), trace
+    return (_field(SphereField, g, v) if it else psi0), trace

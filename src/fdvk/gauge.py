@@ -7,10 +7,10 @@ moving the represented map psi = u phi u*; fix_gauge uses that freedom
 to kill the exact part of the longitudinal component <a, phi> and to
 push its harmonic coefficients into the fundamental window [0, 1).
 Edge data stay component-first; fix_gauge's passes build no Connection.
-Transports, plaquettes and gauge moves sweep the slabs of
-lattice._slab_sweep, the same floats whatever the slab size; develop
-walks the first axis in Python floats (_line_walk), then runs one walk
-along a leading axis, _walk, over two views.
+Transports, plaquettes and gauge moves sweep lattice._slab_sweep, the
+same floats whatever the slab size; develop walks the first axis in
+Python floats (_line_walk), as holonomy multiplies its loops, then runs
+one walk along a leading axis, _walk, over two views.
 
 Fields are immutable, so a Connection's plaquette deviation is computed
 once, by whichever of fix_gauge, develop and plaquette_deviation first
@@ -27,9 +27,8 @@ import numpy as np
 
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
-from .fields import Connection, GroupField, SphereField, _edge_connection, _edge_logs, _freeze, _logs
-from .lattice import (_comp_first, _dot, _half_spectrum, _irfft3, _parseval_norm, _shifted, _site_last,
-                      _slab_sweep, _spectrum, avg_back)
+from .fields import Connection, GroupField, SphereField, _cf, _edge_logs, _field
+from .lattice import _dot, _half_spectrum, _irfft3, _parseval_norm, _shifted, _slab_sweep, _spectrum, avg_back
 
 HOLONOMY_TOL = 1e-6
 PLAQUETTE_TOL = 1e-6
@@ -48,6 +47,8 @@ class Holonomy:
         v = np.asarray(self.loops, dtype=float)
         if v.shape != (3, 4):
             raise ValueError("Holonomy needs one unit quaternion per loop")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("holonomy loops must be finite")
         if np.any(np.abs(quat.norm(v) - 1.0) > quat.UNIT_TOL):
             raise ValueError("holonomy loops must be unit quaternions")
         object.__setattr__(self, "loops", v)
@@ -82,15 +83,15 @@ def holonomy(a: Connection) -> Holonomy:
     out = np.empty((3, 4))
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
-        steps = quat._exp_im(_logs(a)[(ax, slice(None)) + take] * g.h)
-        p = reduce(quat._hamilton, steps.T, quat.ONE)
+        steps = quat._exp_im(_cf(a)[(ax, slice(None)) + take] * g.h)
+        p = np.array(reduce(quat._hamilton_floats, steps.T.tolist(), quat.ONE.tolist()))
         out[ax] = p / quat.norm(p)
     return Holonomy(out)
 
 
 def _transports(a: Connection):
     """Edge transports exp(h a), contiguous (3, 4, n, n, n): direction, component."""
-    n, logs = a.grid.n, _logs(a)
+    n, logs = a.grid.n, _cf(a)
     t = np.empty((3, 4) + (n,) * 3)
     for lo, hi, v in _slab_sweep(n, (5,)):  # v: h a_mu, then exp_im's scratch
         for mu in range(3):
@@ -173,7 +174,7 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     w[0, :, :, 0] = _line_walk(t[0, :, :, 0, 0].T).T
     _walk(np.moveaxis(w[0], 2, 0), np.moveaxis(t[1, :, :, :, 0], 2, 0))
     _walk(w, np.ascontiguousarray(np.moveaxis(t[2], -1, 0)))
-    u = np.moveaxis(w, 0, -1)
+    u = np.moveaxis(w, 0, -1)  # component-first
     last = ((n - 1, 0, 0), (0, n - 1, 0), (0, 0, n - 1))
     loops = [quat._hamilton(u[(slice(None),) + e], t[(ax, slice(None)) + e]) for ax, e in enumerate(last)]
     hol = Holonomy(np.stack([p / quat.norm(p) for p in loops]))
@@ -181,16 +182,14 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
         raise NontrivialHolonomy(
             f"loop holonomy deviates from (1,1,1) by {hol.deviation():.3e}"
         )
-    u = _site_last(u)
-    return GroupField(a.grid, _freeze(u / quat.norm(u)[..., None]))
+    return _field(GroupField, a.grid, np.divide(u, quat._norm(u), out=np.empty(u.shape)))
 
 
 def circle_field(grid, theta) -> GroupField:
     """The S1-valued field exp(i theta) for a real angle field."""
     th = np.asarray(theta, dtype=float)
     zero = np.zeros_like(th)
-    vals = np.stack([np.cos(th), np.sin(th), zero, zero], axis=-1)
-    return GroupField(grid, _freeze(vals))
+    return _field(GroupField, grid, np.stack([np.cos(th), np.sin(th), zero, zero]))
 
 
 def _transformed(grid, t, gval, gbar=None, out=None):
@@ -210,8 +209,8 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     """
     a.grid.same(phi.grid)
     a.grid.same(lam.grid)
-    gval = quat._qmap(_comp_first(phi.values), _comp_first(lam.values))
-    return _edge_connection(a.grid, _transformed(a.grid, _transports(a), gval))
+    gval = quat._qmap(_cf(phi), _cf(lam))
+    return _field(Connection, a.grid, _transformed(a.grid, _transports(a), gval))
 
 
 def hodge_parts(grid, omega):
@@ -256,7 +255,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     a.grid.same(phi.grid)
     t = _flat_transports(a, flat_tol)
     g = a.grid
-    p = _comp_first(phi.values)
+    p = _cf(phi)
     x = np.arange(g.n) * g.h
     # a rotation exp(i theta) shifts the site-averaged longitudinal form
     # by the central-difference symbol i sin(k_j h)/h, not by ik: solving
@@ -265,7 +264,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     ks = sum(k * np.sin(k * g.h) / g.h for k in _half_spectrum(g)[0])
     ks = np.where(ks == 0.0, 1.0, ks)
 
-    logs = _logs(a)
+    logs = _cf(a)
     # <a, phi> at sites, contiguous; s takes one direction's two-edge average
     long, s = np.empty((2, 3) + (g.n,) * 3)
     # qmap(phi, exp(i angle)) and its conjugate, written each pass
@@ -308,7 +307,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
 
     ties = np.abs(coeffs - np.round(coeffs)) <= TIE_EPS
     coeffs[ties] = 0.0
-    return a if passes == 0 else _edge_connection(g, logs), GaugeFixReport(
+    return a if passes == 0 else _field(Connection, g, logs), GaugeFixReport(
         harmonic_coeffs=tuple(float(v) for v in coeffs),
         windings=tuple(int(w) for w in windings),
         exact_part_norm=float(removed),

@@ -10,7 +10,7 @@ field or framed pair has and why the others are missing; fluxes,
 hopf_charge and homotopy_record raise from it.  It and _classify return
 one reading record, _Reading; the Parseval sums are lattice._parseval.
 _classify reads component-first values (3, n, n, n) where they live:
-the descent's iterate, or a SphereField's view np.moveaxis(values, -1, 0).
+the descent's iterate, or the array a SphereField stores (fields._cf).
 """
 
 from dataclasses import dataclass
@@ -26,8 +26,8 @@ from .fields import (
     SphereField,
     _area,
     _area_form,
+    _cf,
     _conjugate,
-    _logs,
     _logs_of,
     _site_logs,
     constant_sphere,
@@ -137,7 +137,7 @@ def fluxes(psi: SphereField):
     that far from an integer means the field is too coarse to classify,
     and guessing would silently misfile the homotopy class.
     """
-    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0), charge=False)
+    c = _classify(psi.grid, _cf(psi), charge=False)
     if c.flux_error is not None:
         raise NonIntegralFlux(c.flux_error)
     return c.rounded, c.raw
@@ -153,7 +153,7 @@ def hopf_charge(psi: SphereField) -> float:
     NonExactForm, which is the honest answer: the invariant does not
     exist there.
     """
-    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0))
+    c = _classify(psi.grid, _cf(psi))
     if c.hopf is None:
         raise NonExactForm(f"no Hopf charge: {c.hopf_reason}")
     return c.hopf
@@ -182,7 +182,7 @@ def chern_simons(a: Connection) -> float:
     identity cs(a) = degree holds at second order on developable
     connections.
     """
-    ab = _site_logs(a.grid, _logs(a))
+    ab = _site_logs(a.grid, _cf(a))
     # Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms
     # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
     K, weight = _half_spectrum(a.grid)
@@ -223,7 +223,7 @@ def _read(phi, u: Optional[GroupField] = None) -> _Reading:
     if isinstance(phi, GroupField):
         phi, u = constant_sphere(phi.grid), phi
     if u is None:
-        v, deg = np.moveaxis(phi.values, -1, 0), None
+        v, deg = _cf(phi), None
     else:
         # the degree first, so its temporaries and the conjugate never coexist
         deg = degree(u)

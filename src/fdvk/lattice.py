@@ -11,12 +11,12 @@ Forms are realized componentwise:
                               coefficient for (i, j, k) cyclic
     3-form  (n, n, n)         coefficient of dx^1 dx^2 dx^3
 
-That site-last layout is kept only by the field containers and by what
-public functions return. Inside the package arrays are component-first,
+That site-last layout is only what public functions take and return.
+Inside the package, field containers included, arrays are component-first,
 the site axes the last three: (3, n, n, n), or (3, 3, n, n, n) for edge
 logs, so stencils and products stream through contiguous components.
 diff and avg_back act on the last three axes, _cross and _dot on the
-first; _comp_first and _site_last convert between the two layouts.
+first; _site_last copies a result out to the public layout.
 
 The descent and the gauge layer sweep that layout in slabs of whole
 planes along the first site axis, SLAB_SITES sites per slab, so a slab's
@@ -129,11 +129,19 @@ def _slabs(n):
     return [(a, min(a + t, n)) for a in range(0, n, t)]
 
 
+def _aligned(shape):
+    """np.empty(shape) starting on a 64-byte cache line: SIMD loops storing across cache lines
+    ran the descent's sweeps up to 2x slower, so their speed hung on where the heap put a buffer."""
+    raw = np.empty(int(np.prod(shape)) + 8)
+    k = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[k:k + raw.size - 8].reshape(shape)
+
+
 def _slab_sweep(n, *leads):
     """(a, b, *s) for each slab a .. b - 1 of _slabs(n), listed: s one scratch buffer per
     shape in leads, lead + (planes, n, n), allocated here, once, and cut to the slab."""
     slabs = _slabs(n)
-    bufs = [np.empty(lead + (slabs[0][1], n, n)) for lead in leads]
+    bufs = [_aligned(lead + (slabs[0][1], n, n)) for lead in leads]
     return [(a, b, *(s[..., :b - a, :, :] for s in bufs)) for a, b in slabs]
 
 
@@ -159,11 +167,6 @@ def _shifted(f, mu, out, a=0, b=None, step=1):
     if b + step > n:
         out[at(b - a - 1, b - a)] = f[at(0, 1)]
     return out
-
-
-def _comp_first(values):
-    """Values with a trailing component axis as a contiguous array with it first."""
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
 def _site_last(q):

@@ -3,7 +3,7 @@
 Quaternions have components (w, x, y, z) along (1, i, j, k); imaginary
 quaternions drop the real slot.  Each formula is written once,
 component-first (index 0 over components), as the package uses it:
-_hamilton, _rotate, _qmap, _exp_im, _log_unit; the slab sweeps hand
+_hamilton, _rotate, _qmap, _exp_im, _log_unit, _norm; the slab sweeps hand
 _hamilton, _exp_im and _log_unit out buffers, the same floats either
 way.  _hamilton_floats runs _hamilton's table on one pair of
 quaternions given as Python floats, for walks along a line, the same
@@ -90,6 +90,11 @@ def conj(q):
 
 def norm(q):
     return np.sqrt(np.sum(q * q, axis=-1))
+
+
+def _norm(q):
+    """norm of component-first quaternions or imaginary quaternions, summed as norm sums."""
+    return np.sqrt(_dot(q, q) + q[3] * q[3] if len(q) == 4 else _dot(q, q))
 
 
 def normalize(q):

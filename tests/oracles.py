@@ -33,7 +33,7 @@ from fdvk.errors import ChargeDrift, FluxChange, NonExactForm
 from fdvk.fields import SphereField
 from fdvk.flow import FlowRow, FlowTrace
 from fdvk.invariants import _classify
-from fdvk.lattice import _comp_first, _site_last, form_norm
+from fdvk.lattice import _site_last, form_norm
 
 
 class OracleAmbiguity(RuntimeError):
@@ -894,7 +894,7 @@ def ref_minimize(psi0, cfg, on_row=None):
 
     psi = psi0
     g = psi0.grid
-    v = _comp_first(psi0.values)
+    v = np.ascontiguousarray(np.moveaxis(psi0.values, -1, 0))
     en, dv = flow._kernel(g, v)
     grad = flow._gradient(g, v, dv)
     ceiling = flow._ceiling(g, dv)

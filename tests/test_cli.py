@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fdvk import cli, invariants
+from fdvk import cli, fields, invariants
 from fdvk.ansatz import AnsatzSpec, _ball_lift, generate
 from fdvk.cli import (
     CSV_HEADER,
@@ -43,8 +43,9 @@ def test_snapshot_round_trips_bitwise(tmp_path):
         assert type(back) is type(obj)
         assert back.grid == obj.grid
         assert np.array_equal(back.values, obj.values)
-        # a site-last copy, not a strided view of the x-fastest payload
-        assert back.values.flags.c_contiguous
+        # the payload moved into the stored component-first array, not a strided view of it
+        v = fields._cf(back)
+        assert v.flags.c_contiguous and fields._read_only(v)
 
 
 def test_snapshot_bytes_are_the_header_and_the_payload_tobytes(tmp_path):

@@ -1,6 +1,6 @@
 """The public contract: the names the package exports, the console script, where
-Fourier transforms and the slab plan live, the one array layout inside the package,
-and no module importing a name it never uses."""
+Fourier transforms, the slab plan and the field storage rule live, the one array layout
+inside the package, and no module importing a name it never uses."""
 
 import ast
 import importlib
@@ -63,6 +63,17 @@ def test_one_layout_inside_the_package():
         params = inspect.signature(op).parameters
         assert "lead" not in params, op.__name__
         assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), op.__name__
+
+
+def test_fields_py_alone_lays_out_field_storage():
+    # fields._field builds every field the package makes and fields._cf reads its stored
+    # component-first array; no other module freezes an array or converts a field's values
+    src = Path(fdvk.__file__).parent
+    others = [p for p in sorted(src.glob("*.py")) if p.name != "fields.py"]
+    assert "_freeze" in (src / "fields.py").read_text()
+    assert [p.name for p in others if "_freeze" in p.read_text()] == []
+    convert = re.compile(r"_comp_first\(|\b(_site_last|np\.moveaxis)\([^\n]*\.values\b")
+    assert [p.name for p in others if convert.search(p.read_text())] == []
 
 
 def test_console_script_is_the_cli_main():

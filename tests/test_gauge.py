@@ -43,6 +43,17 @@ def test_holonomy_of_constant_connection():
     assert hol.deviation() == pytest.approx(float(np.max(np.abs(expect - quat.ONE))), abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_holonomy_refuses_non_finite_loops(bad):
+    # NaN never compares above the unit tolerance, so only a finiteness check refuses it
+    loops = np.tile(quat.ONE, (3, 1))
+    loops[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gauge.Holonomy(loops)
+    with pytest.raises(ValueError, match="finite"):
+        gauge.Holonomy(np.full((3, 4), bad))
+
+
 def test_develop_rejects_curved_input():
     g = Grid(8, TWO_PI)
     rng = np.random.default_rng(2)

@@ -1,8 +1,10 @@
-"""Immutable fields and what the gauge layer keeps on them.
+"""Immutable fields, how they store their values, and what the gauge layer keeps on them.
 
-Field values are read-only.  A field the package builds keeps the
-array it built, frozen in place; a caller's array is copied once unless
-nothing can write to it.  A Connection keeps its plaquette deviation,
+Field values are read-only.  Every field stores one C-contiguous,
+component-first array, and its values are the site-last view of it.  A
+field the package builds keeps the array it built, frozen in place; a
+caller's array is copied once unless nothing can write to it and its
+component-first view is C-contiguous.  A Connection keeps its plaquette deviation,
 one float, and compares it with each caller's flat_tol; connection_of(u)
 leaves on u a weak reference to its Connection, whose edge logarithms
 degree(u) reads while it is alive.  develop's first walk runs in Python
@@ -15,7 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fdvk import fields, gauge, quat
+from fdvk import fields, gauge, lattice, quat
 from fdvk.ansatz import AnsatzSpec, generate, s1_winding
 from fdvk.errors import NotFlat
 from fdvk.fields import Connection, GroupField, SphereField, conjugate_field, connection_of
@@ -34,11 +36,20 @@ def _pair(n):
 
 
 def _read_only_down(v):
-    while isinstance(v, np.ndarray):
-        if v.flags.writeable:
+    """v and every array it views are read-only, down to one that owns its memory."""
+    while v is not None:
+        if not isinstance(v, np.ndarray) or v.flags.writeable:
             return False
         v = v.base
     return True
+
+
+def _stores_one_array(f):
+    """f stores one C-contiguous, read-only component-first array, values its site-last view."""
+    v = fields._cf(f)
+    assert v.flags.c_contiguous and _read_only_down(v), type(f).__name__
+    assert v.shape == f.values.shape[3:] + f.values.shape[:3]
+    assert np.shares_memory(v, f.values)
 
 
 def test_field_values_are_read_only():
@@ -64,8 +75,8 @@ def test_a_callers_array_is_copied_once():
         ro = mine.view()
         ro.flags.writeable = False
         assert not np.shares_memory(cls(g, ro).values, mine)
-        # values nothing can write to are kept as they are
-        assert cls(g, field.values).values is field.values
+        # values nothing can write to are kept as they are: the same stored array
+        assert fields._cf(cls(g, field.values)).base is fields._cf(field).base
     mine = connection_of(u).values.copy()
     a = Connection(g, mine)
     mine[...] = 0.0
@@ -85,6 +96,16 @@ def test_fields_the_package_builds_are_frozen_without_a_copy(tmp_path):
     built.append(load_snapshot(tmp_path / "a.fdk"))
     for f in built:
         assert _read_only_down(f.values), type(f).__name__
+        _stores_one_array(f)
+    # an array the package built is the one stored, no copy made: one it owns, or a view of
+    # an aligned buffer, frozen down to that buffer
+    v = np.zeros((4, 12, 12, 12))
+    v[0] = 1.0
+    assert fields._cf(fields._field(GroupField, Grid(12), v)).base is v
+    w = lattice._aligned(v.shape)
+    w[...] = v
+    assert fields._cf(fields._field(GroupField, Grid(12), w)).base is w.base
+    assert _read_only_down(w)
 
 
 def test_pickle_and_copy_go_through_the_constructor():
@@ -97,6 +118,42 @@ def test_pickle_and_copy_go_through_the_constructor():
             assert np.array_equal(back.values, f.values)
             assert _read_only_down(back.values)
             assert "_connection" not in vars(back) and "_plaquette" not in vars(back)
+
+
+def _origins(f, tmp_path):
+    """f rebuilt every way a field can come to be: (origin, field)."""
+    from fdvk.cli import load_snapshot, save_snapshot
+
+    cls, g = type(f), f.grid
+    mine = f.values.copy()
+    site_last = np.ascontiguousarray(f.values)
+    site_last.flags.writeable = False
+    ro = mine.view()
+    ro.flags.writeable = False
+    save_snapshot(tmp_path / "f.fdk", f)
+    yield "package-built", f
+    yield "writeable", cls(g, mine)
+    yield "read-only site-last", cls(g, site_last)
+    yield "read-only view of a writeable array", cls(g, ro)
+    yield "pickled", pickle.loads(pickle.dumps(f))
+    yield "copy", copy.copy(f)
+    yield "deepcopy", copy.deepcopy(f)
+    yield "snapshot", load_snapshot(tmp_path / "f.fdk")
+    mine[...] = 0.0  # the fields built from it keep their own copy
+
+
+@pytest.mark.parametrize("kind", ["sphere", "group", "connection"])
+def test_every_field_stores_one_component_first_array(kind, tmp_path):
+    u, phi = _pair(8)
+    f = {"sphere": lambda: conjugate_field(u, phi), "group": lambda: develop(connection_of(u)),
+         "connection": lambda: connection_of(u)}[kind]()
+    want = f.values.copy()
+    made = list(_origins(f, tmp_path))
+    assert len(made) == 8
+    for origin, back in made:
+        assert type(back) is type(f) and back.grid == f.grid, origin
+        _stores_one_array(back)
+        assert back.values.shape == want.shape and np.array_equal(back.values, want), origin
 
 
 def _count(monkeypatch, module, name, owners=()):

@@ -190,3 +190,15 @@ def test_d_and_codiff_match_full_spectrum(n):
             got = op(g, w, deg)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 7, 9, 9), (10, 7, 48, 48), (3, 3, 33, 33, 33)])
+def test_aligned_buffers_start_on_a_cache_line(shape):
+    # the descent's whole-field buffers and every slab scratch start on a 64-byte line
+    for _ in range(4):
+        v = lattice._aligned(shape)
+        assert v.shape == shape and v.dtype == float and v.flags.c_contiguous and v.flags.writeable
+        assert v.__array_interface__["data"][0] % 64 == 0
+    for n in (8, 33, 48):
+        for _, _, *bufs in lattice._slab_sweep(n, (10,), (3, 3)):
+            assert all(b.__array_interface__["data"][0] % 64 == 0 for b in bufs)
