@@ -184,6 +184,8 @@ def generate(spec: AnsatzSpec, grid: Grid):
 
 def s1_winding(grid: Grid, w) -> GroupField:
     """Circle-valued field exp(i 2pi (w . x) / l), one factor per direction."""
-    w1, w2, w3 = (int(v) for v in w)
+    w1, w2, w3 = w = tuple(w)
+    if any(v != int(v) for v in w):
+        raise ValueError(f"windings must be integers, got {w}")
     x, y, z = grid.axes()
     return circle_field(grid, 2 * np.pi * (w1 * x + w2 * y + w3 * z) / grid.l)

@@ -6,6 +6,10 @@ runs the descent described by a config file.  JSON goes to standard
 output, human-readable messages to standard error.  Exit codes: 0
 success, 2 usage or parse failure, 3 I/O failure, 4 homotopy-class
 violation during flow.
+
+A snapshot is one little-endian header struct, _HEADER (magic, kind
+byte, n, l), then the field's float64 values; the kind byte names the
+field class, and the class's SHAPE sizes and shapes the payload.
 """
 
 import argparse
@@ -27,15 +31,16 @@ from .invariants import _read, chern_simons
 from .lattice import Grid, form_norm
 
 MAGIC = b"FDVK1"
+# the snapshot header: magic, kind byte, n, l; little-endian, 18 bytes
+_HEADER = struct.Struct("<5sBId")
 # kind byte of the snapshot header
 KIND_SPHERE, KIND_GROUP, KIND_CONNECTION = 0, 1, 2
-# per kind byte: the field class, its name in a report, its per-site value shape
+# per kind byte: the field class, which declares its per-site SHAPE, and its name in a report
 _KINDS = {
-    KIND_SPHERE: (SphereField, "sphere", (3,)),
-    KIND_GROUP: (GroupField, "group", (4,)),
-    KIND_CONNECTION: (Connection, "connection", (3, 3)),
+    KIND_SPHERE: (SphereField, "sphere"),
+    KIND_GROUP: (GroupField, "group"),
+    KIND_CONNECTION: (Connection, "connection"),
 }
-_COMPS = {kind: int(np.prod(shape)) for kind, (_, _, shape) in _KINDS.items()}
 
 CSV_HEADER = "iter,e2,e4,energy,grad_norm,flux1,flux2,flux3,hopf,vk_ratio"
 
@@ -46,7 +51,7 @@ WORKING_FIELDS = 24
 
 
 def _kind_of(obj):
-    for kind, (cls, _, _) in _KINDS.items():
+    for kind, (cls, _) in _KINDS.items():
         if isinstance(obj, cls):
             return kind
     raise TypeError(f"cannot snapshot {type(obj).__name__}")
@@ -55,14 +60,14 @@ def _kind_of(obj):
 def save_snapshot(path, obj):
     """Write a field to the fixed binary layout.
 
-    Header: the 5 magic bytes, one kind byte, n as little-endian
-    uint32, l as little-endian float64.  Payload: little-endian
-    float64, sites ordered x-fastest, components contiguous per site
+    Header: _HEADER, the 5 magic bytes, the kind byte, n as uint32 and
+    l as float64, little-endian.  Payload: little-endian float64, sites
+    ordered x-fastest, each site's SHAPE values of its class contiguous
     (connections store the three direction vectors in order).
     """
     kind = _kind_of(obj)
     g = obj.grid
-    v = _cf(obj).reshape(_COMPS[kind], g.n, g.n, g.n)
+    v = _cf(obj).reshape(-1, g.n, g.n, g.n)
     payload = np.ascontiguousarray(v.transpose(3, 2, 1, 0), dtype="<f8")
     # written beside the target and renamed over it, so a failed write
     # never leaves a truncated snapshot under the target's name
@@ -72,10 +77,7 @@ def save_snapshot(path, obj):
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<B", kind))
-            fh.write(struct.pack("<I", g.n))
-            fh.write(struct.pack("<d", g.l))
+            fh.write(_HEADER.pack(MAGIC, kind, g.n, g.l))
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -93,22 +95,17 @@ def load_snapshot(path):
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 18 or blob[:5] != MAGIC:
+    magic, kind, n, l = _HEADER.unpack_from(blob) if len(blob) >= _HEADER.size else (None,) * 4
+    if magic != MAGIC:
         raise SnapshotError(f"{path}: not a field snapshot")
-    kind = blob[5]
-    if kind not in _COMPS:
+    if kind not in _KINDS:
         raise SnapshotError(f"{path}: unknown kind byte {kind}")
-    (n,) = struct.unpack("<I", blob[6:10])
-    (l,) = struct.unpack("<d", blob[10:18])
-    comps = _COMPS[kind]
-    expect = 18 + n**3 * comps * 8
-    if len(blob) != expect:
-        raise SnapshotError(
-            f"{path}: payload is {len(blob) - 18} bytes, expected {expect - 18}"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=18)
-    cls, _, shape = _KINDS[kind]
-    v = np.ascontiguousarray(np.moveaxis(flat.reshape((n, n, n) + shape), (0, 1, 2), (-1, -2, -3)))
+    cls = _KINDS[kind][0]
+    expect = n**3 * int(np.prod(cls.SHAPE)) * 8
+    if len(blob) - _HEADER.size != expect:
+        raise SnapshotError(f"{path}: payload is {len(blob) - _HEADER.size} bytes, expected {expect}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    v = np.ascontiguousarray(np.moveaxis(flat.reshape((n, n, n) + cls.SHAPE), (0, 1, 2), (-1, -2, -3)))
     try:
         # Grid's own rules refuse the header: n below 4, l not finite and positive, or out of range
         return _field(cls, Grid(n, l), v)

@@ -14,17 +14,18 @@ is component-first: edge logs are (direction, component, n, n, n).
 _edge_logs forms them from step quaternions, for connection_of and gauge
 moves; it, the energy and the area form sweep lattice._slab_sweep.
 
-Every field stores one C-contiguous, read-only, component-first array,
-(3, n, n, n), (4, n, n, n) or (3, 3, n, n, n), and its values are the
-site-last view of it.  This module alone knows that rule: _field builds
-a field from an array the package built, frozen in place (_freeze), and
-_cf reads the stored array back.  A caller's array is copied once, into
-that layout, unless nothing can write to it and its component-first view
-is C-contiguous (_kept).  So what is computed from a field's values
-holds as long as the field: a Connection keeps its plaquette deviation
-(one float, set by gauge), and connection_of(u) leaves on u a weak
-reference to the Connection it returns, whose edge logarithms
-_logs_of(u) reads while it is alive.
+Each field class declares its kind once: its per-site value shape,
+SHAPE, and whether every site holds a unit vector, UNIT; fields compare
+by identity.  A field stores one C-contiguous, read-only array, SHAPE +
+(n, n, n), and its values are the site-last view of it.  _store checks
+a caller's values and copies them once, unless nothing can write to
+them and their component-first view is C-contiguous (_kept); _field
+freezes in place an array the package built (_freeze); _cf reads the
+stored array.  So what is computed from a field's values holds as long
+as the field: a Connection keeps its plaquette deviation (one float, set
+by gauge), and connection_of(u) leaves on u a weak reference to the
+Connection it returns, whose edge logarithms _logs_of(u) reads while it
+is alive.
 
 Both energies read their densities off the Gram matrix G_mu_nu =
 d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
@@ -89,37 +90,36 @@ def _reduce(field):
     return type(field), (field.grid, field.values)
 
 
-def _store(f, shape, unit):
-    """Check f's site-last values, shape (n, n, n) + shape, and store them component-first
-    (_kept), values their site-last view; unit requires a unit vector at every site."""
-    kind = type(f).__name__
+def _store(f):
+    """The __post_init__ of each field class, bound in the class's own namespace, not inherited:
+    check f's site-last values, shape (n, n, n) + f.SHAPE, and store them component-first
+    (_kept), values their site-last view.  f.UNIT requires a unit vector at every site; values
+    are not renormalized, which would break the bit-exact snapshot round trip."""
+    kind, shape = type(f).__name__, f.SHAPE
     v = np.asarray(f.values, dtype=float)
     if v.shape != (f.grid.n,) * 3 + shape:
         raise ValueError(f"{kind} values must have shape (n, n, n, {', '.join(map(str, shape))})")
     v = _kept(v)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{kind} values must be finite")
-    off = np.abs(quat._norm(v) - 1.0) if unit else 0.0
+    off = np.abs(quat._norm(v) - 1.0) if f.UNIT else 0.0
     if np.any(off > quat.UNIT_TOL):
         raise ValueError(f"{kind} off the unit sphere by {float(np.max(off)):.3e}")
     object.__setattr__(f, "values", np.moveaxis(v, (-3, -2, -1), (0, 1, 2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereField:
     """Map from the torus to S2, one unit imaginary quaternion per site; values read-only."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        # not renormalized: that would break the bit-exact snapshot round trip
-        _store(self, (3,), unit=True)
-
+    SHAPE, UNIT = (3,), True
+    __post_init__ = _store
     __reduce__ = _reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupField:
     """Map from the torus to Sp1, one unit quaternion per site; values read-only.
 
@@ -130,15 +130,13 @@ class GroupField:
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    SHAPE, UNIT = (4,), True
     _connection = None  # weakref.ref to connection_of(self), set there
-
-    def __post_init__(self):
-        _store(self, (4,), unit=True)
-
+    __post_init__ = _store
     __reduce__ = _reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection:
     """sp1-valued discrete 1-form in the edge-logarithm convention; values read-only.
 
@@ -149,11 +147,9 @@ class Connection:
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    SHAPE, UNIT = (3, 3), False
     _plaquette = None  # plaquette deviation, set by gauge._deviation
-
-    def __post_init__(self):
-        _store(self, (3, 3), unit=False)
-
+    __post_init__ = _store
     __reduce__ = _reduce
 
     def site_values(self):

@@ -65,7 +65,10 @@ class FlowConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown flow mode {self.mode!r}")
         for f in fields(self):
-            if f.type is not str and not np.isfinite(getattr(self, f.name)):
+            v = getattr(self, f.name)
+            if f.type is int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type is float and not np.isfinite(v):
                 raise ValueError(f"{f.name} must be finite")
         if self.max_iters < 0 or self.grad_tol <= 0 or self.step0 <= 0:
             raise ValueError("max_iters, grad_tol and step0 must be positive")
@@ -236,8 +239,8 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     has shrunk so far that it cannot change the field at double
     precision, gives up with accepted = False.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     g = psi.grid
     v = _cf(psi)
     en, dv = _kernel(g, v)

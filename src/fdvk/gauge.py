@@ -37,9 +37,9 @@ TIE_EPS = 1e-9
 MAX_PASSES = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Holonomy:
-    """Transport around the three fundamental loops through the origin."""
+    """Transport around the three fundamental loops through the origin; compares by identity."""
 
     loops: np.ndarray  # (3, 4) unit quaternions
 
@@ -123,7 +123,9 @@ def _deviation(a: Connection, t=None):
 
 
 def _flat_transports(a: Connection, flat_tol):
-    """_transports(a), after checking the plaquettes against flat_tol."""
+    """_transports(a), after checking the plaquettes against flat_tol, finite and >= 0."""
+    if not 0.0 <= flat_tol < np.inf:
+        raise ValueError(f"flat_tol must be finite and non-negative, got {flat_tol!r}")
     t = _transports(a)
     dev = _deviation(a, t)
     if dev > flat_tol:

@@ -124,6 +124,13 @@ def test_s1_winding_counts():
     assert line_winding(z3) == 0
 
 
+def test_s1_winding_refuses_non_integer_windings():
+    g = Grid(8, TWO_PI)
+    with pytest.raises(ValueError, match="integers"):
+        s1_winding(g, (1.5, 0, 0))
+    assert np.array_equal(s1_winding(g, (np.int64(2), 0, 0)).values, s1_winding(g, (2, 0, 0)).values)
+
+
 def test_s1_winding_values_are_the_written_out_formula():
     g = Grid(15, 4.0)
     x, y, z = g.axes()

@@ -1,10 +1,10 @@
 """Snapshot format, run configs, subcommands, exit codes."""
 
 import hashlib
+import io
 import json
 import re
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,20 +139,21 @@ def test_failed_snapshot_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "s.fdk"
     save_snapshot(path, old)
     blob = path.read_bytes()
-    calls = []
+    written = []
 
-    def pack(fmt, value):
-        # fail after the magic and the kind byte are on disk
-        calls.append(fmt)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        return struct_pack(fmt, value)
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            # the header goes to disk; the payload write after it fails
+            if written:
+                raise OSError("disk full")
+            written.append(bytes(data))
+            return super().write(data)
 
-    struct_pack = cli.struct.pack
-    monkeypatch.setattr(cli, "struct", SimpleNamespace(pack=pack))
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     new = SphereField(g, np.broadcast_to([0.0, 1.0, 0.0], (6, 6, 6, 3)).copy())
     with pytest.raises(OSError, match="disk full"):
         save_snapshot(path, new)
+    assert written == [blob[:18]]
     assert path.read_bytes() == blob
     assert [p.name for p in tmp_path.iterdir()] == ["s.fdk"]
 

@@ -105,7 +105,8 @@ PAYLOADS = st.tuples(
 
 def _payload(kind, n, payload):
     mode, value, seed, cut = payload
-    comps = cli._COMPS.get(kind, 3)
+    # sized from the class's per-site shape; an unknown kind byte gets three values a site
+    comps = int(np.prod(cli._KINDS[kind][0].SHAPE)) if kind in cli._KINDS else 3
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n**3, comps))
     if mode == "uniform":

@@ -47,6 +47,15 @@ def test_config_validation():
     assert MODES == ("map-class", "hopf-class", "flux-only")
 
 
+@pytest.mark.parametrize("name", ["max_iters", "monitor_every"])
+def test_config_counts_are_integers(name):
+    # minimize stops on it == max_iters: 2.5 would never be met
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=name):
+            FlowConfig(**{name: bad})
+    assert getattr(FlowConfig(**{name: np.int64(3)}), name) == 3
+
+
 def test_gradient_is_tangent():
     g = Grid(8, TWO_PI)
     psi = smooth_sphere_field(g, 1)
@@ -94,6 +103,15 @@ def test_relax_step_contract():
     out, used, ok = relax_step(psi, cfg, 50.0)
     assert ok and used < 50.0
     assert energy(out).total <= e0
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+def test_relax_step_refuses_a_step_not_finite_and_positive(step, monkeypatch):
+    # refused before any work: an infinite step never shrinks, a NaN one returns NaN
+    psi = smooth_sphere_field(Grid(8, TWO_PI), 5)
+    monkeypatch.setattr(flow, "_kernel", None)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        relax_step(psi, FlowConfig(), step)
 
 
 def test_relax_step_fixed_point_at_critical_field():

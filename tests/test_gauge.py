@@ -61,6 +61,19 @@ def test_develop_rejects_curved_input():
         develop(Connection(g, 0.5 * rng.standard_normal((8, 8, 8, 3, 3))))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_flat_tol_must_be_finite_and_non_negative(bad, monkeypatch):
+    # a curved connection: a NaN or infinite tolerance would pass it, -1 would refuse every one
+    g = Grid(8, TWO_PI)
+    a = Connection(g, connection_of(smooth_group_field(g, 1)).values + 0.05)
+    assert plaquette_deviation(a) > 1e-2
+    monkeypatch.setattr(gauge, "_transports", None)  # checked before any transport is built
+    with pytest.raises(ValueError, match="flat_tol"):
+        develop(a, flat_tol=bad)
+    with pytest.raises(ValueError, match="flat_tol"):
+        fix_gauge(a, constant_sphere(g), flat_tol=bad)
+
+
 def test_develop_reproduces_circle_fields():
     g = Grid(16, TWO_PI)
     x1 = g.axes()[0]

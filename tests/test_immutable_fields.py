@@ -8,7 +8,8 @@ component-first view is C-contiguous.  A Connection keeps its plaquette deviatio
 one float, and compares it with each caller's flat_tol; connection_of(u)
 leaves on u a weak reference to its Connection, whose edge logarithms
 degree(u) reads while it is alive.  develop's first walk runs in Python
-floats and gives _walk's floats.
+floats and gives _walk's floats.  Fields and Holonomy compare and hash
+by identity.
 """
 
 import copy
@@ -118,6 +119,19 @@ def test_pickle_and_copy_go_through_the_constructor():
             assert np.array_equal(back.values, f.values)
             assert _read_only_down(back.values)
             assert "_connection" not in vars(back) and "_plaquette" not in vars(back)
+
+
+def test_fields_compare_by_identity():
+    # arrays have no truth value, so value equality would raise; immutable fields are keys
+    u, phi = _pair(8)
+    a = connection_of(u)
+    hol = gauge.holonomy(a)
+    pairs = [(f, type(f)(f.grid, f.values), "values") for f in (u, phi, a)]
+    for f, twin, held in pairs + [(hol, gauge.Holonomy(hol.loops), "loops")]:
+        assert np.array_equal(getattr(f, held), getattr(twin, held))
+        assert f == f and f != twin
+        assert len({f, twin}) == 2 and hash(f) == hash(f)
+        assert {f: "kept"}[f] == "kept"
 
 
 def _origins(f, tmp_path):
