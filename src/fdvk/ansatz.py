@@ -64,8 +64,16 @@ class AnsatzSpec:
         if not 0 < self.radius <= 0.45:
             raise ValueError("radius must lie in (0, 0.45] of the period")
         check_direction(self.axis)
-        if self.charge != int(self.charge):
+        if not _integer(self.charge):
             raise ValueError("charge must be an integer")
+
+
+def _integer(v):
+    """Whether v equals an integer; inf and NaN, which int refuses, do not."""
+    try:
+        return v == int(v)
+    except (OverflowError, ValueError):
+        return False
 
 
 def _profile(spec, t):
@@ -185,7 +193,7 @@ def generate(spec: AnsatzSpec, grid: Grid):
 def s1_winding(grid: Grid, w) -> GroupField:
     """Circle-valued field exp(i 2pi (w . x) / l), one factor per direction."""
     w1, w2, w3 = w = tuple(w)
-    if any(v != int(v) for v in w):
+    if not all(_integer(v) for v in w):
         raise ValueError(f"windings must be integers, got {w}")
     x, y, z = grid.axes()
     return circle_field(grid, 2 * np.pi * (w1 * x + w2 * y + w3 * z) / grid.l)

@@ -31,7 +31,10 @@ Both energies read their densities off the Gram matrix G_mu_nu =
 d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
 one routine, _assemble: e2 = tr G and, by Lagrange's identity, e4 =
 sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the descent's sweep also takes
-from G the slopes P_mu of flow.grad_energy.
+from G the slopes P_mu of flow.grad_energy.  That sweep, _sweep, works on
+the undivided differences 2h d_mu psi of lattice._diff_into and folds the
+powers of 2h into constants it applies anyway; the area form divides its
+differences by 2h as lattice.diff does, and keeps diff's floats.
 """
 
 import weakref
@@ -42,8 +45,7 @@ import numpy as np
 
 from . import quat
 from .errors import UnresolvableField
-from .lattice import (Grid, _aligned, _cross, _diff_into, _dot, _shifted, _site_last, _slab_sweep, avg_back,
-                      diff, integrate)
+from .lattice import Grid, _aligned, _cross, _diff_into, _dot, _shifted, _site_last, _slab_sweep, avg_back, diff
 
 FOUR_PI = 4.0 * np.pi
 
@@ -201,11 +203,12 @@ def _area(v, di, dj, out=None, s=None):
     return out
 
 
-def _slab_diffs(grid, v, dm, a, b):
-    """The three central differences of component-first v at planes a .. b - 1 into dm; halos from v."""
-    _diff_into(grid, v, 1, dm[0], a, b)
-    _diff_into(grid, v[:, a:b], 2, dm[1])
-    _diff_into(grid, v[:, a:b], 3, dm[2])
+def _slab_diffs(v, dm, a, b):
+    """The three undivided central differences, 2h d_mu v, of component-first v at planes
+    a .. b - 1 into dm; halos from v."""
+    _diff_into(v, 1, dm[0], a, b)
+    _diff_into(v[:, a:b], 2, dm[1])
+    _diff_into(v[:, a:b], 3, dm[2])
 
 
 def _area_form(g, v):
@@ -214,7 +217,8 @@ def _area_form(g, v):
     slabs = _slab_sweep(g.n, (4,), (3, 3))
     out = np.empty(v.shape)
     for a, b, s, dm in slabs:
-        _slab_diffs(g, v, dm, a, b)
+        _slab_diffs(v, dm, a, b)
+        dm /= 2.0 * g.h
         for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
             _area(v[:, a:b], dm[i], dm[j], out[k, a:b], s)
     return out
@@ -234,16 +238,18 @@ def pullback_area(psi):
 _GRAM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-def _assemble(d, e2, e4, s, P=None, g2=None):
+def _assemble(d, e2, e4, s, P=None, g2=None, c=None):
     """The Gram densities of three component-first derivatives d, d psi or D_a phi.
 
     s is scratch of shape (10,) + e2.shape.  Its first six slots take the
     Gram matrix G_mu_nu = d_mu . d_nu (slots _GRAM); e2 gets
     G00 + G11 + G22 and e4 gets sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2,
-    which is |d_mu x d_nu|^2 by Lagrange's identity.  Given P and g2,
-    writes P[mu] = (1 + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu}
-    G_mu_nu d_nu, half the derivative of e2 + e4 by d_mu, and raises
-    g2[mu] to the largest G_mu_mu = |d_mu|^2 over the sites.
+    which is |d_mu x d_nu|^2 by Lagrange's identity.  Given P, g2 and c,
+    writes P[mu] = (c + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu}
+    G_mu_nu d_nu and raises g2[mu] to the largest G_mu_mu = |d_mu|^2 over
+    the sites.  For the undivided differences d = 2h d_mu psi and
+    c = 4h^2, P[mu] is 8h^3 times half the derivative of the energy
+    density by d_mu psi, and the densities are 4h^2 e2 and 16h^4 e4.
     """
     G, t, tv = s[:6], s[6], s[7:]
     for mu in range(3):
@@ -262,22 +268,22 @@ def _assemble(d, e2, e4, s, P=None, g2=None):
         return
     for mu, nu, lam in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
         g2[mu] = np.maximum(g2[mu], np.max(G[mu]))
-        np.add(G[nu], 1.0, out=t)
+        np.add(G[nu], c, out=t)
         t += G[lam]
         np.multiply(t, d[mu], out=P[mu])
         P[mu] -= np.multiply(G[_GRAM[mu][nu]], d[nu], out=tv)
         P[mu] -= np.multiply(G[_GRAM[mu][lam]], d[lam], out=tv)
 
 
-def _energy(grid, e2, e4):
-    """Energy of whole-field densities: each summed once, in memory order."""
-    e2, e4 = integrate(grid, e2), integrate(grid, e4)
+def _energy(e2, e4, c2, c4):
+    """Energy of whole-field densities: each summed once, in memory order, times its constant."""
+    e2, e4 = float(np.sum(e2)) * c2, float(np.sum(e4)) * c4
     return Energy(e2, e4, e2 + e4)
 
 
 class _Slopes(NamedTuple):
-    """P[mu] = half the derivative of the energy density by d_(mu+1) v, shape
-    (3, 3, n, n, n), and g2[mu], the largest |d_(mu+1) v|^2 over the sites."""
+    """P[mu] = 8h^3 times half the derivative of the energy density by d_(mu+1) v,
+    shape (3, 3, n, n, n), and g2[mu], the largest |2h d_(mu+1) v|^2 over the sites."""
 
     P: np.ndarray
     g2: np.ndarray
@@ -287,19 +293,24 @@ def _sweep(grid, v, keep):
     """Energy of component-first unit values v in one slab sweep.
 
     Each slab of whole planes along the first site axis takes its three
-    central differences into a slab buffer and goes through _assemble;
-    the scalar densities land in whole-field arrays that are summed
-    once, so the energy does not depend on the slab size.  With keep,
-    returns (Energy, _Slopes) for the descent; without, (Energy, None).
+    undivided central differences into a slab buffer and goes through
+    _assemble; the scalar densities land in whole-field arrays that are
+    summed once, so the energy does not depend on the slab size.  No
+    difference is divided by 2h: the Dirichlet weight of P is 4h^2, and
+    the sums of the densities 4h^2 e2 and 16h^4 e4 take the quadrature
+    weight h^3 as h^3 / 4h^2 = h / 4 and h^3 / 16h^4 = 1 / 16h.  With
+    keep, returns (Energy, _Slopes) for the descent; without,
+    (Energy, None).
     """
     # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax)
     slabs = _slab_sweep(grid.n, (10,), (3, 3))
     e2, e4 = _aligned(v.shape[1:]), _aligned(v.shape[1:])
     P, g2 = (_aligned((3,) + v.shape), np.zeros(3)) if keep else (None, None)
+    h = grid.h
     for a, b, s, dm in slabs:
-        _slab_diffs(grid, v, dm, a, b)
-        _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2)
-    return _energy(grid, e2, e4), (_Slopes(P, g2) if keep else None)
+        _slab_diffs(v, dm, a, b)
+        _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2, 4.0 * h**2)
+    return _energy(e2, e4, h / 4.0, 1.0 / (16.0 * h)), (_Slopes(P, g2) if keep else None)
 
 
 def energy(psi):
@@ -387,7 +398,7 @@ def energy_conn(phi, a):
     D = _covariant(a, phi)[0]
     e2, e4 = np.empty(D.shape[2:]), np.empty(D.shape[2:])
     _assemble(D, e2, e4, np.empty((10,) + D.shape[2:]))
-    return _energy(phi.grid, e2, e4)
+    return _energy(e2, e4, phi.grid.h**3, phi.grid.h**3)
 
 
 def decompose(a, phi):

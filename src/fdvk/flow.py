@@ -18,7 +18,10 @@ The kernel (_kernel, _gradient, _search) sweeps the component-first
 layout in the slabs of lattice._slab_sweep.  _kernel's sweep forms, from
 the Gram products d_mu psi . d_nu psi, the two energy densities and one
 slope P_mu per direction; the gradient is -2 sum_mu A_mu P_mu, three
-stencils, then the tangent projection.  Densities are summed once over
+stencils, then the tangent projection.  The kernel never divides a
+difference by 2h: it runs on the undivided differences of
+lattice._diff_into, so its slopes are 8h^3 P_mu and its stencils 2h A_mu,
+and the gradient's -2 becomes -2 / 16h^4.  Densities are summed once over
 the whole field and each site's terms are taken in one fixed order, so
 energies, gradients and step ceilings do not depend on the slab size,
 and a lattice translation rolls them bit for bit.
@@ -133,18 +136,21 @@ def _gradient(grid, v, slopes):
     """grad_energy on the component-first layout, from _kernel's slopes.
 
     Sweeps the slabs of _kernel: -2 (A_1 P_0 + A_2 P_1 + A_3 P_2), then
-    the tangent projection.  A_1 reads P_0's two neighbouring planes
-    from the whole field.  Per site the terms are taken in one fixed
-    order, so the result does not depend on the slab size.
+    the tangent projection, with the undivided stencils 2h A_mu on the
+    slopes 8h^3 P_mu, so the -2 is -2 / 16h^4.  A_1 reads P_0's two
+    neighbouring planes from the whole field.  Per site the terms are
+    taken in one fixed order, so the result does not depend on the slab
+    size.
     """
     P = slopes.P
     grad = _aligned(v.shape)
+    scale = -2.0 / (16.0 * grid.h**4)
     for a, b, term in _slab_sweep(grid.n, (3,)):
         g = grad[:, a:b]
-        _diff_into(grid, P[0], 1, g, a, b)
-        g += _diff_into(grid, P[1][:, a:b], 2, term)
-        g += _diff_into(grid, P[2][:, a:b], 3, term)
-        g *= -2.0
+        _diff_into(P[0], 1, g, a, b)
+        g += _diff_into(P[1][:, a:b], 2, term)
+        g += _diff_into(P[2][:, a:b], 3, term)
+        g *= scale
         vs = v[:, a:b]
         np.multiply(_dot(g, vs), vs, out=term)
         g -= term
@@ -152,8 +158,8 @@ def _gradient(grid, v, slopes):
 
 
 def _ceiling(grid, dv):
-    """step_ceiling from _kernel's slopes."""
-    g2 = max(float(x) for x in dv.g2)
+    """step_ceiling from _kernel's slopes, whose g2 is 4h^2 times |d_mu psi|^2."""
+    g2 = max(float(x) for x in dv.g2) / (4.0 * grid.h**2)
     return grid.h**2 / (3.0 * (1.0 + 4.0 * g2))
 
 

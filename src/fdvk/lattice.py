@@ -27,11 +27,14 @@ A slab reads its halo planes from the whole field (_shifted, _diff_into).
 One central stencil, _diff_into, serves energies, gradients and fluxes;
 it subtracts shifted slices straight into a given buffer, periodic within
 the array it is handed, and keeps the discrete energy an explicit smooth
-function of site values, so its gradient is exact. One half-spectrum
-path (_rfft3, _irfft3, _half_spectrum) serves d and codiff, the Hodge
-split, the potential and the Parseval sums: its multiplier iK makes d
-compose to zero and the codifferential an exact adjoint, and _parseval is
-its one quadrature. The two agree to O(h^2) on smooth data.
+function of site values, so its gradient is exact.  It leaves the
+difference undivided: diff, the area form and the raw fluxes divide by
+2h, and the descent folds the powers of 2h into its constants.  One
+half-spectrum path (_rfft3, _irfft3, _half_spectrum) serves d and
+codiff, the Hodge split, the potential and the Parseval sums: its
+multiplier iK makes d compose to zero and the codifferential an exact
+adjoint, and _parseval is its one quadrature. The two agree to O(h^2) on
+smooth data.
 """
 
 from dataclasses import dataclass
@@ -53,15 +56,16 @@ class Grid:
             raise ValueError("grid needs an integer count of at least 4 sites per axis")
         if not (np.isfinite(self.l) and self.l > 0):
             raise ValueError("period must be finite and positive")
-        # quadrature weights h^3 and the quartic density's scale h^-4
-        # must both be normal nonzero floats, or energies read inf or NaN
+        # the quadrature weight h^3, the quartic density's scale h^-4 and
+        # the descent gradient's 2 / 16h^4 must be normal floats, or
+        # energies and gradients read inf or NaN, or lose their bits
         h = np.float64(self.l) / self.n
-        with np.errstate(over="ignore", under="ignore"):
-            scales = (h**3, h**-4)
-        if not all(np.isfinite(s) and s > 0 for s in scales):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            scales = (h**3, h**-4, 2.0 / (16.0 * h**4))
+        if not (np.all(np.isfinite(scales)) and min(scales) >= np.finfo(float).tiny):
             raise ValueError(
                 f"period {self.l!r} over {self.n} sites gives a spacing whose cube "
-                "or inverse fourth power leaves the floating-point range"
+                "or inverse fourth power leaves the normal floating-point range"
             )
 
     @property
@@ -84,22 +88,38 @@ def check_direction(mu):
 
 
 def diff(grid, f, mu):
-    """Central difference along direction mu, periodic.
+    """Central difference along direction mu, periodic: _diff_into's undivided
+    difference over 2h.
 
     The site axes are the last three of f, so a scalar field and a
     component-first one are differenced alike.
     """
     check_direction(mu)
     f = np.asarray(f)
-    return _diff_into(grid, f, f.ndim - 4 + mu, np.empty(f.shape, np.result_type(f, 1.0)))
+    out = _diff_into(f, f.ndim - 4 + mu, np.empty(f.shape, np.result_type(f, 1.0)))
+    out /= 2.0 * grid.h
+    return out
 
 
-def _diff_into(grid, f, ax, out, lo=0, hi=None):
-    """(f[i + 1] - f[i - 1]) / 2h along axis ax for i = lo .. hi - 1, into out.
+def _run_axes(a):
+    """How many trailing axes of a merge into one run of equal strides (at least the last)."""
+    k = 1
+    while k < a.ndim and a.strides[-k - 1] == a.strides[-k] * a.shape[-k]:
+        k += 1
+    return k
+
+
+def _diff_into(f, ax, out, lo=0, hi=None):
+    """The undivided central difference f[i + 1] - f[i - 1] along axis ax for
+    i = lo .. hi - 1, into out; diff divides it by 2h, the descent folds 2h
+    into its constants.
 
     f is periodic along ax; out holds hi - lo entries there, so a slab
     lo .. hi - 1 of a whole field reads its halo planes lo - 1 and hi
-    from f, wrapping only at the ends of the axis.
+    from f, wrapping only at the ends of the axis.  Along the last axis
+    the rows are subtracted as one run over the trailing axes that f and
+    out both merge, across the row ends, whose wrong values the two wrap
+    columns then overwrite: the same floats as row by row.
     """
     m = f.shape[ax]
     hi = m if hi is None else hi
@@ -107,14 +127,18 @@ def _diff_into(grid, f, ax, out, lo=0, hi=None):
     def at(a, b):
         return (slice(None),) * ax + (slice(a, b),)
 
-    i0, i1 = max(lo, 1), min(hi, m - 1)
-    if i0 < i1:
-        np.subtract(f[at(i0 + 1, i1 + 1)], f[at(i0 - 1, i1 - 1)], out=out[at(i0 - lo, i1 - lo)])
+    if ax == f.ndim - 1 and hi - lo == m:
+        k = min(_run_axes(f), _run_axes(out))
+        fr, rr = f.reshape(f.shape[:-k] + (-1,)), out.reshape(out.shape[:-k] + (-1,))
+        np.subtract(fr[..., 2:], fr[..., :-2], out=rr[..., 1:-1])
+    else:
+        i0, i1 = max(lo, 1), min(hi, m - 1)
+        if i0 < i1:
+            np.subtract(f[at(i0 + 1, i1 + 1)], f[at(i0 - 1, i1 - 1)], out=out[at(i0 - lo, i1 - lo)])
     if lo == 0:
         np.subtract(f[at(1, 2)], f[at(m - 1, m)], out=out[at(0, 1)])
     if hi == m:
         np.subtract(f[at(0, 1)], f[at(m - 2, m - 1)], out=out[at(m - 1 - lo, m - lo)])
-    out /= 2.0 * grid.h
     return out
 
 

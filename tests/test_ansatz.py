@@ -23,8 +23,10 @@ def test_spec_validation():
         AnsatzSpec(kind="tube", radius=0.0)
     with pytest.raises(ValueError):
         AnsatzSpec(kind="tube", axis=4)
-    with pytest.raises(ValueError):
-        AnsatzSpec(kind="ballmap", charge=1.5)
+    # int() raises OverflowError on inf and numpy's own ValueError text on NaN
+    for bad in (1.5, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="charge must be an integer"):
+            AnsatzSpec(kind="ballmap", charge=bad)
 
 
 def test_under_resolved_support():
@@ -126,8 +128,9 @@ def test_s1_winding_counts():
 
 def test_s1_winding_refuses_non_integer_windings():
     g = Grid(8, TWO_PI)
-    with pytest.raises(ValueError, match="integers"):
-        s1_winding(g, (1.5, 0, 0))
+    for bad in (1.5, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="windings must be integers"):
+            s1_winding(g, (bad, 0, 0))
     assert np.array_equal(s1_winding(g, (np.int64(2), 0, 0)).values, s1_winding(g, (2, 0, 0)).values)
 
 

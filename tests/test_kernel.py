@@ -1,14 +1,19 @@
 """The component-first descent kernel against its site-last references.
 
-Step ceilings, area forms and the raw fluxes use the same arithmetic as
-the references in tests/oracles.py and must agree bit for bit.  The
-energy and the gradient come from the Gram products d_mu psi . d_nu psi
-instead of the reference's cross products: energies agree to 1e-14
-relative, gradients to 1e-14 of the largest reference component
-(GRAD_TOL).  The helicity is summed by Parseval on the half spectrum
-instead of after three inverse FFTs (1e-12 absolute).  The slab sweep
-must not depend on the slab size: energies, gradients and ceilings are
-bit-identical to a sweep in one slab, the whole field.
+Area forms and the raw fluxes divide the central differences by 2h as
+the references in tests/oracles.py do and must agree bit for bit.  The
+descent's sweep works on undivided differences, with the powers of 2h
+folded into its constants, and reads the energy and the gradient off
+the Gram products d_mu psi . d_nu psi instead of the reference's cross
+products: energies agree to 1e-14 relative, step ceilings to 1e-15
+relative (CEILING_TOL), and gradients to GRAD_TOL times the larger of
+the largest reference component and one stencil term's scale, the
+largest |d_mu psi| / h.  That floor matters only at a critical point,
+the equator, where the reference gradient is rounding noise.  The
+helicity is summed by Parseval on the half spectrum instead of after
+three inverse FFTs (1e-12 absolute).  The slab sweep must not depend on
+the slab size: energies, gradients and ceilings are bit-identical to a
+sweep in one slab, the whole field.
 """
 
 import numpy as np
@@ -29,8 +34,10 @@ from oracles import (
     ref_step_ceiling,
 )
 
-# the Gram-form gradient against the cross-product reference, relative to max|ref|
+# the Gram-form gradient against the cross-product reference, relative to its scale
 GRAD_TOL = 1e-14
+# the step ceiling from undivided differences against the reference, relative
+CEILING_TOL = 1e-15
 CASES = [(kind, n) for kind in ("hopfion", "tube", "equator") for n in (19, 24, 48)]
 CASES.append(("hopfion", 64))
 
@@ -41,15 +48,23 @@ def case(request):
     return kind, generate(AnsatzSpec(kind=kind), Grid(n))
 
 
-def _grad_close(got, want):
-    return np.max(np.abs(got - want)) <= GRAD_TOL * np.max(np.abs(want))
+def _grad_close(got, psi):
+    v, h = psi.values, psi.grid.h
+    want = ref_grad_energy(v, h)
+    # one stencil term's scale: the largest central difference |d_mu psi| over h
+    term = max(np.max(np.abs(np.roll(v, -1, ax) - np.roll(v, 1, ax))) / (2.0 * h) for ax in range(3)) / h
+    return np.max(np.abs(got - want)) <= GRAD_TOL * max(np.max(np.abs(want)), term)
+
+
+def _ceiling_close(psi):
+    want = ref_step_ceiling(psi.values, psi.grid.h)
+    return abs(step_ceiling(psi) - want) <= CEILING_TOL * want
 
 
 def test_gradient_and_ceiling_bit_identical(case):
     _, psi = case
-    h = psi.grid.h
-    assert _grad_close(grad_energy(psi), ref_grad_energy(psi.values, h))
-    assert step_ceiling(psi) == ref_step_ceiling(psi.values, h)
+    assert _grad_close(grad_energy(psi), psi)
+    assert _ceiling_close(psi)
 
 
 def test_pullback_area_bit_identical(case):
@@ -93,14 +108,14 @@ def test_slab_sweep_independent_of_slab_size(monkeypatch, kind, planes):
     assert lattice._slabs(n) == [(0, n)]
     whole = energy(psi)
     whole_grad = grad_energy(psi)
+    whole_ceiling = step_ceiling(psi)
     monkeypatch.setattr(lattice, "SLAB_SITES", planes * n**2)
     slabs = lattice._slabs(n)
     # several slabs, a short last one, and both wrapped halos
     assert len(slabs) > 2 and slabs[0][0] == 0 and slabs[-1][1] == n
     assert planes == 1 or slabs[-1][1] - slabs[-1][0] < planes
     assert tuple(energy(psi)) == tuple(whole)
-    h = psi.grid.h
     grad = grad_energy(psi)
     assert np.array_equal(grad, whole_grad) and np.array_equal(np.signbit(grad), np.signbit(whole_grad))
-    assert _grad_close(grad, ref_grad_energy(psi.values, h))
-    assert step_ceiling(psi) == ref_step_ceiling(psi.values, h)
+    assert _grad_close(grad, psi)
+    assert step_ceiling(psi) == whole_ceiling and _ceiling_close(psi)

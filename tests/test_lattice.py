@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fdvk import lattice
 from fdvk.errors import GridMismatch, NonExactForm
+from fdvk.fields import energy
+from fdvk.flow import grad_energy, step_ceiling
 from fdvk.lattice import (
     Grid,
     _cross,
@@ -19,6 +21,7 @@ from fdvk.lattice import (
     integrate,
     slice_flux,
 )
+from fieldgen import smooth_sphere_field
 from oracles import ref_codiff, ref_d
 
 TWO_PI = 2.0 * np.pi
@@ -45,12 +48,53 @@ def test_grid_validation():
             Grid(8, bad)
 
 
+# the accepted periods at n = 6 end between these neighbouring floats: below
+# where h^-4 overflows, above where the descent gradient's 2 / 16h^4 is no
+# longer a normal float
+PERIOD_EDGES = [(5.1817011330566675e-77, 5.181701133056667e-77), (2.9210745826319223e77, 2.921074582631923e77)]
+
+
+@pytest.mark.parametrize("inside, outside", PERIOD_EDGES, ids=["low", "high"])
+def test_grid_period_edges(inside, outside):
+    with pytest.raises(ValueError, match="period"):
+        Grid(6, outside)
+    psi = smooth_sphere_field(Grid(6, inside), 3)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values = (*energy(psi), step_ceiling(psi), np.max(np.abs(grad_energy(psi))))
+    assert all(np.isfinite(v) and v > 0 for v in values)
+
+
+def _central(f, ax):
+    """The undivided central difference along axis ax, written with np.roll."""
+    return np.roll(f, -1, ax) - np.roll(f, 1, ax)
+
+
 def test_diff_is_central():
-    g = Grid(16, TWO_PI)
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal((16, 16, 16))
-    manual = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * g.h)
-    assert np.allclose(diff(g, f, 2), manual)
+    for n in (12, 13):
+        g = Grid(n, TWO_PI)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((3, n, n, n))
+        for mu in (1, 2, 3):
+            assert np.array_equal(diff(g, f, mu), _central(f, mu) / (2 * g.h))
+            assert np.array_equal(diff(g, f[0], mu), _central(f[0], mu - 1) / (2 * g.h))
+        # slabs along the first site axis read their halo planes from the whole
+        # field: a short last slab, and one-site-thick slabs at both wraps
+        want = _central(f, 1)
+        for lo, hi in [(0, 5), (5, 10), (10, n), (0, 1), (4, 5), (n - 1, n)]:
+            out = lattice._diff_into(f, 1, np.empty((3, hi - lo, n, n)), lo, hi)
+            assert np.array_equal(out, want[:, lo:hi])
+        # a field one site thick along one axis, differenced in plane
+        for k in (0, n - 1):
+            for thin, axes in ((f[:, k:k + 1], (2, 3)), (f[:, :, k:k + 1], (1, 3)), (f[..., k:k + 1], (1, 2))):
+                for ax in axes:
+                    assert np.array_equal(lattice._diff_into(thin, ax, np.empty(thin.shape)), _central(thin, ax))
+        # views whose trailing axes do not merge into one run, read or written
+        wide = rng.standard_normal((3, n, n, n + 2))
+        for view in (wide[..., :n], np.swapaxes(f, -1, -2), f[:, ::-1]):
+            for ax in (1, 2, 3):
+                assert np.array_equal(lattice._diff_into(view, ax, np.empty(view.shape)), _central(view, ax))
+        out = np.empty((3, n, n, n + 2))[..., :n]
+        assert np.array_equal(lattice._diff_into(f, 3, out), _central(f, 3))
     with pytest.raises(ValueError):
         diff(g, f, 0)
 
