@@ -7,7 +7,9 @@ group maps of prescribed degree.  Orientation conventions inside the
 tube/hopfion/ballmap constructions were fixed once against signed
 preimage counts so that the advertised invariant of each generator comes
 out with a plus sign; do not "simplify" an angle sign without rerunning
-those counts.
+those counts.  A hopfion is its ball lift u rotating the constant field
+u i u*, the triple quat.IM_I rotated site by site (fields._conjugate),
+so no constant field is built for it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import quat
 from .errors import UnderResolved
-from .fields import GroupField, SphereField, _field, conjugate_field, constant_sphere
+from .fields import GroupField, SphereField, _conjugate, _field, constant_sphere
 from .gauge import circle_field
 from .invariants import _read
 from .lattice import Grid, check_direction
@@ -169,7 +171,7 @@ def _generate(spec, grid):
         field, want = _tube(spec, grid), (tuple(int(k == spec.axis) for k in (1, 2, 3)), None, None)
     elif spec.kind == "hopfion":
         u = _ball_lift(spec, grid, azimuth_sign=1 if q >= 0 else -1)
-        field, want = conjugate_field(u, constant_sphere(grid, quat.IM_I)), ((0, 0, 0), q, None)
+        field, want = _field(SphereField, grid, _conjugate(u, quat.IM_I)), ((0, 0, 0), q, None)
     else:
         # mirror azimuth of the hopfion lift, so degree = +charge; it frames the
         # constant field, which a degree-d map conjugates to Hopf charge -d

@@ -27,14 +27,17 @@ by gauge), and connection_of(u) leaves on u a weak reference to the
 Connection it returns, whose edge logarithms _logs_of(u) reads while it
 is alive.
 
-Both energies read their densities off the Gram matrix G_mu_nu =
-d_mu psi . d_nu psi of the three central differences, or of D_a phi, in
-one routine, _assemble: e2 = tr G and, by Lagrange's identity, e4 =
-sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the descent's sweep also takes
-from G the slopes P_mu of flow.grad_energy.  That sweep, _sweep, works on
-the undivided differences 2h d_mu psi of lattice._diff_into and folds the
-powers of 2h into constants it applies anyway; the area form divides its
-differences by 2h as lattice.diff does, and keeps diff's floats.
+Both energies are one slab sweep, _sweep.  It takes the undivided
+differences 2h d_mu psi of lattice._diff_into, adds 4h ab_mu x phi for
+energy_conn, which makes them 2h D_a phi, and reads the densities off
+their Gram matrix G_mu_nu in one routine, _assemble: e2 = tr G and, by
+Lagrange's identity, e4 = sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; for
+the descent it also takes from G the slopes P_mu of flow.grad_energy.
+The powers of 2h are folded into constants the sweep applies anyway, so
+energy_conn(phi, 0) == energy(phi) bit for bit.  The area form divides
+its differences by 2h as lattice.diff does, and keeps diff's floats.
+_conjugate rotates a SphereField, or one imaginary triple that stands
+for a constant field, which is then never built.
 """
 
 import weakref
@@ -183,9 +186,12 @@ def constant_group(grid, q=quat.ONE):
 
 def _conjugate(u, phi):
     """u phi u* site by site, component-first and normalized: a new (3, n, n, n) array, so the
-    rotation's (4, n, n, n) result is not kept alive by it."""
-    u.grid.same(phi.grid)
-    psi = quat._rotate(_cf(u), _cf(phi))
+    rotation's (4, n, n, n) result is not kept alive by it.  phi is a SphereField on u's grid,
+    or one imaginary triple, the constant field, which quat._rotate broadcasts unbuilt."""
+    if isinstance(phi, SphereField):
+        u.grid.same(phi.grid)
+        phi = _cf(phi)
+    psi = quat._rotate(_cf(u), phi)
     return psi / quat._norm(psi)
 
 
@@ -275,12 +281,6 @@ def _assemble(d, e2, e4, s, P=None, g2=None, c=None):
         P[mu] -= np.multiply(G[_GRAM[mu][lam]], d[lam], out=tv)
 
 
-def _energy(e2, e4, c2, c4):
-    """Energy of whole-field densities: each summed once, in memory order, times its constant."""
-    e2, e4 = float(np.sum(e2)) * c2, float(np.sum(e4)) * c4
-    return Energy(e2, e4, e2 + e4)
-
-
 class _Slopes(NamedTuple):
     """P[mu] = 8h^3 times half the derivative of the energy density by d_(mu+1) v,
     shape (3, 3, n, n, n), and g2[mu], the largest |2h d_(mu+1) v|^2 over the sites."""
@@ -289,13 +289,15 @@ class _Slopes(NamedTuple):
     g2: np.ndarray
 
 
-def _sweep(grid, v, keep):
-    """Energy of component-first unit values v in one slab sweep.
+def _sweep(grid, v, keep, ab=None):
+    """Energy of component-first unit values v in one slab sweep; given ab, the
+    site-averaged connection (3, 3, n, n, n), the energy of D_a v.
 
     Each slab of whole planes along the first site axis takes its three
-    undivided central differences into a slab buffer and goes through
-    _assemble; the scalar densities land in whole-field arrays that are
-    summed once, so the energy does not depend on the slab size.  No
+    undivided central differences into a slab buffer, adds 4h ab_mu x v
+    when given ab, which makes them 2h D_a v, and goes through _assemble;
+    the scalar densities land in whole-field arrays that are summed once,
+    in memory order, so the energy does not depend on the slab size.  No
     difference is divided by 2h: the Dirichlet weight of P is 4h^2, and
     the sums of the densities 4h^2 e2 and 16h^4 e4 take the quadrature
     weight h^3 as h^3 / 4h^2 = h / 4 and h^3 / 16h^4 = 1 / 16h.  With
@@ -309,8 +311,12 @@ def _sweep(grid, v, keep):
     h = grid.h
     for a, b, s, dm in slabs:
         _slab_diffs(v, dm, a, b)
+        if ab is not None:
+            for mu in range(3):
+                dm[mu] += np.multiply(4.0 * h, _cross(ab[mu, :, a:b], v[:, a:b], s[:3], s[3]), out=s[:3])
         _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2, 4.0 * h**2)
-    return _energy(e2, e4, h / 4.0, 1.0 / (16.0 * h)), (_Slopes(P, g2) if keep else None)
+    e2, e4 = float(np.sum(e2)) * (h / 4.0), float(np.sum(e4)) * (1.0 / (16.0 * h))
+    return Energy(e2, e4, e2 + e4), (_Slopes(P, g2) if keep else None)
 
 
 def energy(psi):
@@ -394,11 +400,10 @@ def covariant_derivative(a, phi):
 
 
 def energy_conn(phi, a):
-    """Energy in the connection picture: d psi replaced by D_a phi."""
-    D = _covariant(a, phi)[0]
-    e2, e4 = np.empty(D.shape[2:]), np.empty(D.shape[2:])
-    _assemble(D, e2, e4, np.empty((10,) + D.shape[2:]))
-    return _energy(e2, e4, phi.grid.h**3, phi.grid.h**3)
+    """Energy in the connection picture: d psi replaced by D_a phi, in energy's sweep,
+    so energy_conn(phi, 0) == energy(phi)."""
+    a.grid.same(phi.grid)
+    return _sweep(phi.grid, _cf(phi), keep=False, ab=_site_logs(phi.grid, _cf(a)))[0]
 
 
 def decompose(a, phi):

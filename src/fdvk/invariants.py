@@ -6,9 +6,11 @@ Hopf charge is the helicity of the vector potential of that form; group
 fields additionally carry a degree, computed from the cubic integral of
 their flattening connection, and any connection has a Chern--Simons
 number.  _read decides, without raising, which of these readings a
-field or framed pair has and why the others are missing; fluxes,
-hopf_charge and homotopy_record raise from it.  It and _classify return
-one reading record, _Reading; the Parseval sums are lattice._parseval.
+field or framed pair has and why the others are missing; a group field
+alone frames the constant field, the triple quat.IM_I it rotates, never
+built.  fluxes, hopf_charge and homotopy_record raise from _read.  It
+and _classify return one reading record, _Reading; the Parseval sums
+are lattice._parseval.
 _classify reads component-first values (3, n, n, n) where they live:
 the descent's iterate, or the array a SphereField stores (fields._cf).
 """
@@ -19,6 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import quat
 from .errors import NonExactForm, NonIntegralFlux
 from .fields import (
     Connection,
@@ -30,7 +33,6 @@ from .fields import (
     _conjugate,
     _logs_of,
     _site_logs,
-    constant_sphere,
 )
 from .lattice import _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, diff, integrate
 
@@ -221,14 +223,14 @@ def _read(phi, u: Optional[GroupField] = None) -> _Reading:
     its integer or when the fluxes, and with them m, are unclassifiable.
     """
     if isinstance(phi, GroupField):
-        phi, u = constant_sphere(phi.grid), phi
+        phi, u = quat.IM_I, phi
     if u is None:
-        v, deg = _cf(phi), None
+        g, v, deg = phi.grid, _cf(phi), None
     else:
         # the degree first, so its temporaries and the conjugate never coexist
-        deg = degree(u)
+        g, deg = u.grid, degree(u)
         v = _conjugate(u, phi)
-    r = _classify(phi.grid, v)._replace(v=v)
+    r = _classify(g, v)._replace(v=v)
     if deg is None:
         return r
     cls = int(np.rint(deg))

@@ -56,17 +56,16 @@ class Grid:
             raise ValueError("grid needs an integer count of at least 4 sites per axis")
         if not (np.isfinite(self.l) and self.l > 0):
             raise ValueError("period must be finite and positive")
-        # the quadrature weight h^3, the quartic density's scale h^-4 and
-        # the descent gradient's 2 / 16h^4 must be normal floats, or
-        # energies and gradients read inf or NaN, or lose their bits
+        # for unit fields each undivided difference is at most 2, so the step ceiling is at
+        # least h^4 / 3(h^2 + 4) and the gradient at most (6h^2 + 24) / h^4; both, and the
+        # gradient's scale 2 / 16h^4, which past the top edge is subnormal and then 0, must be
+        # normal floats: about 2.3e-77 <= h <= 4.9e76
         h = np.float64(self.l) / self.n
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            scales = (h**3, h**-4, 2.0 / (16.0 * h**4))
-        if not (np.all(np.isfinite(scales)) and min(scales) >= np.finfo(float).tiny):
-            raise ValueError(
-                f"period {self.l!r} over {self.n} sites gives a spacing whose cube "
-                "or inverse fourth power leaves the normal floating-point range"
-            )
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            worst = (h**4 / (3.0 * (h**2 + 4.0)), (6.0 * h**2 + 24.0) / h**4, 2.0 / (16.0 * h**4))
+        if not (np.all(np.isfinite(worst)) and min(worst) >= np.finfo(float).tiny):
+            raise ValueError(f"period {self.l!r} over {self.n} sites gives a spacing h = {float(h)!r} outside "
+                             "about 2.3e-77 <= h <= 4.9e76, where the descent's ceiling and gradient stay normal")
 
     @property
     def h(self):

@@ -52,7 +52,7 @@ def _hopfion_values():
 # regressions: a period out of range, invariants that overflow
 
 
-@pytest.mark.parametrize("l", [1e300, 1e120, 1e-120, 1e79])
+@pytest.mark.parametrize("l", [1e300, 1e120, 1e-120, 1e79, 3e-76])
 def test_report_refuses_a_period_out_of_range(tmp_path, l):
     path = tmp_path / "far.fdk"
     path.write_bytes(snapshot_bytes(0, 18, l, _hopfion_values().transpose(2, 1, 0, 3)))

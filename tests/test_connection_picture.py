@@ -5,7 +5,8 @@ and Connection.site_values use the same arithmetic as the references in
 tests/oracles.py (np.cross, last-axis sums, site-last np.roll) and must
 agree bit for bit, on smooth pairs and on the zero connection; the
 flatness residuals sum their squares in the same order and agree with
-==.  energy_conn sums its densities in another order (1e-14 relative).
+==.  energy_conn runs the descent's energy sweep on undivided differences
+and sums its Gram densities, so it agrees to 1e-14 relative.
 Odd n exercise the periodic wrap of the differences on both parities.
 """
 

@@ -76,6 +76,19 @@ def test_fields_py_alone_lays_out_field_storage():
     assert [p.name for p in others if convert.search(p.read_text())] == []
 
 
+def test_one_energy_sweep():
+    # both pictures' energies, and the descent's slopes, are read off the Gram densities in fields._sweep
+    src = Path(fdvk.__file__).parent
+    callers = []
+    for p in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(p.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                calls = [c for c in ast.walk(fn) if isinstance(c, ast.Call)]
+                if any(getattr(c.func, "id", getattr(c.func, "attr", None)) == "_assemble" for c in calls):
+                    callers.append((p.name, getattr(fn, "name", "<lambda>")))
+    assert callers == [("fields.py", "_sweep")]
+
+
 def test_console_script_is_the_cli_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -22,6 +22,7 @@ from fdvk.fields import (
     plaquette_curvature,
     pullback_area,
 )
+from fdvk.invariants import homotopy_record
 from fdvk.lattice import Grid, form_norm
 from fieldgen import smooth_group_field, smooth_sphere_field
 
@@ -71,9 +72,15 @@ def test_energy_closed_form_on_equator():
 
 def test_grid_mismatch_rejected():
     u = smooth_group_field(Grid(8, TWO_PI), 1)
-    phi = smooth_sphere_field(Grid(12, TWO_PI), 1)
-    with pytest.raises(GridMismatch):
-        conjugate_field(u, phi)
+    # equal site counts index alike, so only the period check stands between Grid(8, 2) and a silent result
+    for other in (Grid(12, TWO_PI), Grid(8, 2.0)):
+        phi = smooth_sphere_field(other, 1)
+        with pytest.raises(GridMismatch):
+            conjugate_field(u, phi)
+        with pytest.raises(GridMismatch):
+            homotopy_record(phi, u)
+        with pytest.raises(GridMismatch):
+            energy_conn(phi, connection_of(u))
 
 
 def test_conjugation_round_trip():
@@ -88,12 +95,12 @@ def test_conjugation_round_trip():
 
 
 def test_energy_conn_reduces_to_energy_at_zero_connection():
-    g = Grid(12, TWO_PI)
-    phi = smooth_sphere_field(g, 4)
-    zero = Connection(g, np.zeros((12, 12, 12, 3, 3)))
-    # the descent's energy folds 2h into its quadrature constants, energy_conn divides d phi by 2h
-    for got, want in zip(energy_conn(phi, zero), energy(phi)):
-        assert abs(got - want) <= 1e-15 * abs(want)
+    # one sweep for both pictures: D_0 phi is d phi to the bit, and so are e2, e4 and total
+    for n in (12, 15, 24, 33):
+        g = Grid(n, TWO_PI)
+        phi = smooth_sphere_field(g, 4)
+        zero = Connection(g, np.zeros((n, n, n, 3, 3)))
+        assert energy_conn(phi, zero) == energy(phi), n
 
 
 def test_frame_equivalence_spot():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdvk import lattice
 from fdvk.errors import GridMismatch, NonExactForm
-from fdvk.fields import energy
+from fdvk.fields import SphereField, energy
 from fdvk.flow import grad_energy, step_ceiling
 from fdvk.lattice import (
     Grid,
@@ -49,19 +49,23 @@ def test_grid_validation():
 
 
 # the accepted periods at n = 6 end between these neighbouring floats: below
-# where h^-4 overflows, above where the descent gradient's 2 / 16h^4 is no
-# longer a normal float
-PERIOD_EDGES = [(5.1817011330566675e-77, 5.181701133056667e-77), (2.9210745826319223e77, 2.921074582631923e77)]
+# where the worst step ceiling of a unit field, h^4 / 3(h^2 + 4), is no longer
+# a normal float, above where the descent gradient's 2 / 16h^4 is not
+PERIOD_EDGES = [(1.363900440820473e-76, 1.3639004408204728e-76), (2.9210745826319223e77, 2.921074582631923e77)]
 
 
 @pytest.mark.parametrize("inside, outside", PERIOD_EDGES, ids=["low", "high"])
 def test_grid_period_edges(inside, outside):
     with pytest.raises(ValueError, match="period"):
         Grid(6, outside)
-    psi = smooth_sphere_field(Grid(6, inside), 3)
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        values = (*energy(psi), step_ceiling(psi), np.max(np.abs(grad_energy(psi))))
-    assert all(np.isfinite(v) and v > 0 for v in values)
+    # a smooth field, and a rough one whose undivided differences reach 2 in norm,
+    # the worst a unit field has: there the gradient peaks and the ceiling bottoms out
+    g = Grid(6, inside)
+    v = np.random.default_rng(0).standard_normal((6, 6, 6, 3))
+    for psi in (smooth_sphere_field(g, 3), SphereField(g, v / np.linalg.norm(v, axis=-1, keepdims=True))):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = (*energy(psi), step_ceiling(psi), np.max(np.abs(grad_energy(psi))))
+        assert all(np.isfinite(x) and x >= np.finfo(float).tiny for x in values)
 
 
 def _central(f, ax):

@@ -2,8 +2,11 @@
 
 import csv
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -62,3 +65,44 @@ def test_gauge_canonical_script_smoke(capsys):
     assert reading("idempotence drift") == "0.000e+00"
     # the pure unit winding sits on the integer in every direction
     assert reading("ties") == "(True, True, True)"
+
+
+def test_identity_digests_agree_on_a_rerun(capsys, tmp_path):
+    identity = _script("identity")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert identity.main(["--reduced", "-o", str(first)]) == 0
+    assert identity.main(["--reduced", "-o", str(second), "--compare", str(first)]) == 0
+    total = int(re.search(r"^0 of (\d+) entries differ", capsys.readouterr().out, flags=re.M).group(1))
+    assert total > 100
+    # refusals are outputs: the charge-2 hopfion and ballmap at n = 18 exit 2
+    entries = json.loads(first.read_text())["entries"]
+    assert entries["census/n18/hopfion/2/init/exit"]["values"] == [2.0]
+    assert "census/n18/hopfion/2/snapshot" not in entries
+
+
+def test_identity_compare_names_what_moved(tmp_path):
+    identity = _script("identity")
+    parent, change = tmp_path / "parent.json", tmp_path / "change.json"
+    identity.run(parent, reduced=True)
+    identity.run(change, reduced=True)
+    # one inline triple, one archived array and one JSON line moved, one entry dropped
+    rec = json.loads(parent.read_text())
+    e = rec["entries"]
+    small, big = "gauge/n20/s1/op0/energy_conn", "gauge/n20/s1/op0/covariant_derivative"
+    line, gone = "census/n18/tube/1/report/stdout", "census/n18/constant/None/snapshot"
+    e[small]["values"][1] *= 1.0 + 1e-14
+    e[line]["text"] = re.sub(r'"energy": ([-\d.e+]+)', lambda m: f'"energy": {float(m[1]) * 2!r}', e[line]["text"])
+    for key in (small, big, line):
+        e[key]["sha256"] = "0" * 64
+    del e[gone]
+    parent.write_text(json.dumps(rec))
+    with np.load(parent.with_suffix(".npz")) as archive:
+        arrays = dict(archive)
+    arrays[big.replace("/", ":")] = arrays[big.replace("/", ":")] * 0.5
+    np.savez(parent.with_suffix(".npz"), **arrays)
+    lines = dict(x.split(": ", 1) for x in identity.compare(parent, change))
+    assert sorted(lines) == sorted([small, big, line, gone])
+    assert lines[gone] == "only in change"
+    for key, bound in ((small, 2e-14), (big, 1.0), (line, 1.0)):
+        rel = float(lines[key].removeprefix("max relative difference "))
+        assert 0.0 < rel <= bound, (key, rel)
