@@ -24,7 +24,9 @@ The full set (about 10 s and 260 MB of arrays on a 2-core x86-64 machine):
     some (exit 2, no snapshot);
   - minimize: the n = 24 hopf-class `fdvk minimize` run of CI (drift
     tolerance 0.2, 40 iterations, a row every 5): summary, snapshot and
-    trace CSV;
+    trace CSV; and each ending of `minimize` in ENDINGS (grad_tol,
+    max_iters, a charge drift, a flux change): rows, then the stop
+    reason and final field, or the abort message with its partial trace;
   - relax: perfbench relax ops 0-2 (n = 48, seed 1): rows, stop reason
     and final field;
   - gauge: every public gauge, invariant and connection-picture output,
@@ -32,7 +34,8 @@ The full set (about 10 s and 260 MB of arrays on a 2-core x86-64 machine):
     ops 0-5 (n = 32), and seed 5, ops 0-1 (n = 33);
   - snapshots: bytes, reload, re-save and deepcopy of a sphere, a group
     and a connection.
---reduced runs a small subset of each in seconds, for the test suite.
+--reduced runs a small subset of each in seconds, one abort among the
+endings, for the test suite.
 """
 
 import argparse
@@ -157,6 +160,45 @@ def ci_minimize(rec, tmp, reduced):
         rec(f"minimize/{name}", (tmp / name).read_bytes())
 
 
+def _decaying_tube():
+    """A charge-1 tube pulled toward the constant field, at n = 24: its flux decays under the flow."""
+    g = fdvk.Grid(24)
+    v = 0.52 * fdvk.generate(fdvk.AnsatzSpec(kind="tube", charge=1), g).values + 0.48 * np.array([0.0, 0.0, 1.0])
+    return fdvk.SphereField(g, v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+def _hopfion20():
+    return fdvk.generate(fdvk.AnsatzSpec(kind="hopfion", charge=1), fdvk.Grid(20))
+
+
+# name: (start field, FlowConfig keywords); the endings of tests/test_flow.py's
+# AGREEMENT that need no patched kernel.  n = 20 reads the unit charge as 0.7955
+ENDINGS = {
+    "grad_tol-at-start": (lambda: fdvk.constant_sphere(fdvk.Grid(8)), dict(mode="flux-only")),
+    "grad_tol-off-cadence": (_hopfion20, dict(max_iters=16, grad_tol=45.0, monitor_every=7, charge_drift_tol=0.3)),
+    "max_iters-hopf-class": (
+        _hopfion20, dict(mode="hopf-class", max_iters=12, monitor_every=5, charge_drift_tol=0.3)),
+    "max_iters-flux-only": (_hopfion20, dict(mode="flux-only", max_iters=12, monitor_every=5)),
+    "charge-drift": (_hopfion20, dict(max_iters=40, monitor_every=5, charge_drift_tol=0.205)),
+    "charge-drift-on-last-row": (
+        _hopfion20, dict(mode="hopf-class", max_iters=25, monitor_every=5, charge_drift_tol=0.205)),
+    "flux-change-flux-only": (_decaying_tube, dict(mode="flux-only", max_iters=60, monitor_every=5)),
+    "flux-change-map-class": (_decaying_tube, dict(max_iters=60, monitor_every=5)),
+}
+
+
+def endings(rec, reduced):
+    for name, (start, kw) in ENDINGS.items():
+        if reduced and name != "flux-change-flux-only":
+            continue
+        try:
+            psi, trace = fdvk.minimize(start(), fdvk.FlowConfig(**kw))
+            out = {"stop_reason": trace.stop_reason, "field": psi}
+        except fdvk.ClassViolation as exc:
+            trace, out = exc.trace, {"raised": f"{type(exc).__name__}: {exc}"}
+        rec(f"minimize/{name}", {"rows": trace.rows, **out})
+
+
 def relax(rec, wl, reduced):
     if reduced:
         return
@@ -222,6 +264,7 @@ def run(out, reduced=False):
         rec, tmp = Recorder(archive), Path(tmp)
         census(rec, tmp, reduced)
         ci_minimize(rec, tmp, reduced)
+        endings(rec, reduced)
         relax(rec, wl, reduced)
         gauge(rec, wl, reduced)
         snapshots(rec, tmp, wl)

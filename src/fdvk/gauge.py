@@ -278,7 +278,8 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     while True:
         for mu in range(3):
             _dot(avg_back(g, logs[mu], mu + 1, s), p, long[mu], s[0])
-        # each mean sums its sites one after another, as a site-last mean does (tests/oracles.py)
+        # each mean sums its sites one after another, not pairwise as np.mean would: the order
+        # the coefficients have always been read in, so they keep their bits from release to release
         means = [np.cumsum(c.ravel(), out=s[0].ravel())[-1] for c in long]
         coeffs = g.l * (np.array(means) / g.n**3) / (2.0 * np.pi)
         _, div, _, k2, weight = _spectrum(g, long)

@@ -21,19 +21,12 @@ only the summation order or the FFT path differs.  The quaternion
 rotation u v u* is kept in the same way, as the site-last chain of two
 stacked Hamilton products it replaced.
 
-The last section keeps the descent loop as it read before it had one
-observation point: ref_minimize runs the production kernels and builds
-its trace rows before, inside and after the loop.
+Nothing here copies a production loop: the descent and the canonical
+gauge are checked against these formulas and the public readers, and
+scripts/identity.py shows whether a change moved their outputs.
 """
 
 import numpy as np
-
-from fdvk import flow
-from fdvk.errors import ChargeDrift, FluxChange, NonExactForm
-from fdvk.fields import SphereField
-from fdvk.flow import FlowRow, FlowTrace
-from fdvk.invariants import _classify
-from fdvk.lattice import _site_last, form_norm
 
 
 class OracleAmbiguity(RuntimeError):
@@ -784,180 +777,3 @@ def ref_chern_simons(avals, l):
         ada = ada - sum(a[m] * curl[m] for m in range(3))
     det = np.einsum("...i,...i->...", sv[..., 0, :], np.cross(sv[..., 1, :], sv[..., 2, :]))
     return float(np.sum(ada - 4.0 * det)) * (l / n) ** 3 / (4 * np.pi**2)
-
-
-def ref_fix_gauge_site_last(avals, phivals, l, tol=1e-8, tie_eps=1e-9, max_passes=16):
-    """Canonical gauge through a site-last connection per pass, as a dict of results.
-
-    The arithmetic of the half-spectrum gauge kernel on site-last arrays:
-    each pass averages the current connection to sites, contracts it
-    with phi in site-last memory, reads the harmonic coefficients, the
-    codifferential residual and the cancelling angle from one rfftn, and
-    moves the input transports by cos(angle) + sin(angle) phi for the
-    cumulative angle.  The kernel must agree with it bit for bit.
-    """
-    n = avals.shape[0]
-    h = l / n
-    k = 2.0 * np.pi / l * (n * np.fft.fftfreq(n))
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-        weight[-1] = 1.0
-    K = (k[:, None, None], k[None, :, None], k[None, None, :n // 2 + 1])
-    k2 = K[0] ** 2 + K[1] ** 2 + K[2] ** 2
-    k2 = np.where(k2 == 0.0, 1.0, k2)
-    ks = sum(kk * np.sin(kk * h) / h for kk in K)
-    ks = np.where(ks == 0.0, 1.0, ks)
-
-    def norm(fh):
-        return float(np.sqrt(np.sum(weight * np.abs(fh) ** 2) * h**3 / n**3))
-
-    axes = np.meshgrid(*(np.arange(n) * h,) * 3, indexing="ij")
-    p = phivals
-    current = avals
-    angle = 0.0
-    windings = np.zeros(3, dtype=int)
-    passes = 0
-    while True:
-        sv = ref_site_values(current)
-        long = sv[..., 0] * p[..., 0, None] + sv[..., 1] * p[..., 1, None] + sv[..., 2] * p[..., 2, None]
-        coeffs = l * long.mean(axis=(0, 1, 2)) / (2.0 * np.pi)
-        wh = np.fft.rfftn(np.moveaxis(long, -1, 0), axes=(-3, -2, -1))
-        div = K[0] * wh[0] + K[1] * wh[1] + K[2] * wh[2]
-        if passes == 0:
-            removed = norm(div / np.sqrt(k2))
-        resid = norm(div)
-        steps = -np.floor(coeffs + tie_eps).astype(int)
-        if resid <= tol and np.all(steps == 0):
-            break
-        if passes == max_passes:
-            raise RuntimeError(f"site-last gauge did not converge in {max_passes} passes")
-        passes += 1
-        theta = np.fft.irfftn(1j * div / ks, s=(n,) * 3, axes=(-3, -2, -1))
-        for m in range(3):
-            if steps[m]:
-                theta = theta + 2.0 * np.pi * steps[m] * axes[m] / l
-        angle += theta - theta[0, 0, 0]
-        gval = np.concatenate([np.cos(angle)[..., None], np.sin(angle)[..., None] * p], axis=-1)
-        current = _ref_move(avals, gval, h)
-        windings += steps
-    ties = np.abs(coeffs - np.round(coeffs)) <= tie_eps
-    coeffs[ties] = 0.0
-    return {
-        "values": current,
-        "harmonic_coeffs": tuple(float(v) for v in coeffs),
-        "windings": tuple(int(w) for w in windings),
-        "exact_part_norm": removed,
-        "ties": tuple(bool(t) for t in ties),
-        "passes": passes,
-    }
-
-
-# ---------------------------------------------------------------------------
-# the descent loop as it read before its one observation point
-
-
-def _ref_monitor(psi, iteration, gnorm, en):
-    c = _classify(psi.grid, np.moveaxis(psi.values, -1, 0))
-    if c.hopf_error is not None and iteration == 0:
-        raise NonExactForm(c.hopf_error)
-    vk = None
-    if c.hopf is not None and round(c.hopf) != 0:
-        vk = en.total / abs(c.hopf) ** 0.75
-    return FlowRow(
-        iteration=iteration,
-        e2=en.e2,
-        e4=en.e4,
-        total=en.total,
-        grad_norm=gnorm,
-        raw_fluxes=c.raw,
-        hopf_charge=c.hopf,
-        vk_ratio=vk,
-    ), c
-
-
-def ref_minimize(psi0, cfg, on_row=None):
-    """flow.minimize with a row built before, inside and after its loop.
-
-    Runs on the production kernels, looked up on the flow module so the
-    conftest fixtures that patch flow._kernel reach it; minimize must
-    give the same rows, stop reason, final field, on_row calls and
-    guard aborts bit for bit.
-    """
-    trace = FlowTrace()
-
-    def record(row):
-        trace.rows.append(row)
-        if on_row is not None:
-            on_row(row)
-
-    psi = psi0
-    g = psi0.grid
-    v = np.ascontiguousarray(np.moveaxis(psi0.values, -1, 0))
-    en, dv = flow._kernel(g, v)
-    grad = flow._gradient(g, v, dv)
-    ceiling = flow._ceiling(g, dv)
-    del dv
-    gnorm = form_norm(g, grad)
-    row, start = _ref_monitor(psi, 0, gnorm, en)
-    record(row)
-    flux_ref = start.rounded
-
-    if cfg.mode == "hopf-class" and not start.hopf_sector:
-        raise NonExactForm(f"hopf-class flow needs vanishing fluxes, got {start.raw}")
-    charge_ref = None
-    if row.hopf_charge is not None:
-        charge_ref = round(row.hopf_charge)
-
-    def check_guards(row, c):
-        if cfg.mode in ("flux-only", "map-class") and c.rounded != flux_ref:
-            raise FluxChange(
-                f"rounded fluxes moved from {flux_ref} to {c.rounded} "
-                f"at iteration {row.iteration}",
-                trace=trace,
-            )
-        if cfg.mode in ("hopf-class", "map-class") and charge_ref is not None:
-            if row.hopf_charge is None:
-                raise ChargeDrift(
-                    f"Hopf charge became undefined at iteration {row.iteration}",
-                    trace=trace,
-                )
-            if abs(row.hopf_charge - charge_ref) > cfg.charge_drift_tol:
-                raise ChargeDrift(
-                    f"Hopf charge {row.hopf_charge:.4f} drifted from "
-                    f"{charge_ref} at iteration {row.iteration}",
-                    trace=trace,
-                )
-
-    check_guards(row, start)
-
-    step = min(cfg.step0, ceiling)
-    it = 0
-    stop = None
-    while it < cfg.max_iters and gnorm > cfg.grad_tol:
-        step, found = flow._search(g, v, en.total, grad, step, cfg.backtrack)
-        if found is None:
-            stop = "line_search_stalled"
-            break
-        v, en, dv = found
-        del found, grad
-        step = min(step / cfg.backtrack, flow._ceiling(g, dv))
-        it += 1
-        grad = flow._gradient(g, v, dv)
-        del dv
-        gnorm = form_norm(g, grad)
-        if it % cfg.monitor_every == 0 or it == cfg.max_iters or gnorm <= cfg.grad_tol:
-            psi = SphereField(g, _site_last(v))
-            row, c = _ref_monitor(psi, it, gnorm, en)
-            record(row)
-            check_guards(row, c)
-    if trace.last().iteration != it:
-        psi = SphereField(g, _site_last(v))
-        row, c = _ref_monitor(psi, it, gnorm, en)
-        record(row)
-        check_guards(row, c)
-    if stop is None:
-        stop = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-    trace.stop_reason = stop
-    return psi, trace

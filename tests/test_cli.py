@@ -376,6 +376,20 @@ def test_minimize_bad_config_exits_2(tmp_path):
     assert main(["minimize", "--config", str(cfg)]) == 2
 
 
+def test_minimize_refuses_a_group_field_start(tmp_path, capsys):
+    # a ballmap generates a group field, which the descent cannot take: exit 2, no file written
+    cfg = tmp_path / "ball.cfg"
+    cfg.write_text(
+        "grid.n = 24\n"
+        "init.kind = ballmap\n"
+        f"out.field = {tmp_path / 'b.fdk'}\n"
+        f"out.trace = {tmp_path / 'b.csv'}\n"
+    )
+    assert main(["minimize", "--config", str(cfg)]) == 2
+    assert "does not generate a sphere field" in capsys.readouterr().err
+    assert not (tmp_path / "b.fdk").exists() and not (tmp_path / "b.csv").exists()
+
+
 def test_minimize_guard_abort_exits_4(tmp_path, capsys):
     cfg = tmp_path / "drift.cfg"
     cfg.write_text(

@@ -40,6 +40,14 @@ def test_constructor_validation():
         Connection(g, np.zeros((8, 8, 8, 3)))
     with pytest.raises(ValueError):
         SphereField(g, np.zeros((4, 4, 4, 3)))
+    # NaN is never off the unit sphere by more than the tolerance, and a
+    # Connection has no unit rule: the finiteness check refuses them
+    for kind, site in ((SphereField, quat.IM_I), (GroupField, quat.ONE), (Connection, np.zeros((3, 3)))):
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.tile(site, (8, 8, 8) + (1,) * np.ndim(site))
+            vals[(1, 2, 3) + (0,) * np.ndim(site)] = bad
+            with pytest.raises(ValueError, match=f"{kind.__name__} values must be finite"):
+                kind(g, vals)
 
 
 def test_values_stored_verbatim():

@@ -1,17 +1,22 @@
 """Constrained descent: gradient, line search, guards, monitors.
 
-minimize must show what the loop it replaced (tests/oracles.py,
-ref_minimize) showed, bit for bit: rows, stop reason, final field,
-on_row calls and the partial trace of a guard abort.
+Each ending of minimize (AGREEMENT) has its row iterations, how the run
+ends, and rows equal to the on_row calls; the first row reads what the
+public readers (energy, the norm of grad_energy, the slice fluxes of
+pullback_area, hopf_charge) read on the input, and the last row what
+they read on the returned field, bit for bit.  scripts/identity.py records the same endings, so
+a change that moves their rows or fields shows in its --compare.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from fdvk import flow
 from fdvk.ansatz import AnsatzSpec, generate
-from fdvk.errors import ChargeDrift, FluxChange, NonExactForm
-from fdvk.fields import SphereField, constant_sphere, energy
+from fdvk.errors import ChargeDrift, FluxChange, NonExactForm, NonIntegralFlux
+from fdvk.fields import SphereField, constant_sphere, energy, pullback_area
 from fdvk.flow import (
     MODES,
     FlowConfig,
@@ -20,9 +25,9 @@ from fdvk.flow import (
     relax_step,
     step_ceiling,
 )
-from fdvk.lattice import Grid
+from fdvk.invariants import fluxes, hopf_charge
+from fdvk.lattice import Grid, form_norm, slice_flux
 from fieldgen import smooth_sphere_field
-from oracles import ref_minimize
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +44,9 @@ def test_config_validation():
         FlowConfig(backtrack=1.0)
     with pytest.raises(ValueError):
         FlowConfig(monitor_every=0)
+    for bad in (0.0, -0.1):
+        with pytest.raises(ValueError, match="charge_drift_tol must be positive"):
+            FlowConfig(charge_drift_tol=bad)
     for name in ("max_iters", "grad_tol", "step0", "backtrack", "monitor_every",
                  "charge_drift_tol"):
         for bad in (float("nan"), float("inf")):
@@ -166,6 +174,18 @@ def test_monitor_cadence_and_monotonicity():
     totals = [r.total for r in trace.rows]
     assert all(b <= a for a, b in zip(totals, totals[1:]))
     assert totals[-1] < totals[0]
+
+
+def test_grad_norm_stays_finite_at_the_low_grid_edge():
+    # a rough field's gradient peaks at 6.0e306 here: its squares overflow, its norm does not
+    g = Grid(6, 1.363900440820473e-76)
+    v = np.random.default_rng(0).standard_normal((6, 6, 6, 3))
+    psi = SphereField(g, v / np.linalg.norm(v, axis=-1, keepdims=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = minimize(psi, FlowConfig(mode="flux-only", max_iters=2))
+    assert [r.iteration for r in trace.rows] == [0, 2] and trace.stop_reason == "max_iters"
+    assert all(np.isfinite(r.grad_norm) and r.grad_norm > 1e192 for r in trace.rows)
 
 
 def test_hopf_class_rejects_flux_sector():
@@ -350,43 +370,57 @@ AGREEMENT = {
 }
 
 
-def _outcome(descend, psi0, cfg):
-    """(row iterations, how it ended, rows, on_row calls, final field bytes) of one descent."""
+def _outcome(psi0, cfg):
+    """(row iterations, how it ended, rows, on_row calls, final field or None) of one descent."""
     seen = []
     try:
-        psi, trace = descend(psi0, cfg, on_row=seen.append)
-        end, final = trace.stop_reason, psi.values.tobytes()
+        psi, trace = minimize(psi0, cfg, on_row=seen.append)
+        end = trace.stop_reason
     except (ChargeDrift, FluxChange) as exc:
-        trace, end, final = exc.trace, f"{type(exc).__name__}: {exc}", None
+        trace, end, psi = exc.trace, f"{type(exc).__name__}: {exc}", None
         assert trace.stop_reason is None
-    # repr tells -0.0 from 0.0, so equal reprs are equal bits
-    return [r.iteration for r in trace.rows], end, repr(trace.rows), repr(seen), final
+    return [r.iteration for r in trace.rows], end, trace.rows, seen, psi
+
+
+def _reads(row, psi):
+    """row reads what the public readers read on psi, bit for bit (repr tells -0.0 from 0.0).
+
+    The raw fluxes are the slice fluxes of the area form through the
+    tori {x_k = l/2}, which fluxes returns unless it refuses to round them.
+    """
+    g, en = psi.grid, energy(psi)
+    raw = tuple(slice_flux(g, pullback_area(psi), k, g.n // 2) for k in (1, 2, 3))
+    try:
+        assert fluxes(psi)[1] == raw
+        charge = hopf_charge(psi)
+    except (NonIntegralFlux, NonExactForm):
+        charge = None
+    want = (en.e2, en.e4, en.total, form_norm(g, grad_energy(psi)), raw, charge)
+    assert repr((row.e2, row.e4, row.total, row.grad_norm, row.raw_fluxes, row.hopf_charge)) == repr(want)
 
 
 @pytest.mark.parametrize("name", list(AGREEMENT))
 def test_minimize_matches_the_reference_loop(name, monkeypatch, nan_candidates):
     build, kw, after, ending, iterations = AGREEMENT[name]
-    psi0, cfg = build(), FlowConfig(**kw)
-    outcomes = []
-    for descend in (minimize, ref_minimize):
-        if after is not None:
-            nan_candidates(after)
-        outcomes.append(_outcome(descend, psi0, cfg))
-        monkeypatch.undo()
-    got, want = outcomes
-    assert got == want
-    assert got[0] == iterations
-    assert got[1].startswith(ending)
-    assert got[2] == got[3]
+    psi0 = build()
+    if after is not None:
+        nan_candidates(after)
+    got, end, rows, seen, psi = _outcome(psi0, FlowConfig(**kw))
+    monkeypatch.undo()
+    assert got == iterations
+    assert end.startswith(ending)
+    assert repr(rows) == repr(seen)
+    _reads(rows[0], psi0)
+    if psi is not None:  # the returned field stores the iterate the last row classified
+        _reads(rows[-1], psi)
 
 
 def test_refused_charge_mid_flow_matches_the_reference_loop(monkeypatch, refuse_charge):
     cfg = FlowConfig(mode="hopf-class", max_iters=10, monitor_every=5, charge_drift_tol=0.3)
-    outcomes = []
-    for descend in (minimize, ref_minimize):
-        psi0 = _hopfion20()  # before arming: generate's readback solves a charge too
-        refuse_charge(2)
-        outcomes.append(_outcome(descend, psi0, cfg))
-        monkeypatch.undo()
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:2] == ([0, 5], "ChargeDrift: Hopf charge became undefined at iteration 5")
+    psi0 = _hopfion20()  # before arming: generate's readback solves a charge too
+    refuse_charge(2)
+    got, end, rows, seen, psi = _outcome(psi0, cfg)
+    monkeypatch.undo()
+    assert (got, end) == ([0, 5], "ChargeDrift: Hopf charge became undefined at iteration 5")
+    assert repr(rows) == repr(seen) and psi is None
+    _reads(rows[0], psi0)

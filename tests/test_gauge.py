@@ -54,6 +54,15 @@ def test_holonomy_refuses_non_finite_loops(bad):
         gauge.Holonomy(np.full((3, 4), bad))
 
 
+def test_holonomy_refuses_malformed_loops():
+    with pytest.raises(ValueError, match="one unit quaternion per loop"):
+        gauge.Holonomy(np.tile(quat.ONE, (2, 1)))
+    with pytest.raises(ValueError, match="one unit quaternion per loop"):
+        gauge.Holonomy(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="must be unit quaternions"):
+        gauge.Holonomy(np.tile(1.01 * quat.ONE, (3, 1)))
+
+
 def test_develop_rejects_curved_input():
     g = Grid(8, TWO_PI)
     rng = np.random.default_rng(2)

@@ -4,14 +4,13 @@ connection_of, Connection.site_values, develop, plaquette_deviation,
 holonomy, quat.mul, quat._rotate, quat.hopf and conjugate_field use the
 same arithmetic as the references in
 tests/oracles.py and must agree bit for bit.  fix_gauge keeps its edge
-logarithms component-first through the passes and must agree bit for
-bit with the same passes through a site-last connection
-(ref_fix_gauge_site_last): connection, coefficients, windings, ties and
-removed exact part.  Against the full-spectrum reference that moves the
-current connection once per pass it has the same passes, windings and
-ties, the connection and the harmonic coefficients within 1e-12
-absolute, the removed exact part within 1e-12 relative (to the
-longitudinal form, where the exact part itself is rounding residue).
+logarithms component-first through the passes and moves the input
+transports by one cumulative angle.  Against the full-spectrum
+reference that moves the current connection once per pass it has the
+same passes, windings and ties, the connection and the harmonic
+coefficients within 1e-12 absolute, the removed exact part within
+1e-12 relative (to the longitudinal form, where the exact part itself
+is rounding residue).
 degree sums its triple product in another order than the einsum
 reference (1e-12 absolute); chern_simons sums a ^ da by Parseval (1e-12
 absolute), hodge_parts projects on the half spectrum (1e-12 absolute).
@@ -20,10 +19,11 @@ Odd n exercise the half-spectrum weights.
 The gauge layer sweeps slabs of planes (lattice._slabs): at n = 19, 21
 and 33 with lattice.SLAB_SITES lowered to two planes per slab, so that
 every sweep has several slabs, a short last one and a wrapped shifted
-read, each output is bit-identical to the one-slab sweep and to the
-oracles, and a right-angle edge found only in the last slab is refused
-for the same direction as by the whole-field check.  quat._hamilton,
-_exp_im and _log_unit give the same floats into out buffers as allocated.
+read, each output is bit-identical to the one-slab sweep and agrees
+with the oracles as above, and a right-angle edge found only in the
+last slab is refused for the same direction as by the whole-field
+check.  quat._hamilton, _exp_im and _log_unit give the same floats into
+out buffers as allocated.
 """
 
 import numpy as np
@@ -48,7 +48,6 @@ from oracles import (
     ref_degree,
     ref_develop,
     ref_fix_gauge,
-    ref_fix_gauge_site_last,
     ref_hodge_parts,
     ref_holonomy,
     ref_mul,
@@ -145,28 +144,23 @@ def test_develop_refuses_constant_holonomy(checked_holonomies):
     assert checked_holonomies[0].deviation() == holonomy(a).deviation() > gauge.HOLONOMY_TOL
 
 
-def test_fix_gauge_bit_identical_to_site_last_passes(case):
-    a, phi, fixed, report, _ = case
-    ref = ref_fix_gauge_site_last(a.values, phi.values, a.grid.l)
-    assert np.array_equal(fixed.values, ref["values"])
-    assert report.harmonic_coeffs == ref["harmonic_coeffs"]
-    assert report.exact_part_norm == ref["exact_part_norm"]
-    assert (report.passes, report.windings, report.ties) == (ref["passes"], ref["windings"], ref["ties"])
+def _matches_per_pass_reference(g, avals, phivals, fixed, report):
+    ref = ref_fix_gauge(avals, phivals, g.l)
+    assert report.passes == ref["passes"]
+    assert report.windings == ref["windings"]
+    assert report.ties == ref["ties"]
+    assert np.max(np.abs(fixed - ref["values"])) <= TOL
+    assert np.max(np.abs(np.subtract(report.harmonic_coeffs, ref["harmonic_coeffs"]))) <= TOL
+    # relative to the longitudinal form the part is taken from: where that
+    # form is a pure winding, the exact part itself is rounding residue
+    long = np.einsum("...mk,...k->...m", ref_site_values(avals), phivals)
+    scale = max(ref["exact_part_norm"], form_norm(g, long))
+    assert abs(report.exact_part_norm - ref["exact_part_norm"]) <= TOL * scale
 
 
 def test_fix_gauge_matches_per_pass_reference(case):
     a, phi, fixed, report, _ = case
-    ref = ref_fix_gauge(a.values, phi.values, a.grid.l)
-    assert report.passes == ref["passes"]
-    assert report.windings == ref["windings"]
-    assert report.ties == ref["ties"]
-    assert np.max(np.abs(fixed.values - ref["values"])) <= TOL
-    assert np.max(np.abs(np.subtract(report.harmonic_coeffs, ref["harmonic_coeffs"]))) <= TOL
-    # relative to the longitudinal form the part is taken from: where that
-    # form is a pure winding, the exact part itself is rounding residue
-    long = np.einsum("...mk,...k->...m", a.site_values(), phi.values)
-    scale = max(ref["exact_part_norm"], form_norm(a.grid, long))
-    assert abs(report.exact_part_norm - ref["exact_part_norm"]) <= TOL * scale
+    _matches_per_pass_reference(a.grid, a.values, phi.values, fixed.values, report)
 
 
 def test_chern_simons_and_hodge_parts_match_full_spectrum(case):
@@ -261,13 +255,9 @@ def test_slab_swept_gauge_kernels_independent_of_slab_size(n, monkeypatch):
     assert np.array_equal(got["develop"], ref_develop(got["a"], h))
     assert np.array_equal(got["develop_fixed"], ref_develop(got["fixed"], h))
     assert got["plaquettes"] == tuple(ref_plaquette_deviation(got[k], h) for k in ("a", "fixed"))
-    ref = ref_fix_gauge_site_last(got["a"], phi.values, g.l)
     report = got["report"]
     assert report.passes > 0 and report.windings != (0, 0, 0)
-    assert np.array_equal(got["fixed"], ref["values"])
-    assert report.harmonic_coeffs == ref["harmonic_coeffs"]
-    assert report.exact_part_norm == ref["exact_part_norm"]
-    assert (report.passes, report.windings, report.ties) == (ref["passes"], ref["windings"], ref["ties"])
+    _matches_per_pass_reference(g, got["a"], phi.values, got["fixed"], report)
 
 
 @pytest.mark.parametrize("planes", [2, 19])

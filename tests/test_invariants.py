@@ -16,6 +16,7 @@ from fdvk.fields import (
     pullback_area,
 )
 from fdvk.invariants import (
+    HomotopyRecord,
     _classify,
     _read,
     chern_simons,
@@ -124,6 +125,24 @@ def test_homotopy_record_refuses_unclassifiable_ballmaps(charge, match):
     u = n18_ballmap(charge)
     with pytest.raises(NonIntegralFlux, match=match):
         homotopy_record(constant_sphere(u.grid), u)
+
+
+def test_a_refused_potential_leaves_no_charge(refuse_charge):
+    g = Grid(18, TWO_PI)
+    hop = generate(AnsatzSpec(kind="hopfion", charge=1), g)  # before arming: its readback solves a charge
+    refuse_charge(1)
+    with pytest.raises(NonExactForm, match="no Hopf charge: 2-form is not closed"):
+        hopf_charge(hop)
+    refuse_charge(1)
+    with pytest.raises(NonExactForm, match="^2-form is not closed$"):
+        homotopy_record(hop, constant_group(g))
+
+
+def test_homotopy_record_needs_a_reduced_degree_class():
+    assert HomotopyRecord((0, 0, 1), (0.0, 0.0, 1.0), 1, -1.0, 1).degree_class == 1
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="degree class must be reduced mod 2m"):
+            HomotopyRecord((0, 0, 1), (0.0, 0.0, 1.0), 1, 1.0, bad)
 
 
 def test_degree_has_no_class_without_the_flux_modulus():

@@ -1,5 +1,7 @@
 """Grid and discrete calculus contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +171,15 @@ def test_integrate_and_norm():
     ones = np.ones((10, 10, 10))
     assert integrate(g, ones) == pytest.approx(g.l**3)
     assert form_norm(g, 2.0 * ones) == pytest.approx(2.0 * g.l**1.5)
+    # squares past the float range: the norm is taken on the rescaled values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = 1e300 * ones
+        assert form_norm(g, big) == pytest.approx(1e300 * g.l**1.5, rel=1e-15)
+        big[0, 0, 0] = np.inf
+        assert form_norm(g, big) == np.inf
+        big[0, 0, 0] = np.nan
+        assert np.isnan(form_norm(g, big))
 
 
 def test_slice_flux_of_constant_form():

@@ -78,6 +78,11 @@ def test_identity_digests_agree_on_a_rerun(capsys, tmp_path):
     entries = json.loads(first.read_text())["entries"]
     assert entries["census/n18/hopfion/2/init/exit"]["values"] == [2.0]
     assert "census/n18/hopfion/2/snapshot" not in entries
+    # and so are a guard's abort and its partial trace: the tube's flux decays by iteration 20
+    assert entries["minimize/flux-change-flux-only/raised"]["text"].startswith("FluxChange: rounded fluxes moved")
+    assert entries["minimize/flux-change-flux-only/rows/4/iteration"]["values"] == [20.0]
+    assert "minimize/flux-change-flux-only/rows/5/iteration" not in entries
+    assert "minimize/flux-change-flux-only/field/values" not in entries
 
 
 def test_identity_compare_names_what_moved(tmp_path):
