@@ -7,9 +7,8 @@ group maps of prescribed degree.  Orientation conventions inside the
 tube/hopfion/ballmap constructions were fixed once against signed
 preimage counts so that the advertised invariant of each generator comes
 out with a plus sign; do not "simplify" an angle sign without rerunning
-those counts.  A hopfion is its ball lift u rotating the constant field
-u i u*, the triple quat.IM_I rotated site by site (fields._conjugate),
-so no constant field is built for it.
+those counts.  A hopfion is its ball lift u rotating the constant field,
+u i u* (fields._conjugate).
 """
 
 from dataclasses import dataclass

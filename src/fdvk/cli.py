@@ -8,8 +8,12 @@ success, 2 usage or parse failure, 3 I/O failure, 4 homotopy-class
 violation during flow.
 
 A snapshot is one little-endian header struct, _HEADER (magic, kind
-byte, n, l), then the field's float64 values; the kind byte names the
-field class, and the class's SHAPE sizes and shapes the payload.
+byte, n, l), the only code that packs or unpacks it, then the field's
+float64 values; the kind byte names the field class, and the class's
+SHAPE sizes and shapes the payload.  Loading moves the x-fastest payload
+once into the C-contiguous component-first array the field stores, so
+validation, classification and the report's energy read contiguous
+memory and no second copy is made.
 """
 
 import argparse
@@ -58,13 +62,9 @@ def _kind_of(obj):
 
 
 def save_snapshot(path, obj):
-    """Write a field to the fixed binary layout.
-
-    Header: _HEADER, the 5 magic bytes, the kind byte, n as uint32 and
-    l as float64, little-endian.  Payload: little-endian float64, sites
-    ordered x-fastest, each site's SHAPE values of its class contiguous
-    (connections store the three direction vectors in order).
-    """
+    """Write a field to the fixed binary layout: _HEADER, then little-endian float64 values,
+    sites ordered x-fastest, each site's SHAPE values contiguous (connections store the
+    three direction vectors in order)."""
     kind = _kind_of(obj)
     g = obj.grid
     v = _cf(obj).reshape(-1, g.n, g.n, g.n)
@@ -88,10 +88,9 @@ def save_snapshot(path, obj):
 def load_snapshot(path):
     """Read a snapshot back into the matching field type.
 
-    The constructors re-validate the unit constraints, so a corrupted
-    payload fails here rather than downstream.  The payload is moved
-    once into the component-first array the field stores, so nothing
-    reads the x-fastest payload order strided and no second copy is made.
+    SnapshotError for a header or payload that breaks the layout, and for
+    values the field constructor refuses, so a corrupted payload fails
+    here rather than downstream.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

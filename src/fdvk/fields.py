@@ -9,31 +9,39 @@ scaled log of the transport from site x to x + e_mu and therefore
 samples the continuum 1-form at the edge midpoint x + h/2 e_mu. Code
 that needs the value at the site itself averages the two incident
 edges (avg_back); holonomy and developing-map reconstruction consume
-the raw edge values, for which the round trip is exact.  All math here
-is component-first: edge logs are (direction, component, n, n, n).
-_edge_logs forms them from step quaternions, for connection_of and gauge
-moves; it, the energy and the area form sweep lattice._slab_sweep.
+the raw edge values, for which the round trip is exact.  Edge logs are
+component-first, (direction, component, n, n, n); _edge_logs forms them
+from step quaternions, for connection_of and the gauge moves.
 
 Each field class declares its kind once: its per-site value shape,
 SHAPE, and whether every site holds a unit vector, UNIT; fields compare
-by identity.  A field stores one C-contiguous, read-only array, SHAPE +
-(n, n, n), and its values are the site-last view of it.  _store checks
-a caller's values and copies them once, unless nothing can write to
-them and their component-first view is C-contiguous (_kept); _field
-freezes in place an array the package built (_freeze); _cf reads the
-stored array.  So what is computed from a field's values holds as long
-as the field: a Connection keeps its plaquette deviation (one float, set
-by gauge), and connection_of(u) leaves on u a weak reference to the
-Connection it returns, whose edge logarithms _logs_of(u) reads while it
-is alive.
+by identity.  This module alone lays out field storage
+(tests/test_contract.py): a field stores one C-contiguous, read-only
+array, SHAPE + (n, n, n), and its values are the site-last view of it.
+_store checks a caller's values and copies them once, unless nothing can
+write to them and their component-first view is C-contiguous (_kept);
+_field builds every field the package makes, freezing in place the
+array it built and the array that one views (_freeze); _cf, a view of
+the stored array, is the one way in, and minimize alone copies it.  So
+what is computed from a field's values holds as long as the field: a
+Connection keeps its plaquette deviation (one float, set by gauge), and
+connection_of(u) leaves on u a weak reference to the Connection it
+returns, whose edge logarithms _logs_of(u) reads instead of forming
+them again while it is alive; u keeps no other array.
 
-Both energies are one slab sweep, _sweep.  It takes the undivided
-differences 2h d_mu psi of lattice._diff_into, adds 4h ab_mu x phi for
-energy_conn, which makes them 2h D_a phi, and reads the densities off
-their Gram matrix G_mu_nu in one routine, _assemble: e2 = tr G and, by
-Lagrange's identity, e4 = sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; for
-the descent it also takes from G the slopes P_mu of flow.grad_energy.
-The powers of 2h are folded into constants the sweep applies anyway, so
+Both energies, and the descent's slopes, are one slab sweep, _sweep.  It
+takes the undivided differences 2h d_mu psi of lattice._diff_into, adds
+4h ab_mu x phi for energy_conn, ab the site-averaged connection, which
+makes them 2h D_a phi, and reads everything off their Gram matrix
+G_mu_nu = d_mu . d_nu in one routine, _assemble: e2 = tr G; by
+Lagrange's identity e4 = sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the
+largest G_mu_mu of the step ceiling; and the slopes of flow.grad_energy,
+P_mu = (c + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu} G_mu_nu d_nu.
+No difference is divided by 2h: the Dirichlet weight c is 4h^2, so P_mu
+is 8h^3 times half the density's derivative by d_mu psi, and the sums of
+the densities 4h^2 e2 and 16h^4 e4 take the quadrature weight h^3 as
+h / 4 and 1 / 16h.  The densities are summed once over the whole field,
+in memory order, so the energy does not depend on the slab size, and
 energy_conn(phi, 0) == energy(phi) bit for bit.  The area form divides
 its differences by 2h as lattice.diff does, and keeps diff's floats.
 _conjugate rotates a SphereField, or one imaginary triple that stands
@@ -64,7 +72,7 @@ def _read_only(v):
 
 
 def _freeze(v):
-    """v made read-only in place, with the array it views (an aligned buffer), so no copy is made."""
+    """v made read-only in place, with the array it views, so no copy is made."""
     if isinstance(v.base, np.ndarray):
         v.base.flags.writeable = False
     v.flags.writeable = False
@@ -79,14 +87,12 @@ def _kept(values):
 
 
 def _field(cls, grid, v):
-    """The field of cls storing v, a C-contiguous component-first array the package built,
-    frozen in place with the array it views (_freeze)."""
+    """The field of cls storing v, a C-contiguous component-first array the package built."""
     return cls(grid, np.moveaxis(_freeze(v), (-3, -2, -1), (0, 1, 2)))
 
 
 def _cf(f):
-    """The component-first view of a field's values, the array it stores: C-contiguous,
-    read-only, the per-site axes first and the site axes last."""
+    """The component-first view of a field's values: the array it stores."""
     return np.moveaxis(f.values, (0, 1, 2), (-3, -2, -1))
 
 
@@ -96,10 +102,9 @@ def _reduce(field):
 
 
 def _store(f):
-    """The __post_init__ of each field class, bound in the class's own namespace, not inherited:
-    check f's site-last values, shape (n, n, n) + f.SHAPE, and store them component-first
-    (_kept), values their site-last view.  f.UNIT requires a unit vector at every site; values
-    are not renormalized, which would break the bit-exact snapshot round trip."""
+    """The __post_init__ of each field class: stores f's site-last values (_kept).  ValueError
+    unless their shape is (n, n, n) + f.SHAPE, they are finite and, for f.UNIT, unit vectors;
+    values are not renormalized, which would break the bit-exact snapshot round trip."""
     kind, shape = type(f).__name__, f.SHAPE
     v = np.asarray(f.values, dtype=float)
     if v.shape != (f.grid.n,) * 3 + shape:
@@ -126,12 +131,7 @@ class SphereField:
 
 @dataclass(frozen=True, eq=False)
 class GroupField:
-    """Map from the torus to Sp1, one unit quaternion per site; values read-only.
-
-    connection_of(u) leaves on u a weak reference to the Connection it
-    returns; while that Connection is alive, degree(u) reads its edge
-    logarithms instead of forming them again.  Nothing else is kept.
-    """
+    """Map from the torus to Sp1, one unit quaternion per site; values read-only."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -143,12 +143,7 @@ class GroupField:
 
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """sp1-valued discrete 1-form in the edge-logarithm convention; values read-only.
-
-    The plaquette deviation of its transports is computed at most once
-    and kept here as one float (gauge._deviation); each caller compares
-    it with its own flatness tolerance.
-    """
+    """sp1-valued discrete 1-form in the edge-logarithm convention; values read-only."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -187,7 +182,7 @@ def constant_group(grid, q=quat.ONE):
 def _conjugate(u, phi):
     """u phi u* site by site, component-first and normalized: a new (3, n, n, n) array, so the
     rotation's (4, n, n, n) result is not kept alive by it.  phi is a SphereField on u's grid,
-    or one imaginary triple, the constant field, which quat._rotate broadcasts unbuilt."""
+    or one imaginary triple, the constant field."""
     if isinstance(phi, SphereField):
         u.grid.same(phi.grid)
         phi = _cf(phi)
@@ -218,8 +213,7 @@ def _slab_diffs(v, dm, a, b):
 
 
 def _area_form(g, v):
-    """pullback_area of component-first v, any view, (3, n, n, n), in one slab sweep:
-    each site as _area computes it, whatever the slab size."""
+    """pullback_area of component-first v, any view, (3, n, n, n), in one slab sweep."""
     slabs = _slab_sweep(g.n, (4,), (3, 3))
     out = np.empty(v.shape)
     for a, b, s, dm in slabs:
@@ -235,7 +229,7 @@ def pullback_area(psi):
 
     F_k = psi . (d_i psi x d_j psi) / 4 pi for (i, j, k) cyclic; the
     total flux through a slice counts preimages of a regular value.
-    Returned site-last, as a view of the component-first array built.
+    Returned site-last, as a view.
     """
     return np.moveaxis(_area_form(psi.grid, _cf(psi)), 0, -1)
 
@@ -245,17 +239,11 @@ _GRAM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
 def _assemble(d, e2, e4, s, P=None, g2=None, c=None):
-    """The Gram densities of three component-first derivatives d, d psi or D_a phi.
+    """The Gram densities e2 and e4 of three component-first differences d, into e2 and e4;
+    given P, g2 and c, also the slopes P[mu], and g2[mu] raised to the largest G_mu_mu.
 
-    s is scratch of shape (10,) + e2.shape.  Its first six slots take the
-    Gram matrix G_mu_nu = d_mu . d_nu (slots _GRAM); e2 gets
-    G00 + G11 + G22 and e4 gets sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2,
-    which is |d_mu x d_nu|^2 by Lagrange's identity.  Given P, g2 and c,
-    writes P[mu] = (c + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu}
-    G_mu_nu d_nu and raises g2[mu] to the largest G_mu_mu = |d_mu|^2 over
-    the sites.  For the undivided differences d = 2h d_mu psi and
-    c = 4h^2, P[mu] is 8h^3 times half the derivative of the energy
-    density by d_mu psi, and the densities are 4h^2 e2 and 16h^4 e4.
+    s is scratch of shape (10,) + e2.shape; its first six slots take the
+    Gram matrix (slots _GRAM).
     """
     G, t, tv = s[:6], s[6], s[7:]
     for mu in range(3):
@@ -282,28 +270,15 @@ def _assemble(d, e2, e4, s, P=None, g2=None, c=None):
 
 
 class _Slopes(NamedTuple):
-    """P[mu] = 8h^3 times half the derivative of the energy density by d_(mu+1) v,
-    shape (3, 3, n, n, n), and g2[mu], the largest |2h d_(mu+1) v|^2 over the sites."""
+    """The descent's slopes P, (3, 3, n, n, n), and g2[mu], the largest |2h d_(mu+1) v|^2."""
 
     P: np.ndarray
     g2: np.ndarray
 
 
 def _sweep(grid, v, keep, ab=None):
-    """Energy of component-first unit values v in one slab sweep; given ab, the
-    site-averaged connection (3, 3, n, n, n), the energy of D_a v.
-
-    Each slab of whole planes along the first site axis takes its three
-    undivided central differences into a slab buffer, adds 4h ab_mu x v
-    when given ab, which makes them 2h D_a v, and goes through _assemble;
-    the scalar densities land in whole-field arrays that are summed once,
-    in memory order, so the energy does not depend on the slab size.  No
-    difference is divided by 2h: the Dirichlet weight of P is 4h^2, and
-    the sums of the densities 4h^2 e2 and 16h^4 e4 take the quadrature
-    weight h^3 as h^3 / 4h^2 = h / 4 and h^3 / 16h^4 = 1 / 16h.  With
-    keep, returns (Energy, _Slopes) for the descent; without,
-    (Energy, None).
-    """
+    """(Energy, _Slopes) of component-first unit values v with keep, else (Energy, None);
+    given ab, the site-averaged connection (3, 3, n, n, n), the energy of D_a v."""
     # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax)
     slabs = _slab_sweep(grid.n, (10,), (3, 3))
     e2, e4 = _aligned(v.shape[1:]), _aligned(v.shape[1:])
@@ -324,8 +299,7 @@ def energy(psi):
 
     e2 integrates |d psi|^2; e4 integrates |d psi ^ d psi|^2, the sum
     of |d psi^a ^ d psi^b|^2 over the three component pairs, which
-    collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2, read off the Gram
-    products as G_mu_mu G_nu_nu - G_mu_nu^2.
+    collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2.
     """
     return _sweep(psi.grid, _cf(psi), keep=False)[0]
 
@@ -334,8 +308,8 @@ def _edge_logs(grid, left, right, refusal, mid=None, out=None):
     """Edge logarithms log(step_mu) / h, (3, 3, n, n, n), of the unit steps
     left (mid_mu right(. + e_mu)), all component-first, or left right(. + e_mu).
 
-    Swept slab by slab, directions in order: a step with Re <= 0 raises
-    UnresolvableField(refusal) for the first such one.
+    The first step with Re <= 0, directions in order, raises
+    UnresolvableField(refusal).
     """
     n = grid.n
     out = np.empty((3, 3) + (n,) * 3) if out is None else out
@@ -354,8 +328,7 @@ def _edge_logs(grid, left, right, refusal, mid=None, out=None):
 
 
 def _logs_of(u):
-    """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu);
-    read off the Connection connection_of(u) returned last while that is alive."""
+    """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu)."""
     a = u._connection() if u._connection else None
     if a is not None:
         return _cf(a)
@@ -369,7 +342,7 @@ def connection_of(u):
 
     a_mu(x) = log(u(x)* u(x + e_mu)) / h. Exactness of the round trip
     through the developing map is the design property; the price is the
-    half-edge offset documented on Connection.
+    half-edge offset of the edge-logarithm convention.
     """
     a = _field(Connection, u.grid, _logs_of(u))
     object.__setattr__(u, "_connection", weakref.ref(a))
@@ -400,8 +373,7 @@ def covariant_derivative(a, phi):
 
 
 def energy_conn(phi, a):
-    """Energy in the connection picture: d psi replaced by D_a phi, in energy's sweep,
-    so energy_conn(phi, 0) == energy(phi)."""
+    """Energy in the connection picture: d psi replaced by D_a phi."""
     a.grid.same(phi.grid)
     return _sweep(phi.grid, _cf(phi), keep=False, ab=_site_logs(phi.grid, _cf(a)))[0]
 

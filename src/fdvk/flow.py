@@ -14,17 +14,15 @@ point, classifies the component-first iterate in place and builds,
 records, streams and guards (_guard) every trace row; a run builds one
 SphereField, the one minimize returns.
 
-The kernel (_kernel, _gradient, _search) sweeps the component-first
-layout in the slabs of lattice._slab_sweep.  _kernel's sweep forms, from
-the Gram products d_mu psi . d_nu psi, the two energy densities and one
-slope P_mu per direction; the gradient is -2 sum_mu A_mu P_mu, three
-stencils, then the tangent projection.  The kernel never divides a
-difference by 2h: it runs on the undivided differences of
-lattice._diff_into, so its slopes are 8h^3 P_mu and its stencils 2h A_mu,
-and the gradient's -2 becomes -2 / 16h^4.  Densities are summed once over
-the whole field and each site's terms are taken in one fixed order, so
-energies, gradients and step ceilings do not depend on the slab size,
-and a lattice translation rolls them bit for bit.
+The kernel, _kernel, is fields._sweep: the energy, the slopes P_mu and
+the largest squared difference in one slab sweep.  _gradient takes
+-2 sum_mu A_mu P_mu, three stencils, then the tangent projection, on the
+undivided differences of lattice._diff_into: its stencils are 2h A_mu on
+the slopes 8h^3 P_mu, so the -2 becomes -2 / 16h^4.  Each site's terms
+are taken in one fixed order, so energies, gradients and step ceilings
+do not depend on the slab size, and a lattice translation rolls them
+bit for bit.  The line search's accepted candidate carries its energy
+and slopes into the next iteration.
 """
 
 from dataclasses import dataclass, field, fields
@@ -123,25 +121,13 @@ class FlowTrace:
 
 
 def _kernel(grid, v):
-    """Energy and slopes of component-first values.
-
-    The one slab sweep over a field that the energy, the gradient and
-    the step ceiling share: (Energy, _Slopes), the slopes P_mu of the
-    energy density in d_mu v and the largest |d_mu v|^2.
-    """
+    """(Energy, _Slopes) of component-first values, which the gradient and the step ceiling share."""
     return _sweep(grid, v, keep=True)
 
 
 def _gradient(grid, v, slopes):
-    """grad_energy on the component-first layout, from _kernel's slopes.
-
-    Sweeps the slabs of _kernel: -2 (A_1 P_0 + A_2 P_1 + A_3 P_2), then
-    the tangent projection, with the undivided stencils 2h A_mu on the
-    slopes 8h^3 P_mu, so the -2 is -2 / 16h^4.  A_1 reads P_0's two
-    neighbouring planes from the whole field.  Per site the terms are
-    taken in one fixed order, so the result does not depend on the slab
-    size.
-    """
+    """grad_energy on the component-first layout, from _kernel's slopes; A_1 reads P_0's
+    two neighbouring planes from the whole field."""
     P = slopes.P
     grad = _aligned(v.shape)
     scale = -2.0 / (16.0 * grid.h**4)
@@ -286,14 +272,8 @@ def _guard(cfg, ref, row, c, trace):
 
 
 def _observe(cfg, trace, on_row, ref, g, v, it, gnorm, en):
-    """The one observation point: record, stream and guard the row of iteration it.
-
-    Classifies the component-first iterate v in place, appends its
-    FlowRow to trace and hands the row to on_row, then guards it against
-    the reference class ref.  Iteration 0 supplies the reference, after
-    its row is recorded and streamed and after the hopf-class entry
-    check.  Returns the reference class.
-    """
+    """Record, stream and guard the row of iteration it; returns the reference class, which
+    iteration 0 supplies after its row is streamed and the hopf-class entry is checked."""
     c = _classify(g, v)
     # a refused charge is bad input at the start; later it is an undefined
     # charge, which the drift guard reports with the partial trace
@@ -328,12 +308,10 @@ def minimize(
     partial trace attached.  Returns (final field, trace); the final
     field is psi0 itself when no step was accepted.
 
-    The step schedule is capped at step_ceiling(psi), recomputed as
-    the field evolves.  The line search alone cannot enforce
-    stability: the stencil decouples the two lattice parity classes,
-    so above the ceiling there are growing modes the energy does not
-    see until the field is checkerboarded beyond repair.  cfg.step0
-    above the ceiling is clipped on entry.
+    Every iteration clips the step at step_ceiling of the current field,
+    cfg.step0 included, and carries the accepted step over cfg.backtrack
+    to the next; the line search alone cannot enforce stability (see
+    step_ceiling).
     """
     trace = FlowTrace()
     g = psi0.grid

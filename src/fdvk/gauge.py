@@ -6,7 +6,10 @@ subgroup stabilizing a sphere field phi acts on connections without
 moving the represented map psi = u phi u*; fix_gauge uses that freedom
 to kill the exact part of the longitudinal component <a, phi> and to
 push its harmonic coefficients into the fundamental window [0, 1).
-Edge data stay component-first; fix_gauge's passes build no Connection.
+
+Edge data stay component-first: transports exp(h a) are (3, 4, n, n, n),
+(direction, quaternion component), built once per call and shared there
+by the flatness check, the developing map and the canonical gauge.
 Transports, plaquettes and gauge moves sweep lattice._slab_sweep, the
 same floats whatever the slab size; develop walks the first axis in
 Python floats (_line_walk), as holonomy multiplies its loops, then runs
@@ -16,7 +19,8 @@ Fields are immutable, so a Connection's plaquette deviation is computed
 once, by whichever of fix_gauge, develop and plaquette_deviation first
 needs it, and kept on the Connection as one float (_deviation); each
 call still compares it with its own flat_tol.  The transports are built
-again per call, not kept.
+again per call, not kept: they would hold a (3, 4, n, n, n) array for
+the life of the Connection.
 """
 
 from dataclasses import dataclass
@@ -90,7 +94,7 @@ def holonomy(a: Connection) -> Holonomy:
 
 
 def _transports(a: Connection):
-    """Edge transports exp(h a), contiguous (3, 4, n, n, n): direction, component."""
+    """Edge transports exp(h a), contiguous."""
     n, logs = a.grid.n, _cf(a)
     t = np.empty((3, 4) + (n,) * 3)
     for lo, hi, v in _slab_sweep(n, (5,)):  # v: h a_mu, then exp_im's scratch
@@ -110,15 +114,19 @@ def _plaquette_deviation(t):
             np.negative(b[1:], out=b[1:])
             d = quat._hamilton(f, b, p, r[0])
             d[0] -= 1.0
-            worst = max(worst, np.max(np.abs(d, out=d)))
+            # np.maximum, not max: a NaN plaquette must reach the result, not lose to 0.0
+            worst = np.maximum(worst, np.max(np.abs(d, out=d)))
     return float(worst)
 
 
 def _deviation(a: Connection, t=None):
-    """The plaquette deviation of a, from its transports t when given: computed
-    once per Connection and kept on it, a float."""
+    """The plaquette deviation of a, from its transports t when given; NotFlat when it is
+    not finite."""
     if a._plaquette is None:
-        object.__setattr__(a, "_plaquette", _plaquette_deviation(_transports(a) if t is None else t))
+        dev = _plaquette_deviation(_transports(a) if t is None else t)
+        if not np.isfinite(dev):
+            raise NotFlat(f"plaquette transport deviation is {dev}: the transports are not finite")
+        object.__setattr__(a, "_plaquette", dev)
     return a._plaquette
 
 

@@ -2,21 +2,23 @@
 
 The primary obstruction is read off as fluxes of the pulled-back area
 form through the three coordinate 2-tori.  When the fluxes vanish the
-Hopf charge is the helicity of the vector potential of that form; group
-fields additionally carry a degree, computed from the cubic integral of
-their flattening connection, and any connection has a Chern--Simons
-number.  _read decides, without raising, which of these readings a
-field or framed pair has and why the others are missing; a group field
-alone frames the constant field, the triple quat.IM_I it rotates, never
-built.  fluxes, hopf_charge and homotopy_record raise from _read.  It
-and _classify return one reading record, _Reading; the Parseval sums
-are lattice._parseval.
+Hopf charge is the helicity of the coexact potential of that form
+(Whitehead's integral formula); group fields additionally carry a
+degree, computed from the cubic integral of their flattening connection,
+and any connection has a Chern--Simons number.
+
 _classify reads component-first values (3, n, n, n) where they live:
 the descent's iterate, or the array a SphereField stores (fields._cf).
+_read adds the values read and a framing's degree; a group field alone
+frames the constant field.
+Both decide, without raising, which readings a field or framed pair has
+and why the others are missing, and return one record, _Reading, from
+which fluxes, hopf_charge and homotopy_record raise.  The Parseval sums
+are lattice._parseval.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import frexp, gcd, ldexp
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,7 +36,7 @@ from .fields import (
     _logs_of,
     _site_logs,
 )
-from .lattice import _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, diff, integrate
+from .lattice import Grid, _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -67,9 +69,8 @@ class _Reading(NamedTuple):
 def _wedge_d(grid, Ah, K, weight):
     """Integral of alpha ^ d(alpha) by Parseval from alpha's component-first rfftn Ah.
 
-    d(alpha) has the transform i K x Ah; Re(conj(Ah) . dAh), the volume
-    coefficient of alpha ^ d(alpha), is summed over the half spectrum
-    with lattice._half_spectrum's K and weights.
+    d(alpha) has the transform i K x Ah; Re(conj(Ah) . dAh) is the volume
+    coefficient of alpha ^ d(alpha).
     """
     dAh = 1j * _cross(K, Ah)
     return _parseval(grid, weight, np.sum((Ah.conj() * dAh).real, axis=0))
@@ -91,8 +92,7 @@ def _raw_fluxes(g, v):
 
     Slot k of pullback_area on the plane x_k = n/2 needs only that
     plane's two in-plane differences, so each flux is the plane's area
-    density, through the same arithmetic, summed as slice_flux sums it;
-    the plane is read as a slab one site thick, as diff reads a field.
+    density, through the same arithmetic, summed as slice_flux sums it.
     """
     mid = slice(g.n // 2, g.n // 2 + 1)
     raw = []
@@ -111,6 +111,9 @@ def _classify(g, v, charge=True) -> _Reading:
     raw flux within FLUX_ROUND_TOL of an integer, all of them 0.  The
     whole area form is built only for the charge.
     """
+    # rescaled by a power of two, exactly, to a spacing in [0.5, 1): fluxes and the charge are
+    # scale-free, and there no square in a norm overflows and no helicity term underflows
+    g = Grid(g.n, ldexp(g.l, -frexp(g.h)[1]))
     raw = _raw_fluxes(g, v)
     rounded = tuple(int(x) for x in np.rint(raw))
     off = [k for k in range(3) if abs(raw[k] - rounded[k]) > FLUX_ROUND_TOL]

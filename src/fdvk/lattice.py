@@ -20,9 +20,16 @@ first; _site_last copies a result out to the public layout.
 
 The descent and the gauge layer sweep that layout in slabs of whole
 planes along the first site axis, SLAB_SITES sites per slab, so a slab's
-temporaries stay in cache; _slab_sweep, the one slab plan, lists each
-slab's planes with scratch allocated once per sweep and cut to the slab.
-A slab reads its halo planes from the whole field (_shifted, _diff_into).
+temporaries stay in cache.  _slab_sweep is the one slab plan; no other
+module cuts slabs (tests/test_contract.py).  A slab reads its halo planes
+from the whole field (_shifted, _diff_into), so no result depends on the
+slab size.  The descent's buffers start on a 64-byte cache line
+(_aligned): every slab scratch, the energy sweep's whole-field densities
+and slopes, the gradient, the line-search candidate and minimize's
+working copy.  numpy's SIMD loops (AVX-512 on the benchmark host) ran a
+multiply up to 2.2x slower off a cache line, and malloc's 16-byte
+placement shifts with everything allocated before, which moved the relax
+workload 7% between builds; alignment changes no float.
 
 One central stencil, _diff_into, serves energies, gradients and fluxes;
 it subtracts shifted slices straight into a given buffer, periodic within
@@ -31,10 +38,10 @@ function of site values, so its gradient is exact.  It leaves the
 difference undivided: diff, the area form and the raw fluxes divide by
 2h, and the descent folds the powers of 2h into its constants.  One
 half-spectrum path (_rfft3, _irfft3, _half_spectrum) serves d and
-codiff, the Hodge split, the potential and the Parseval sums: its
-multiplier iK makes d compose to zero and the codifferential an exact
-adjoint, and _parseval is its one quadrature. The two agree to O(h^2) on
-smooth data.
+codiff, the Hodge split, the potential and the Parseval sums; only this
+module calls np.fft.  Its multiplier iK makes d compose to zero and the
+codifferential an exact adjoint, and _parseval is its one quadrature.
+The two agree to O(h^2) on smooth data.
 """
 
 from dataclasses import dataclass
@@ -87,12 +94,7 @@ def check_direction(mu):
 
 
 def diff(grid, f, mu):
-    """Central difference along direction mu, periodic: _diff_into's undivided
-    difference over 2h.
-
-    The site axes are the last three of f, so a scalar field and a
-    component-first one are differenced alike.
-    """
+    """Central difference along direction mu, periodic, over the last three axes of f."""
     check_direction(mu)
     f = np.asarray(f)
     out = _diff_into(f, f.ndim - 4 + mu, np.empty(f.shape, np.result_type(f, 1.0)))
@@ -109,9 +111,8 @@ def _run_axes(a):
 
 
 def _diff_into(f, ax, out, lo=0, hi=None):
-    """The undivided central difference f[i + 1] - f[i - 1] along axis ax for
-    i = lo .. hi - 1, into out; diff divides it by 2h, the descent folds 2h
-    into its constants.
+    """out, holding the undivided central difference f[i + 1] - f[i - 1] along axis ax
+    for i = lo .. hi - 1.
 
     f is periodic along ax; out holds hi - lo entries there, so a slab
     lo .. hi - 1 of a whole field reads its halo planes lo - 1 and hi
@@ -153,8 +154,7 @@ def _slabs(n):
 
 
 def _aligned(shape):
-    """np.empty(shape) starting on a 64-byte cache line: SIMD loops storing across cache lines
-    ran the descent's sweeps up to 2x slower, so their speed hung on where the heap put a buffer."""
+    """np.empty(shape) starting on a 64-byte cache line."""
     raw = np.empty(int(np.prod(shape)) + 8)
     k = -raw.__array_interface__["data"][0] % 64 // 8
     return raw[k:k + raw.size - 8].reshape(shape)
@@ -169,11 +169,8 @@ def _slab_sweep(n, *leads):
 
 
 def _shifted(f, mu, out, a=0, b=None, step=1):
-    """f(x + step e_mu), step = +-1, at planes a .. b - 1 of the first site axis, into out.
-
-    The site axes are the last three of f, periodic.  Along the first the
-    slab reads planes a + step .. b - 1 + step, wrapping only at the ends.
-    """
+    """out, holding f(x + step e_mu), step = +-1, at planes a .. b - 1 of the first site
+    axis; the site axes are the last three of f, periodic."""
     ax = f.ndim - 4 + mu
     if mu != 1:
         f, a, b = f[..., a:b, :, :], 0, None
@@ -223,12 +220,10 @@ def _cross(a, b, out=None, tmp=None):
 
 
 def avg_back(grid, f, mu, out=None):
-    """Average of a value with its backward neighbor along mu.
+    """Average of a value with its backward neighbor along mu, over the last three axes of f.
 
     Moves an edge-held value (sample at x + h/2 e_mu) to the site x at
-    second order; the workhorse for consuming edge-logarithm
-    connections in site-centered formulas.  The site axes are the last
-    three of f, as for diff.  Into out, of f's shape, when given.
+    second order.  Into out, of f's shape, when given.
     """
     check_direction(mu)
     f = np.asarray(f)
@@ -351,8 +346,8 @@ def _potential(grid, F):
     """(F_hat, K, k2, weight) of _spectrum, once F has a coexact potential alpha.
 
     alpha, with delta alpha = 0, d alpha = F and no harmonic part, exists
-    only for F closed and with vanishing fluxes, else NonExactForm (the guards
-    read F's one rfftn); its transform is i K x F_hat / k2, zero where K is.
+    only for F closed and with vanishing fluxes, else NonExactForm; its
+    transform is i K x F_hat / k2, zero where K is.
     """
     Fh, div, K, k2, weight = _spectrum(grid, F)
     # the zero mode sums F over all sites: n^3 / l^2 times the slice flux

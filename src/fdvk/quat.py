@@ -51,8 +51,7 @@ _TERMS = (
 
 def _hamilton(p, q, out=None, tmp=None):
     """Hamilton product p q of component-first quaternions, index 0 over components;
-    into out, (4,) + sites, apart from p and q, with tmp a buffer for one product,
-    when given.  The terms sum in one order either way, so the floats agree."""
+    into out, (4,) + sites, apart from p and q, with tmp a buffer for one product, when given."""
     p, q = tuple(p), tuple(q)
     if out is None:
         out = np.empty((4,) + np.broadcast_shapes(*map(np.shape, p + q)), np.result_type(*p, *q))

@@ -130,6 +130,21 @@ def test_relax_step_fixed_point_at_critical_field():
     assert np.array_equal(out.values, flat.values)
 
 
+def test_minimize_carries_the_accepted_step_over_backtrack():
+    # step0 far below the ceiling, so the step carried from one search to the next decides it
+    psi0 = smooth_sphere_field(Grid(12, TWO_PI), 4)
+    cfg = FlowConfig(mode="flux-only", max_iters=8, monitor_every=8, step0=1e-3 * step_ceiling(psi0))
+    final, trace = minimize(psi0, cfg)
+    assert trace.stop_reason == "max_iters"
+    psi, step = psi0, cfg.step0
+    for _ in range(cfg.max_iters):
+        step = min(step, step_ceiling(psi))
+        psi, step, ok = relax_step(psi, cfg, step)
+        assert ok
+        step /= cfg.backtrack
+    assert np.array_equal(final.values, psi.values)
+
+
 def test_minimize_constant_stops_immediately():
     g = Grid(8, TWO_PI)
     psi, trace = minimize(constant_sphere(g), FlowConfig(max_iters=50))

@@ -83,6 +83,19 @@ def test_flat_tol_must_be_finite_and_non_negative(bad, monkeypatch):
         fix_gauge(a, constant_sphere(g), flat_tol=bad)
 
 
+def test_non_finite_transports_are_not_flat():
+    # |h a|^2 overflows on every edge, so all 6144 transport entries are NaN, and so is the
+    # plaquette deviation: refused, never kept or read as flat
+    g = Grid(8, TWO_PI)
+    a = Connection(g, np.full((8, 8, 8, 3, 3), 1e160))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(gauge._transports(a)).all()
+        for call in (plaquette_deviation, develop, lambda a: fix_gauge(a, constant_sphere(g))):
+            with pytest.raises(NotFlat, match="transports are not finite"):
+                call(a)
+    assert a._plaquette is None  # nothing kept
+
+
 def test_develop_reproduces_circle_fields():
     g = Grid(16, TWO_PI)
     x1 = g.axes()[0]

@@ -163,6 +163,21 @@ def test_hopfion_charge_readings():
     assert qm == pytest.approx(-q24, abs=1e-9)
 
 
+def test_class_reading_is_the_same_at_every_period():
+    # fluxes and the charge are scale-free: the n = 24 hopfion's values read Q = 0.8526 at each
+    # period Grid accepts, also where, on the spacing l / 24, the closedness norm's squares
+    # overflow (l <= 1e-50) and the helicity's terms underflow (l >= 1e65)
+    psi = generate(AnsatzSpec(kind="hopfion", charge=1), Grid(24, TWO_PI))
+    q, raw = hopf_charge(psi), fluxes(psi)[1]
+    for l in (5.52e-76, 1e-60, 1e-50, 1e-40, 1.0, 1e60, 1e65, 1e70, 1e78):
+        p = SphereField(Grid(24, l), psi.values)
+        assert fluxes(p)[0] == (0, 0, 0) and fluxes(p)[1] == pytest.approx(raw, abs=1e-12)
+        assert hopf_charge(p) == pytest.approx(q, rel=1e-15)
+    # so generate's readback keeps the hopfion at both ends of the range
+    for l in (5.52e-76, 1e78):
+        assert round(hopf_charge(generate(AnsatzSpec(kind="hopfion", charge=1), Grid(24, l)))) == 1
+
+
 def test_ballmap_degree_reading():
     g = Grid(32, TWO_PI)
     d1 = degree(generate(AnsatzSpec(kind="ballmap", charge=1), g))
