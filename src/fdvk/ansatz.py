@@ -154,19 +154,19 @@ def _ball_lift(spec, grid, azimuth_sign):
 
 
 def _generate(spec, grid):
-    """The field of spec and its reading; constant and equator fields are not read (None).
+    """The field of spec and its reading.
 
-    A tube, hopfion or ballmap whose readings do not all round to the
-    invariants its kind advertises raises UnderResolved: a coarse grid
-    misreads a charge or loses the flux class.
+    A field whose readings do not all round to the invariants its kind
+    advertises raises UnderResolved: a coarse grid misreads a charge or
+    loses the flux class.
     """
-    if spec.kind == "constant":
-        return constant_sphere(grid, quat.IM_I), None
-    if spec.kind == "equator":
-        return _equator(grid), None
     q = spec.charge
     # (fluxes, Hopf charge, degree) the kind advertises
-    if spec.kind == "tube":
+    if spec.kind == "constant":
+        field, want = constant_sphere(grid, quat.IM_I), ((0, 0, 0), 0, None)
+    elif spec.kind == "equator":
+        field, want = _equator(grid), ((0, 0, 0), 0, None)
+    elif spec.kind == "tube":
         field, want = _tube(spec, grid), (tuple(int(k == spec.axis) for k in (1, 2, 3)), None, None)
     elif spec.kind == "hopfion":
         u = _ball_lift(spec, grid, azimuth_sign=1 if q >= 0 else -1)

@@ -15,9 +15,11 @@ from step quaternions, for connection_of and the gauge moves.
 
 Each field class declares its kind once: its per-site value shape,
 SHAPE, and whether every site holds a unit vector, UNIT; fields compare
-by identity.  This module alone lays out field storage
-(tests/test_contract.py): a field stores one C-contiguous, read-only
-array, SHAPE + (n, n, n), and its values are the site-last view of it.
+by identity.  A reader handed a field of another kind raises, through
+_expect, one TypeError naming the kind it expected.  This module alone
+lays out field storage (tests/test_contract.py): a field stores one
+C-contiguous, read-only array, SHAPE + (n, n, n), and its values are the
+site-last view of it.
 _store checks a caller's values and copies them once, unless nothing can
 write to them and their component-first view is C-contiguous (_kept);
 _field builds every field the package makes, freezing in place the
@@ -94,6 +96,13 @@ def _field(cls, grid, v):
 def _cf(f):
     """The component-first view of a field's values: the array it stores."""
     return np.moveaxis(f.values, (0, 1, 2), (-3, -2, -1))
+
+
+def _expect(cls, f):
+    """f, when it is a cls; else TypeError naming the kind expected."""
+    if not isinstance(f, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(f).__name__}")
+    return f
 
 
 def _reduce(field):
@@ -329,7 +338,7 @@ def _edge_logs(grid, left, right, refusal, mid=None, out=None):
 
 def _logs_of(u):
     """The edge logarithms of connection_of(u), component-first: steps u* u(. + e_mu)."""
-    a = u._connection() if u._connection else None
+    a = u._connection() if _expect(GroupField, u)._connection else None
     if a is not None:
         return _cf(a)
     uc = _cf(u)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quat
 from .errors import NontrivialHolonomy, NotFlat
-from .fields import Connection, GroupField, SphereField, _cf, _edge_logs, _field
+from .fields import Connection, GroupField, SphereField, _cf, _edge_logs, _expect, _field
 from .lattice import _dot, _half_spectrum, _irfft3, _parseval_norm, _shifted, _slab_sweep, _spectrum, avg_back
 
 HOLONOMY_TOL = 1e-6
@@ -83,11 +83,11 @@ class GaugeFixReport:
 
 def holonomy(a: Connection) -> Holonomy:
     """Ordered product of edge transports around each coordinate loop."""
-    g = a.grid
+    g, logs = _expect(Connection, a).grid, _cf(a)
     out = np.empty((3, 4))
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
-        steps = quat._exp_im(_cf(a)[(ax, slice(None)) + take] * g.h)
+        steps = quat._exp_im(logs[(ax, slice(None)) + take] * g.h)
         p = np.array(reduce(quat._hamilton_floats, steps.T.tolist(), quat.ONE.tolist()))
         out[ax] = p / quat.norm(p)
     return Holonomy(out)
@@ -122,7 +122,7 @@ def _plaquette_deviation(t):
 def _deviation(a: Connection, t=None):
     """The plaquette deviation of a, from its transports t when given; NotFlat when it is
     not finite."""
-    if a._plaquette is None:
+    if _expect(Connection, a)._plaquette is None:
         dev = _plaquette_deviation(_transports(a) if t is None else t)
         if not np.isfinite(dev):
             raise NotFlat(f"plaquette transport deviation is {dev}: the transports are not finite")
@@ -134,7 +134,7 @@ def _flat_transports(a: Connection, flat_tol):
     """_transports(a), after checking the plaquettes against flat_tol, finite and >= 0."""
     if not 0.0 <= flat_tol < np.inf:
         raise ValueError(f"flat_tol must be finite and non-negative, got {flat_tol!r}")
-    t = _transports(a)
+    t = _transports(_expect(Connection, a))
     dev = _deviation(a, t)
     if dev > flat_tol:
         raise NotFlat(f"plaquette transport deviates from 1 by {dev:.3e}")
@@ -171,13 +171,13 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     Integration runs along the lexicographic spanning tree: up the
     first axis from the origin, then across the second axis in the
     plane, then along the third everywhere.  Flatness makes the result
-    path-independent, so the tree choice only fixes the rounding.
-
-    The walk runs up each axis through the origin, so the loop holonomy
-    is its last value there times the loop's closing edge: the ordered
-    product holonomy(a) forms, without multiplying it again.
+    path-independent, so the tree choice only fixes the rounding.  The
+    loops are checked with holonomy(a) before the walk.
     """
     t = _flat_transports(a, flat_tol)
+    dev = holonomy(a).deviation()
+    if dev > HOLONOMY_TOL:
+        raise NontrivialHolonomy(f"loop holonomy deviates from (1,1,1) by {dev:.3e}")
     n = a.grid.n
     # walk axis first, w[k] = u(., ., k): each step along it is one contiguous block
     w = np.empty((n, 4, n, n))
@@ -185,13 +185,6 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     _walk(np.moveaxis(w[0], 2, 0), np.moveaxis(t[1, :, :, :, 0], 2, 0))
     _walk(w, np.ascontiguousarray(np.moveaxis(t[2], -1, 0)))
     u = np.moveaxis(w, 0, -1)  # component-first
-    last = ((n - 1, 0, 0), (0, n - 1, 0), (0, 0, n - 1))
-    loops = [quat._hamilton(u[(slice(None),) + e], t[(ax, slice(None)) + e]) for ax, e in enumerate(last)]
-    hol = Holonomy(np.stack([p / quat.norm(p) for p in loops]))
-    if hol.deviation() > HOLONOMY_TOL:
-        raise NontrivialHolonomy(
-            f"loop holonomy deviates from (1,1,1) by {hol.deviation():.3e}"
-        )
     return _field(GroupField, a.grid, np.divide(u, quat._norm(u), out=np.empty(u.shape)))
 
 
@@ -223,25 +216,6 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     return _field(Connection, a.grid, _transformed(a.grid, _transports(a), gval))
 
 
-def hodge_parts(grid, omega):
-    """Split a real 1-form into exact, coexact and harmonic parts.
-
-    Spectral projection: the harmonic part of a flat-torus 1-form is
-    its mean, reported as coefficients against the basis dx^k / l, so
-    h_k = l * mean of component k.  exact + coexact + mean rebuilds the
-    input to rounding.
-    """
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (grid.n,) * 3 + (3,):
-        raise ValueError("hodge_parts expects a real 1-form, shape (n, n, n, 3)")
-    mean = w.mean(axis=(0, 1, 2))
-    coeffs = tuple(float(grid.l * m) for m in mean)
-    rest = w - mean
-    _, div, K, k2, _ = _spectrum(grid, np.moveaxis(rest, -1, 0))
-    exact = np.moveaxis(_irfft3(grid, np.stack([k * div / k2 for k in K])), 0, -1)
-    return exact, rest - exact, coeffs
-
-
 def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     """Move a to the canonical gauge for phi.
 
@@ -262,10 +236,10 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     transports by qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi;
     only the last pass's edge logarithms are built into a Connection.
     """
+    p = _cf(_expect(SphereField, phi))
     a.grid.same(phi.grid)
     t = _flat_transports(a, flat_tol)
     g = a.grid
-    p = _cf(phi)
     x = np.arange(g.n) * g.h
     # a rotation exp(i theta) shifts the site-averaged longitudinal form
     # by the central-difference symbol i sin(k_j h)/h, not by ik: solving

@@ -33,6 +33,7 @@ from .fields import (
     _area_form,
     _cf,
     _conjugate,
+    _expect,
     _logs_of,
     _site_logs,
 )
@@ -142,7 +143,7 @@ def fluxes(psi: SphereField):
     that far from an integer means the field is too coarse to classify,
     and guessing would silently misfile the homotopy class.
     """
-    c = _classify(psi.grid, _cf(psi), charge=False)
+    c = _classify(_expect(SphereField, psi).grid, _cf(psi), charge=False)
     if c.flux_error is not None:
         raise NonIntegralFlux(c.flux_error)
     return c.rounded, c.raw
@@ -158,7 +159,7 @@ def hopf_charge(psi: SphereField) -> float:
     NonExactForm, which is the honest answer: the invariant does not
     exist there.
     """
-    c = _classify(psi.grid, _cf(psi))
+    c = _classify(_expect(SphereField, psi).grid, _cf(psi))
     if c.hopf is None:
         raise NonExactForm(f"no Hopf charge: {c.hopf_reason}")
     return c.hopf
@@ -255,7 +256,7 @@ def homotopy_record(phi: SphereField, u: GroupField) -> HomotopyRecord:
     Hopf charge of the conjugated field is attached whenever the fluxes
     vanish (elsewhere it is undefined).
     """
-    r = _read(phi, u)
+    r = _read(_expect(SphereField, phi), _expect(GroupField, u))
     if r.flux_error is not None:
         raise NonIntegralFlux(r.flux_error)
     if r.degree_error is not None:

@@ -263,7 +263,7 @@ def test_init_refuses_a_field_that_misreads_its_class(tmp_path, capsys, kind, ch
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("kind", ["tube", "hopfion", "ballmap"])
+@pytest.mark.parametrize("kind", ["constant", "equator", "tube", "hopfion", "ballmap"])
 def test_init_prints_the_readback_it_took(tmp_path, capsys, monkeypatch, kind):
     # generate reads the field back; init formats that reading, not a second one
     calls = []
@@ -285,14 +285,14 @@ def test_init_refused_charge_leaves_no_file(tmp_path, capsys, refuse_charge):
 def test_init_and_report_agree_on_unclassifiable_fields(tmp_path, capsys, monkeypatch, kind, charge):
     # n = 18 is too coarse for these: ballmap 2 reads degree 1.894, the
     # other two a raw flux of 0.4294; generate refuses them, so they are
-    # built from the ball lift and handed to init unread, and both
-    # commands print null, not exit 2
+    # built from the ball lift and handed to init with their reading, and
+    # both commands print null, not exit 2
     g = Grid(18, TWO_PI)
     spec = AnsatzSpec(kind=kind, charge=charge)
     field = _ball_lift(spec, g, azimuth_sign=1 if kind == "hopfion" else -1)
     if kind == "hopfion":
         field = conjugate_field(field, constant_sphere(g))
-    monkeypatch.setattr(cli, "_generate", lambda spec, grid: (field, None))
+    monkeypatch.setattr(cli, "_generate", lambda spec, grid: (field, invariants._read(field)))
     out = tmp_path / "f.fdk"
     assert main(["init", "--ansatz", kind, "--charge", str(charge), "--n", "18", "-o", str(out)]) == 0
     rec = json.loads(capsys.readouterr().out)

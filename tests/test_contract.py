@@ -1,6 +1,7 @@
-"""The public contract: the names the package exports, the console script, where
-Fourier transforms, the slab plan and the field storage rule live, the one array layout
-inside the package, and no module importing a name it never uses."""
+"""The public contract: the names the package exports, the field kind each reader
+refuses, the console script, where Fourier transforms, the slab plan and the field
+storage rule live, the one array layout inside the package, and no module importing a
+name it never uses."""
 
 import ast
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fdvk
-from fdvk import cli, lattice
+from fdvk import cli, gauge, lattice
 
 CONTRACT = [
     "AnsatzSpec", "ChargeDrift", "ClassViolation", "ConfigError", "Connection",
@@ -35,6 +36,31 @@ def test_public_names_are_the_contract():
 def test_every_public_name_resolves():
     for name in CONTRACT:
         assert getattr(fdvk, name) is not None, name
+
+
+# each reader handed a field of another kind, and the kind it names in its TypeError
+WRONG_KINDS = {
+    "fluxes-of-a-group-field": (lambda phi, u, a: fdvk.fluxes(u), "SphereField"),
+    "hopf_charge-of-a-group-field": (lambda phi, u, a: fdvk.hopf_charge(u), "SphereField"),
+    "homotopy_record-swapped": (lambda phi, u, a: fdvk.homotopy_record(u, phi), "SphereField"),
+    "homotopy_record-sphere-framing": (lambda phi, u, a: fdvk.homotopy_record(phi, phi), "GroupField"),
+    "homotopy_record-without-framing": (lambda phi, u, a: fdvk.homotopy_record(phi, None), "GroupField"),
+    "degree-of-a-sphere-field": (lambda phi, u, a: fdvk.degree(phi), "GroupField"),
+    "connection_of-a-sphere-field": (lambda phi, u, a: fdvk.connection_of(phi), "GroupField"),
+    "holonomy-of-a-sphere-field": (lambda phi, u, a: fdvk.holonomy(phi), "Connection"),
+    "develop-a-sphere-field": (lambda phi, u, a: fdvk.develop(phi), "Connection"),
+    "plaquette_deviation-of-a-sphere-field": (lambda phi, u, a: gauge.plaquette_deviation(phi), "Connection"),
+    "fix_gauge-of-a-sphere-field": (lambda phi, u, a: fdvk.fix_gauge(phi, phi), "Connection"),
+    "fix_gauge-with-a-group-section": (lambda phi, u, a: fdvk.fix_gauge(a, u), "SphereField"),
+}
+
+
+@pytest.mark.parametrize("call, kind", WRONG_KINDS.values(), ids=WRONG_KINDS)
+def test_a_field_of_the_wrong_kind_is_refused(call, kind):
+    g = fdvk.Grid(8)
+    u = fdvk.constant_group(g)
+    with pytest.raises(TypeError, match=f"expected a {kind}, got "):
+        call(fdvk.constant_sphere(g), u, fdvk.connection_of(u))
 
 
 def test_fourier_transforms_only_in_lattice():

@@ -1,4 +1,4 @@
-"""Holonomy, developing map, Hodge split, canonical gauge."""
+"""Holonomy, developing map, canonical gauge."""
 
 import importlib.util
 from pathlib import Path
@@ -14,11 +14,10 @@ from fdvk.gauge import (
     develop,
     fix_gauge,
     gauge_transform,
-    hodge_parts,
     holonomy,
     plaquette_deviation,
 )
-from fdvk.lattice import Grid, codiff, d, form_norm
+from fdvk.lattice import Grid, codiff, form_norm
 from fieldgen import smooth_group_field, smooth_sphere_field
 
 TWO_PI = 2.0 * np.pi
@@ -125,27 +124,6 @@ def test_gauge_transform_preserves_flatness_and_holonomy_class():
     b = gauge_transform(a, phi, lam)
     assert plaquette_deviation(b) <= plaquette_deviation(a) + 1e-8
     assert holonomy(b).deviation() <= 1e-8
-
-
-def test_hodge_parts_recovers_engineered_split():
-    g = Grid(16, TWO_PI)
-    rng = np.random.default_rng(5)
-    x1, x2, x3 = g.axes()
-    theta = np.sin(TWO_PI * x1 / g.l) * np.cos(2 * TWO_PI * x3 / g.l)
-    harmonic = np.array([0.25, -1.3, 0.0]) / g.l
-    omega = d(g, theta, 0) + harmonic
-    exact, coexact, coeffs = hodge_parts(g, omega)
-    assert np.allclose(coeffs, (0.25, -1.3, 0.0), atol=1e-10)
-    assert form_norm(g, exact - d(g, theta, 0)) <= 1e-9
-    assert form_norm(g, coexact) <= 1e-9
-    rebuilt = exact + coexact + np.array(coeffs) / g.l
-    assert form_norm(g, rebuilt - omega) <= 1e-10
-
-
-def test_hodge_parts_shape_check():
-    g = Grid(8, TWO_PI)
-    with pytest.raises(ValueError):
-        hodge_parts(g, np.zeros((8, 8, 8)))
 
 
 def test_fix_gauge_requires_flat_input():

@@ -238,3 +238,12 @@ def test_homotopy_record_reduces_degree_mod_2m():
     assert rec1.fluxes == (1, 0, 0)
     assert rec1.degree == pytest.approx(2.0, abs=0.1)
     assert rec1.degree_class == rec0.degree_class == 0
+
+    # the paper's class is the degree mod 2m, not mod m: with m = 1 an odd
+    # degree keeps class 1 (at n = 32 the tube's raw flux reads 0.8734 next
+    # to degree -1 and is refused, so n = 48)
+    g = Grid(48)
+    tube = generate(AnsatzSpec(kind="tube"), g)
+    for d, cls in ((1, 1), (-1, 1), (2, 0)):
+        rec = homotopy_record(tube, generate(AnsatzSpec(kind="ballmap", charge=d), g))
+        assert (rec.m, rec.degree_class) == (1, cls), d
