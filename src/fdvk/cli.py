@@ -17,6 +17,7 @@ memory and no second copy is made.
 """
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
@@ -61,28 +62,35 @@ def _kind_of(obj):
     raise TypeError(f"cannot snapshot {type(obj).__name__}")
 
 
-def save_snapshot(path, obj):
-    """Write a field to the fixed binary layout: _HEADER, then little-endian float64 values,
-    sites ordered x-fastest, each site's SHAPE values contiguous (connections store the
-    three direction vectors in order)."""
-    kind = _kind_of(obj)
-    g = obj.grid
-    v = _cf(obj).reshape(-1, g.n, g.n, g.n)
-    payload = np.ascontiguousarray(v.transpose(3, 2, 1, 0), dtype="<f8")
-    # written beside the target and renamed over it, so a failed write
-    # never leaves a truncated snapshot under the target's name
+@contextlib.contextmanager
+def _replacing(path, mode):
+    """A new file .<name>.<hex>.tmp beside path, opened with mode ("x" or "xb"), renamed over
+    path when the block ends and removed when it raises, so a failed or interrupted write
+    leaves whatever was at path as it was."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "xb")
+    fh = open(tmp, mode)
     try:
         with fh:
-            fh.write(_HEADER.pack(MAGIC, kind, g.n, g.l))
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def save_snapshot(path, obj):
+    """Write a field to the fixed binary layout: _HEADER, then little-endian float64 values,
+    sites ordered x-fastest, each site's SHAPE values contiguous (connections store the
+    three direction vectors in order); through _replacing."""
+    kind = _kind_of(obj)
+    g = obj.grid
+    v = _cf(obj).reshape(-1, g.n, g.n, g.n)
+    payload = np.ascontiguousarray(v.transpose(3, 2, 1, 0), dtype="<f8")
+    with _replacing(path, "xb") as fh:
+        fh.write(_HEADER.pack(MAGIC, kind, g.n, g.l))
+        fh.write(payload)
 
 
 def load_snapshot(path):
@@ -282,11 +290,13 @@ def cmd_minimize(args):
     grid, spec, cfg, out_field, out_trace = parse_run_config(text)
     _check_grid_fits(grid.n)
     _check_writable(out_field)
+    _check_writable(out_trace)
     psi0 = generate(spec, grid)
     if not isinstance(psi0, SphereField):
         raise ConfigError(f"init.kind {spec.kind!r} does not generate a sphere field")
     abort = None
-    with open(out_trace, "w") as trace_fh:
+    # the trace replaces out_trace once the descent ends or a guard aborts, not before
+    with _replacing(out_trace, "x") as trace_fh:
         trace_fh.write(CSV_HEADER + "\n")
         try:
             psi, trace = minimize(psi0, cfg, on_row=lambda row: trace_fh.write(_csv_line(row)))

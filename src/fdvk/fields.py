@@ -11,7 +11,8 @@ that needs the value at the site itself averages the two incident
 edges (avg_back); holonomy and developing-map reconstruction consume
 the raw edge values, for which the round trip is exact.  Edge logs are
 component-first, (direction, component, n, n, n); _edge_logs forms them
-from step quaternions, for connection_of and the gauge moves.
+from the steps g* t_mu g(. + e_mu), for connection_of (t = 1, g = u) and
+the gauge moves, and forms g* itself: the one conjugate-edge rule.
 
 Each field class declares its kind once: its per-site value shape,
 SHAPE, and whether every site holds a unit vector, UNIT; fields compare
@@ -201,7 +202,7 @@ def _conjugate(u, phi):
 
 def conjugate_field(u, phi):
     """psi = u phi u* site by site."""
-    return _field(SphereField, u.grid, _conjugate(u, phi))
+    return _field(SphereField, _expect(GroupField, u).grid, _conjugate(u, _expect(SphereField, phi)))
 
 
 def _area(v, di, dj, out=None, s=None):
@@ -240,7 +241,7 @@ def pullback_area(psi):
     total flux through a slice counts preimages of a regular value.
     Returned site-last, as a view.
     """
-    return np.moveaxis(_area_form(psi.grid, _cf(psi)), 0, -1)
+    return np.moveaxis(_area_form(_expect(SphereField, psi).grid, _cf(psi)), 0, -1)
 
 
 # _GRAM[mu][nu] is the slot of G_mu_nu = d_mu . d_nu among the six _assemble forms
@@ -310,18 +311,20 @@ def energy(psi):
     of |d psi^a ^ d psi^b|^2 over the three component pairs, which
     collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2.
     """
-    return _sweep(psi.grid, _cf(psi), keep=False)[0]
+    return _sweep(_expect(SphereField, psi).grid, _cf(psi), keep=False)[0]
 
 
-def _edge_logs(grid, left, right, refusal, mid=None, out=None):
+def _edge_logs(grid, right, refusal, mid=None, out=None, left=None):
     """Edge logarithms log(step_mu) / h, (3, 3, n, n, n), of the unit steps
-    left (mid_mu right(. + e_mu)), all component-first, or left right(. + e_mu).
+    right* (mid_mu right(. + e_mu)), all component-first, or right* right(. + e_mu);
+    right* is formed into left when given.
 
     The first step with Re <= 0, directions in order, raises
     UnresolvableField(refusal).
     """
     n = grid.n
     out = np.empty((3, 3) + (n,) * 3) if out is None else out
+    left = np.multiply(right, quat._CONJ, out=left)
     slabs = _slab_sweep(n, (3, 4), (2,))
     for mu in range(3):
         for a, b, (r, inner, s), tmp in slabs:
@@ -341,8 +344,7 @@ def _logs_of(u):
     a = u._connection() if _expect(GroupField, u)._connection else None
     if a is not None:
         return _cf(a)
-    uc = _cf(u)
-    return _edge_logs(u.grid, uc * quat._CONJ, uc, "adjacent sites along direction {mu} differ by "
+    return _edge_logs(u.grid, _cf(u), "adjacent sites along direction {mu} differ by "
                       "90 degrees or more; refine the grid")
 
 
@@ -359,17 +361,18 @@ def connection_of(u):
 
 
 def _covariant(a, phi):
-    """(D, ab, p) component-first: D_a phi, the site-averaged connection, phi.
+    """(D, dphi, ab, p) component-first: D_a phi, d_mu phi, the site-averaged connection, phi.
 
-    D[mu] = d_mu phi + 2 ab[mu] x phi has the shape of ab, (3, 3, n, n, n).
+    D[mu] = dphi[mu] + 2 ab[mu] x phi has the shape of ab, (3, 3, n, n, n).
     """
-    a.grid.same(phi.grid)
+    _expect(Connection, a).grid.same(_expect(SphereField, phi).grid)
     p = _cf(phi)
     ab = _site_logs(phi.grid, _cf(a))
+    dphi = [diff(phi.grid, p, mu) for mu in (1, 2, 3)]
     D = np.empty_like(ab)
     for mu in range(3):
-        np.add(diff(phi.grid, p, mu + 1), 2.0 * _cross(ab[mu], p), out=D[mu])
-    return D, ab, p
+        np.add(dphi[mu], 2.0 * _cross(ab[mu], p), out=D[mu])
+    return D, dphi, ab, p
 
 
 def covariant_derivative(a, phi):
@@ -378,12 +381,12 @@ def covariant_derivative(a, phi):
     Uses central differences for d and the site-averaged connection for
     the bracket, so the result is collocated with the field values.
     """
-    return _site_last(_site_last(_covariant(a, phi)[0]))
+    return _site_last(_covariant(a, phi)[0], lead=2)
 
 
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
-    a.grid.same(phi.grid)
+    _expect(Connection, a).grid.same(_expect(SphereField, phi).grid)
     return _sweep(phi.grid, _cf(phi), keep=False, ab=_site_logs(phi.grid, _cf(a)))[0]
 
 
@@ -394,12 +397,12 @@ def decompose(a, phi):
     long phi + tang = a is an algebraic identity, exact per site. This
     is pointwise algebra on the stored arrays; no edge averaging.
     """
-    a.grid.same(phi.grid)
+    _expect(Connection, a).grid.same(_expect(SphereField, phi).grid)
     A, p = _cf(a), _cf(phi)
     long = np.stack([_dot(A[mu], p) for mu in range(3)])
     # phi [a, phi] / 2 = phi x (a x phi), the projection off phi
     tang = np.stack([_cross(p, _cross(A[mu], p)) for mu in range(3)])
-    return _site_last(long), _site_last(_site_last(tang))
+    return _site_last(long), _site_last(tang, lead=2)
 
 
 def plaquette_curvature(a):
@@ -411,15 +414,15 @@ def plaquette_curvature(a):
     Returns a dual-vector 2-form of imaginary quaternions, slot k for
     the (i, j) plaquette with (i, j, k) cyclic.
     """
-    h = a.grid.h
+    h = _expect(Connection, a).grid.h
     A = _cf(a)
-    out = np.empty(A.shape)
+    out, r = np.empty(A.shape), np.empty((2,) + A.shape[1:])
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
         ai, aj = A[i], A[j]
         # each leg's far edge: a_i one site up along j, a_j one up along i
-        ri, rj = np.roll(ai, -1, axis=j + 1), np.roll(aj, -1, axis=i + 1)
+        ri, rj = _shifted(ai, j + 1, r[0]), _shifted(aj, i + 1, r[1])
         out[k] = (rj - aj) / h - (ri - ai) / h + 2.0 * _cross(0.5 * (ai + ri), 0.5 * (aj + rj))
-    return _site_last(_site_last(out))
+    return _site_last(out, lead=2)
 
 
 def flatness_residuals(a, phi):
@@ -442,8 +445,7 @@ def flatness_residuals(a, phi):
     squares are summed in site-last order, as the public arrays are.
     """
     g = phi.grid
-    D, ab, p = _covariant(a, phi)
-    dphi = [diff(g, p, mu) for mu in (1, 2, 3)]
+    D, dphi, ab, p = _covariant(a, phi)
     s = np.stack([_dot(ab[mu], p) for mu in range(3)])
     t = ab - s[:, None] * p
 

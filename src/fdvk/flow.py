@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import ChargeDrift, FluxChange, NonExactForm
-from .fields import SphereField, _cf, _field, _sweep
+from .fields import SphereField, _cf, _expect, _field, _sweep
 from .invariants import _classify
 from .lattice import _aligned, _diff_into, _dot, _slab_sweep, form_norm
 
@@ -204,7 +204,7 @@ def grad_energy(psi: SphereField) -> np.ndarray:
     constrained functional.  Returned site-last, as a view of the
     component-first array computed.
     """
-    v = _cf(psi)
+    v = _cf(_expect(SphereField, psi))
     return np.moveaxis(_gradient(psi.grid, v, _kernel(psi.grid, v)[1]), 0, -1)
 
 
@@ -220,7 +220,7 @@ def step_ceiling(psi: SphereField) -> float:
     anti-aligns the classes is invisible to the line search until the
     field is ruined.
     """
-    return _ceiling(psi.grid, _kernel(psi.grid, _cf(psi))[1])
+    return _ceiling(_expect(SphereField, psi).grid, _kernel(psi.grid, _cf(psi))[1])
 
 
 def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
@@ -233,7 +233,7 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
-    g = psi.grid
+    g = _expect(SphereField, psi).grid
     v = _cf(psi)
     en, dv = _kernel(g, v)
     grad = _gradient(g, v, dv)
@@ -314,7 +314,7 @@ def minimize(
     step_ceiling).
     """
     trace = FlowTrace()
-    g = psi0.grid
+    g = _expect(SphereField, psi0).grid
     # a working copy on a cache line, as the kernel's buffers are: psi0's array lies where the heap put it
     v = _aligned(_cf(psi0).shape)
     v[...] = _cf(psi0)

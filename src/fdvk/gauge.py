@@ -90,6 +90,8 @@ def holonomy(a: Connection) -> Holonomy:
         steps = quat._exp_im(logs[(ax, slice(None)) + take] * g.h)
         p = np.array(reduce(quat._hamilton_floats, steps.T.tolist(), quat.ONE.tolist()))
         out[ax] = p / quat.norm(p)
+    if not np.all(np.isfinite(out)):
+        raise NotFlat("holonomy loop transports are not finite")
     return Holonomy(out)
 
 
@@ -198,9 +200,8 @@ def circle_field(grid, theta) -> GroupField:
 def _transformed(grid, t, gval, gbar=None, out=None):
     """Edge logarithms of the transports g* t_mu g(. + e_mu), t and g = gval component-first;
     g* formed into gbar when given."""
-    gbar = np.multiply(gval, quat._CONJ, out=gbar)
-    return _edge_logs(grid, gbar, gval, "gauge factor rotates an edge by 90 degrees or more; "
-                      "the transformed connection has no principal logarithm", t, out)
+    return _edge_logs(grid, gval, "gauge factor rotates an edge by 90 degrees or more; "
+                      "the transformed connection has no principal logarithm", t, out, gbar)
 
 
 def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connection:
@@ -210,8 +211,8 @@ def gauge_transform(a: Connection, phi: SphereField, lam: GroupField) -> Connect
     connection_of(u g) exactly whenever a = connection_of(u); in
     particular the represented map u phi u* does not move at all.
     """
-    a.grid.same(phi.grid)
-    a.grid.same(lam.grid)
+    _expect(Connection, a).grid.same(_expect(SphereField, phi).grid)
+    a.grid.same(_expect(GroupField, lam).grid)
     gval = quat._qmap(_cf(phi), _cf(lam))
     return _field(Connection, a.grid, _transformed(a.grid, _transports(a), gval))
 

@@ -188,7 +188,7 @@ def chern_simons(a: Connection) -> float:
     identity cs(a) = degree holds at second order on developable
     connections.
     """
-    ab = _site_logs(a.grid, _cf(a))
+    ab = _site_logs(_expect(Connection, a).grid, _cf(a))
     # Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms
     # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
     K, weight = _half_spectrum(a.grid)

@@ -16,20 +16,25 @@ Inside the package, field containers included, arrays are component-first,
 the site axes the last three: (3, n, n, n), or (3, 3, n, n, n) for edge
 logs, so stencils and products stream through contiguous components.
 diff and avg_back act on the last three axes, _cross and _dot on the
-first; _site_last copies a result out to the public layout.
+first; _site_last(q, lead) copies a result out to the public layout in
+one copy, its lead leading component axes moved last (lead = 2 for edge
+logs and for 2-forms of vectors).
 
 The descent and the gauge layer sweep that layout in slabs of whole
 planes along the first site axis, SLAB_SITES sites per slab, so a slab's
 temporaries stay in cache.  _slab_sweep is the one slab plan; no other
-module cuts slabs (tests/test_contract.py).  A slab reads its halo planes
-from the whole field (_shifted, _diff_into), so no result depends on the
-slab size.  The descent's buffers start on a 64-byte cache line
-(_aligned): every slab scratch, the energy sweep's whole-field densities
-and slopes, the gradient, the line-search candidate and minimize's
-working copy.  numpy's SIMD loops (AVX-512 on the benchmark host) ran a
-multiply up to 2.2x slower off a cache line, and malloc's 16-byte
-placement shifts with everything allocated before, which moved the relax
-workload 7% between builds; alignment changes no float.
+module cuts slabs (tests/test_contract.py).  _shifted is the one
+periodic neighbour read, beside the stencil _diff_into: a slab reads its
+halo planes from the whole field through them, so no result depends on
+the slab size, and whole-field reads (avg_back, the far edges of
+fields.plaquette_curvature) use it too; no module rolls an array.  The
+descent's buffers start on a 64-byte cache line (_aligned): every slab
+scratch, the energy sweep's whole-field densities and slopes, the
+gradient, the line-search candidate and minimize's working copy.
+numpy's SIMD loops (AVX-512 on the benchmark host) ran a multiply up to
+2.2x slower off a cache line, and malloc's 16-byte placement shifts with
+everything allocated before, which moved the relax workload 7% between
+builds; alignment changes no float.
 
 One central stencil, _diff_into, serves energies, gradients and fluxes;
 it subtracts shifted slices straight into a given buffer, periodic within
@@ -189,9 +194,9 @@ def _shifted(f, mu, out, a=0, b=None, step=1):
     return out
 
 
-def _site_last(q):
-    """Component-first values as a contiguous array, component axis last (twice for edge logs)."""
-    return np.ascontiguousarray(np.moveaxis(q, 0, -1))
+def _site_last(q, lead=1):
+    """Component-first values as one contiguous copy, their lead component axes moved last in order."""
+    return np.ascontiguousarray(np.moveaxis(q, range(lead), range(-lead, 0)))
 
 
 def _dot(a, b, out=None, tmp=None):

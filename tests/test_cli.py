@@ -21,7 +21,7 @@ from fdvk.cli import (
 )
 from fdvk.errors import ConfigError, SnapshotError
 from fdvk.fields import SphereField, conjugate_field, connection_of, constant_sphere
-from fdvk.flow import FlowConfig
+from fdvk.flow import FlowConfig, FlowRow
 from fdvk.lattice import Grid
 
 TWO_PI = 2.0 * np.pi
@@ -456,6 +456,38 @@ def _run_config(tmp_path, field, *lines, n=20):
         + f"\nout.field = {field}\nout.trace = {tmp_path / 't.csv'}\n"
     )
     return ["minimize", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("old", [b"an old trace\n", None])
+def test_refused_minimize_leaves_the_trace_path_as_it_was(tmp_path, capsys, old):
+    # the tube's unit flux is refused by hopf-class flow after its first row is written
+    if old is not None:
+        (tmp_path / "t.csv").write_bytes(old)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 20\ninit.kind = tube\nflow.mode = hopf-class\n"
+                   f"out.field = {tmp_path / 'f.fdk'}\nout.trace = {tmp_path / 't.csv'}\n")
+    assert main(["minimize", "--config", str(cfg)]) == 2
+    assert "hopf-class flow needs vanishing fluxes" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"] + ["t.csv"] * (old is not None)
+    assert old is None or (tmp_path / "t.csv").read_bytes() == old
+
+
+def test_trace_is_written_beside_its_path_until_the_descent_ends(tmp_path, monkeypatch):
+    # rows stream to .t.csv.<hex>.tmp; an interrupted run removes it and leaves the old trace
+    (tmp_path / "t.csv").write_bytes(b"an old trace\n")
+    seen = []
+
+    def interrupted(psi0, cfg, on_row):
+        on_row(FlowRow(0, 1.0, 2.0, 3.0, 4.0, (0.0, 0.0, 0.0), None, None))
+        seen.extend(sorted(p.name for p in tmp_path.iterdir()))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "minimize", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(_run_config(tmp_path, tmp_path / "f.fdk"))
+    assert len(seen) == 3 and re.fullmatch(r"\.t\.csv\.[0-9a-f]{8}\.tmp", seen[0]), seen
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "t.csv"]
+    assert (tmp_path / "t.csv").read_bytes() == b"an old trace\n"
 
 
 def test_minimize_stall_is_in_the_summary(tmp_path, capsys, nan_candidates):

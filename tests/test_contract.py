@@ -1,7 +1,7 @@
 """The public contract: the names the package exports, the field kind each reader
 refuses, the console script, where Fourier transforms, the slab plan and the field
-storage rule live, the one array layout inside the package, and no module importing a
-name it never uses."""
+storage rule live, the one array layout inside the package, one home for each shared
+primitive, and no module importing a name it never uses."""
 
 import ast
 import importlib
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fdvk
-from fdvk import cli, gauge, lattice
+from fdvk import cli, fields, flow, gauge, lattice
 
 CONTRACT = [
     "AnsatzSpec", "ChargeDrift", "ClassViolation", "ConfigError", "Connection",
@@ -52,6 +52,20 @@ WRONG_KINDS = {
     "plaquette_deviation-of-a-sphere-field": (lambda phi, u, a: gauge.plaquette_deviation(phi), "Connection"),
     "fix_gauge-of-a-sphere-field": (lambda phi, u, a: fdvk.fix_gauge(phi, phi), "Connection"),
     "fix_gauge-with-a-group-section": (lambda phi, u, a: fdvk.fix_gauge(a, u), "SphereField"),
+    "energy-of-a-group-field": (lambda phi, u, a: fdvk.energy(u), "SphereField"),
+    "pullback_area-of-a-group-field": (lambda phi, u, a: fdvk.pullback_area(u), "SphereField"),
+    "grad_energy-of-a-group-field": (lambda phi, u, a: fdvk.grad_energy(u), "SphereField"),
+    "step_ceiling-of-a-group-field": (lambda phi, u, a: flow.step_ceiling(u), "SphereField"),
+    "relax_step-of-a-group-field": (lambda phi, u, a: fdvk.relax_step(u, fdvk.FlowConfig(), 0.1), "SphereField"),
+    "minimize-a-group-field": (lambda phi, u, a: fdvk.minimize(u, fdvk.FlowConfig()), "SphereField"),
+    "energy_conn-swapped": (lambda phi, u, a: fdvk.energy_conn(a, phi), "Connection"),
+    "covariant_derivative-swapped": (lambda phi, u, a: fdvk.covariant_derivative(phi, a), "Connection"),
+    "flatness_residuals-swapped": (lambda phi, u, a: fdvk.flatness_residuals(phi, a), "Connection"),
+    "decompose-swapped": (lambda phi, u, a: fdvk.decompose(phi, a), "Connection"),
+    "plaquette_curvature-of-a-sphere-field": (lambda phi, u, a: fdvk.plaquette_curvature(phi), "Connection"),
+    "chern_simons-of-a-group-field": (lambda phi, u, a: fdvk.chern_simons(u), "Connection"),
+    "conjugate_field-swapped": (lambda phi, u, a: fdvk.conjugate_field(phi, u), "GroupField"),
+    "gauge_transform-section-and-circle-swapped": (lambda phi, u, a: fdvk.gauge_transform(a, u, phi), "SphereField"),
 }
 
 
@@ -80,11 +94,14 @@ def test_slab_plan_only_in_lattice():
     assert [p.name for p in others if re.search(r":\s*(b - a|hi - lo)\b", p.read_text())] == []
 
 
+def _sources_with(text):
+    return [p.name for p in sorted(Path(fdvk.__file__).parent.glob("*.py")) if text in p.read_text()]
+
+
 def test_one_layout_inside_the_package():
     # component-first math goes through lattice._cross, and diff/avg_back
     # read the site axes as the last three, with no layout knob
-    src = Path(fdvk.__file__).parent
-    assert [p.name for p in sorted(src.glob("*.py")) if "np.cross(" in p.read_text()] == []
+    assert _sources_with("np.cross(") == []
     for op in (lattice.diff, lattice.avg_back):
         params = inspect.signature(op).parameters
         assert "lead" not in params, op.__name__
@@ -102,17 +119,50 @@ def test_fields_py_alone_lays_out_field_storage():
     assert [p.name for p in others if convert.search(p.read_text())] == []
 
 
+def _reads(name):
+    """(module, top-level function) of each place in src/fdvk that names name, "<module>" for
+    the module level; one entry per function, however often it names it."""
+    src = Path(fdvk.__file__).parent
+    found = set()
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                alias = isinstance(node, ast.alias) and name in (node.name, node.asname)
+                if alias or getattr(node, "id", getattr(node, "attr", None)) == name:
+                    found.add((p.name, getattr(top, "name", "<module>")))
+    return sorted(found)
+
+
 def test_one_energy_sweep():
     # both pictures' energies, and the descent's slopes, are read off the Gram densities in fields._sweep
-    src = Path(fdvk.__file__).parent
-    callers = []
-    for p in sorted(src.glob("*.py")):
-        for fn in ast.walk(ast.parse(p.read_text())):
-            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-                calls = [c for c in ast.walk(fn) if isinstance(c, ast.Call)]
-                if any(getattr(c.func, "id", getattr(c.func, "attr", None)) == "_assemble" for c in calls):
-                    callers.append((p.name, getattr(fn, "name", "<lambda>")))
-    assert callers == [("fields.py", "_sweep")]
+    assert _reads("_assemble") == [("fields.py", "_sweep")]
+
+
+def test_one_periodic_neighbour_read():
+    # every far edge and halo plane is read by lattice._shifted or _diff_into
+    assert _sources_with("np.roll(") == []
+
+
+def test_one_conjugate_edge_rule():
+    # fields._edge_logs forms g* of the steps g* t g(. + e_mu) for every caller
+    assert [r for r in _reads("_CONJ") if r[0] != "quat.py"] == [("fields.py", "_edge_logs")]
+
+
+def test_one_copy_out():
+    # lattice._site_last(q, lead) moves all lead component axes last in one copy
+    assert _sources_with("_site_last(_site_last(") == []
+
+
+def test_flatness_residuals_differences_phi_once(monkeypatch):
+    # _covariant hands back the d_mu phi it forms: 3 for phi, then 4 per plaquette
+    # for the differences of <a, phi> and of the tangential part
+    g = fdvk.Grid(8)
+    u = fdvk.constant_group(g)
+    calls = []
+    monkeypatch.setattr(fields, "diff", lambda *args: calls.append(args[2]) or lattice.diff(*args))
+    fdvk.flatness_residuals(fdvk.connection_of(u), fdvk.constant_sphere(g))
+    assert len(calls) == 3 + 3 * 4
 
 
 def test_console_script_is_the_cli_main():

@@ -314,19 +314,15 @@ def _hopfion20():
 
 
 def test_minimize_builds_one_sphere_field_per_run(monkeypatch):
+    # every field the package makes is built by fields._field
     built = []
-    real = flow.SphereField
-
-    def counted(*args):
-        built.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(flow, "SphereField", counted)
+    real = flow._field
+    monkeypatch.setattr(flow, "_field", lambda cls, grid, v: built.append(cls) or real(cls, grid, v))
     psi0 = _hopfion20()
     cfg = FlowConfig(mode="hopf-class", max_iters=12, monitor_every=5, charge_drift_tol=0.3)
     psi, trace = minimize(psi0, cfg)
     assert [r.iteration for r in trace.rows] == [0, 5, 10, 12]
-    assert len(built) == 1 and isinstance(psi, real)
+    assert built == [SphereField] and isinstance(psi, SphereField)
     # no step accepted: psi0 itself comes back and nothing is built
     psi, trace = minimize(psi0, FlowConfig(max_iters=0, charge_drift_tol=0.3))
     assert psi is psi0 and len(built) == 1
@@ -416,6 +412,8 @@ def _reads(row, psi):
 
 @pytest.mark.parametrize("name", list(AGREEMENT))
 def test_minimize_matches_the_reference_loop(name, monkeypatch, nan_candidates):
+    """The ending and row iterations of each AGREEMENT run; the rows are the streamed rows and
+    read what the public readers read."""
     build, kw, after, ending, iterations = AGREEMENT[name]
     psi0 = build()
     if after is not None:
@@ -430,7 +428,7 @@ def test_minimize_matches_the_reference_loop(name, monkeypatch, nan_candidates):
         _reads(rows[-1], psi)
 
 
-def test_refused_charge_mid_flow_matches_the_reference_loop(monkeypatch, refuse_charge):
+def test_refused_charge_mid_flow_ends_streams_and_reads_as_the_public_readers(monkeypatch, refuse_charge):
     cfg = FlowConfig(mode="hopf-class", max_iters=10, monitor_every=5, charge_drift_tol=0.3)
     psi0 = _hopfion20()  # before arming: generate's readback solves a charge too
     refuse_charge(2)

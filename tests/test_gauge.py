@@ -89,7 +89,7 @@ def test_non_finite_transports_are_not_flat():
     a = Connection(g, np.full((8, 8, 8, 3, 3), 1e160))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(gauge._transports(a)).all()
-        for call in (plaquette_deviation, develop, lambda a: fix_gauge(a, constant_sphere(g))):
+        for call in (plaquette_deviation, develop, holonomy, lambda a: fix_gauge(a, constant_sphere(g))):
             with pytest.raises(NotFlat, match="transports are not finite"):
                 call(a)
     assert a._plaquette is None  # nothing kept
