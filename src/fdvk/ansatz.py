@@ -8,7 +8,12 @@ tube/hopfion/ballmap constructions were fixed once against signed
 preimage counts so that the advertised invariant of each generator comes
 out with a plus sign; do not "simplify" an angle sign without rerunning
 those counts.  A hopfion is its ball lift u rotating the constant field,
-u i u* (fields._conjugate).
+u i u* (fields._conjugate).  Coordinates come from _coords, one axis
+each, shaped to broadcast along its own site axis, so a function of
+fewer coordinates is taken on fewer sites: the tube's radius, angle and
+profile on its transverse plane, the ball's azimuth on the (y, z) plane,
+the equator's angle on one line.  Each elementwise function sees the
+inputs it saw on the whole grid and returns the same floats.
 """
 
 from dataclasses import dataclass
@@ -106,18 +111,27 @@ def _check_resolved(spec, grid):
         )
 
 
+def _coords(grid):
+    """The coordinates of grid.axes(), each shaped (n, 1, 1), (1, n, 1) or (1, 1, n) to
+    broadcast along its own site axis: a function of fewer coordinates is taken on fewer sites."""
+    c = np.arange(grid.n) * grid.h
+    return c[:, None, None], c[None, :, None], c[None, None, :]
+
+
 def _equator(grid):
-    x1 = grid.axes()[0]
-    th = 2 * np.pi * x1 / grid.l
-    return _field(SphereField, grid, np.stack([np.cos(th), np.sin(th), np.zeros_like(th)]))
+    th = 2 * np.pi * _coords(grid)[0] / grid.l
+    vals = np.zeros((3,) + (grid.n,) * 3)
+    vals[0], vals[1] = np.cos(th), np.sin(th)
+    return _field(SphereField, grid, vals)
 
 
 def _tube(spec, grid):
     _check_resolved(spec, grid)
-    axes = grid.axes()
+    axes = _coords(grid)
     k = spec.axis - 1
     nu, ka = (k + 1) % 3, (k + 2) % 3
     c = grid.l / 2
+    # rho, chi and the profile on the transverse plane; only the twisted angle is whole-field
     dn, dk = axes[nu] - c, axes[ka] - c
     rho = np.hypot(dn, dk)
     chi = np.arctan2(dk, dn)
@@ -125,10 +139,11 @@ def _tube(spec, grid):
     # -chi (not +chi) makes the flux along the tube axis +1; the twist
     # rotates the disk frame spec.charge times per trip around the loop
     th = -chi + 2 * np.pi * spec.charge * axes[k] / grid.l
-    vals = np.empty((3,) + g.shape)
+    sg = np.sin(g)
+    vals = np.empty((3,) + th.shape)
     vals[k] = np.cos(g)
-    vals[nu] = np.sin(g) * np.cos(th)
-    vals[ka] = np.sin(g) * np.sin(th)
+    np.multiply(sg, np.cos(th), out=vals[nu])
+    np.multiply(sg, np.sin(th, out=th), out=vals[ka])
     return _field(SphereField, grid, vals)
 
 
@@ -140,17 +155,25 @@ def _ball_lift(spec, grid, azimuth_sign):
     separates a prescribed degree from a prescribed Hopf charge.
     """
     _check_resolved(spec, grid)
-    x, y, z = grid.axes()
+    x, y, z = _coords(grid)
     c = grid.l / 2
     d1, d2, d3 = x - c, y - c, z - c
     r = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
     f = _profile(spec, r / (spec.radius * grid.l))
     polar = np.arccos(np.clip(d1 / np.maximum(r, 1e-300), -1.0, 1.0))
+    # the azimuth on the (y, z) plane
     gamma = np.arctan2(d3, d2)
     q = abs(int(spec.charge))
     a = azimuth_sign * q * gamma
-    dirs = np.stack([np.cos(polar), np.sin(polar) * np.cos(a), np.sin(polar) * np.sin(a)])
-    return _field(GroupField, grid, np.concatenate([np.cos(f)[None], np.sin(f) * dirs]))
+    # (cos f, sin f dir), dir = (cos polar, sin polar cos a, sin polar sin a), written in place
+    vals = np.empty((4,) + r.shape)
+    np.cos(f, out=vals[0])
+    sf, sp = np.sin(f), np.sin(polar)
+    np.multiply(sf, np.cos(polar, out=polar), out=vals[1])
+    for comp, trig in ((2, np.cos), (3, np.sin)):
+        np.multiply(sp, trig(a), out=vals[comp])
+        vals[comp] *= sf
+    return _field(GroupField, grid, vals)
 
 
 def _generate(spec, grid):
@@ -196,5 +219,5 @@ def s1_winding(grid: Grid, w) -> GroupField:
     w1, w2, w3 = w = tuple(w)
     if not all(_integer(v) for v in w):
         raise ValueError(f"windings must be integers, got {w}")
-    x, y, z = grid.axes()
+    x, y, z = _coords(grid)
     return circle_field(grid, 2 * np.pi * (w1 * x + w2 * y + w3 * z) / grid.l)

@@ -22,7 +22,6 @@ import errno
 import functools
 import json
 import os
-import secrets
 import struct
 import sys
 
@@ -69,7 +68,7 @@ def _replacing(path, mode):
     leaves whatever was at path as it was."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, mode)
     try:
         with fh:

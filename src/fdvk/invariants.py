@@ -15,6 +15,11 @@ Both decide, without raising, which readings a field or framed pair has
 and why the others are missing, and return one record, _Reading, from
 which fluxes, hopf_charge and homotopy_record raise.  The Parseval sums
 are lattice._parseval.
+degree is one slab sweep over the edge logarithms (lattice._slab_sweep):
+each slab takes the two-edge site averages (lattice.avg_back on its
+planes) and their determinant (_det3) into one whole-field array, summed
+once, so the reading does not depend on the slab size and matches the
+whole-field averages chern_simons forms, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -37,7 +42,7 @@ from .fields import (
     _logs_of,
     _site_logs,
 )
-from .lattice import Grid, _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, diff, integrate
+from .lattice import Grid, _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, _slab_sweep, avg_back, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -165,8 +170,11 @@ def hopf_charge(psi: SphereField) -> float:
     return c.hopf
 
 
-def _det3(a):
-    return _dot(a[0], _cross(a[1], a[2]))
+def _det3(a, out=None, s=None):
+    """det[a_0 a_1 a_2] = a_0 . (a_1 x a_2) of component-first vectors; into out, with
+    s scratch of shape (4,) + out.shape, when given."""
+    s = (None, None) if s is None else (s[:3], s[3])
+    return _dot(a[0], _cross(a[1], a[2], *s), out, s[1])
 
 
 def degree(u: GroupField) -> float:
@@ -177,8 +185,13 @@ def degree(u: GroupField) -> float:
     (one term per permutation of three distinct directions); the cross
     check against a signed preimage count lives in the test suite.
     """
-    det = _det3(_site_logs(u.grid, _logs_of(u)))
-    return float(integrate(u.grid, det) / (2 * np.pi**2))
+    g, logs = u.grid, _logs_of(u)
+    det = np.empty(logs.shape[2:])
+    for a, b, ab, s in _slab_sweep(g.n, (3, 3), (4,)):
+        for mu in range(3):
+            avg_back(g, logs[mu], mu + 1, ab[mu], a, b)
+        _det3(ab, det[a:b], s)
+    return float(integrate(g, det) / (2 * np.pi**2))
 
 
 def chern_simons(a: Connection) -> float:

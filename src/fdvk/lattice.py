@@ -44,8 +44,11 @@ difference undivided: diff, the area form and the raw fluxes divide by
 2h, and the descent folds the powers of 2h into its constants.  One
 half-spectrum path (_rfft3, _irfft3, _half_spectrum) serves d and
 codiff, the Hodge split, the potential and the Parseval sums; only this
-module calls np.fft.  Its multiplier iK makes d compose to zero and the
-codifferential an exact adjoint, and _parseval is its one quadrature.
+module calls np.fft.  _rfft3 runs rfftn's own three passes, rfft along
+the last axis and then fft along the middle and first axes in place in
+its result, the floats of np.fft.rfftn without its two extra copies.
+Its multiplier iK makes d compose to zero and the codifferential an
+exact adjoint, and _parseval is its one quadrature.
 The two agree to O(h^2) on smooth data.
 """
 
@@ -224,16 +227,19 @@ def _cross(a, b, out=None, tmp=None):
     return out
 
 
-def avg_back(grid, f, mu, out=None):
+def avg_back(grid, f, mu, out=None, a=0, b=None):
     """Average of a value with its backward neighbor along mu, over the last three axes of f.
 
     Moves an edge-held value (sample at x + h/2 e_mu) to the site x at
-    second order.  Into out, of f's shape, when given.
+    second order.  At planes a .. b - 1 of the first site axis, as
+    _shifted reads them; into out, of f's shape cut to those planes, when given.
     """
     check_direction(mu)
     f = np.asarray(f)
-    out = _shifted(f, mu, np.empty(f.shape, np.result_type(f, 1.0)) if out is None else out, step=-1)
-    return np.multiply(np.add(f, out, out=out), 0.5, out=out)
+    if out is None:
+        out = np.empty(f[..., a:b, :, :].shape, np.result_type(f, 1.0))
+    out = _shifted(f, mu, out, a, b, step=-1)
+    return np.multiply(np.add(f[..., a:b, :, :], out, out=out), 0.5, out=out)
 
 
 def d(grid, w, deg):
@@ -311,8 +317,11 @@ def _half_spectrum(grid):
 
 
 def _rfft3(w):
-    """rfftn over the three site axes, the last three of w."""
-    return np.fft.rfftn(w, axes=(-3, -2, -1))
+    """rfftn over the three site axes, the last three of w: its own three passes, rfft along
+    the last axis, then fft along the middle and the first, those two in place."""
+    wh = np.fft.rfft(w, axis=-1)
+    np.fft.fft(wh, axis=-2, out=wh)
+    return np.fft.fft(wh, axis=-3, out=wh)
 
 
 def _irfft3(grid, wh):

@@ -7,10 +7,13 @@ _hamilton, _rotate, _qmap, _exp_im, _log_unit, _norm; the slab sweeps hand
 _hamilton, _exp_im and _log_unit out buffers, the same floats either
 way.  _hamilton_floats runs _hamilton's table on one pair of
 quaternions given as Python floats, for walks along a line, the same
-floats again.  The public mul, conj, norm, normalize, embed, exp_im,
-qmap and hopf take the site-last layout (last axis 4 or 3) and
-broadcast over leading axes, for the acceptance gate, the benchmark
-workloads and the tests.
+floats again.  _quotient, the division of _exp_im and _log_unit,
+divides in place and takes its small-angle fallback at the sites with
+a vanishing denominator alone (the identity edges of a ball map, most
+of them), with the floats of the np.where form over every site.  The
+public mul, conj, norm, normalize, embed, exp_im, qmap and hopf take
+the site-last layout (last axis 4 or 3) and broadcast over leading
+axes, for the acceptance gate, the benchmark workloads and the tests.
 
 The inner product <p, q> = (p* q + q* p) / 2 is the Euclidean 4-dot.
 For imaginary p, q the useful identities are
@@ -115,12 +118,16 @@ def embed(v):
 
 
 def _quotient(num, den, fallback):
-    """np.where(small, fallback(), num / np.where(small, 1.0, den)), small = den < 1e-12;
-    into num, with no mask or fallback formed, when no den is small."""
+    """num / den, and fallback(small) at the sites of small = den < 1e-12, into num: the
+    floats of np.where(small, fallback, num / np.where(small, 1.0, den)).  fallback takes
+    the mask and returns its values at those sites alone; when no den is small neither it
+    nor the masked denominator is formed."""
     small = den < 1e-12
-    if small.any():
-        return np.where(small, fallback(), num / np.where(small, 1.0, den))
-    return np.divide(num, den, out=num)
+    if not small.any():
+        return np.divide(num, den, out=num)
+    np.divide(num, np.where(small, 1.0, den), out=num)
+    num[small] = fallback(small)
+    return num
 
 
 def _exp_im(v, out=None, tmp=None):
@@ -131,7 +138,7 @@ def _exp_im(v, out=None, tmp=None):
     theta = np.sqrt(_dot(v, v, tmp[0, ...], tmp[1, ...]), out=tmp[0, ...])
     np.cos(theta, out=out[0, ...])
     # sin(t)/t with a series fallback so t = 0 is exact
-    factor = _quotient(np.sin(theta, out=tmp[1, ...]), theta, lambda: 1.0 - theta * theta / 6.0)
+    factor = _quotient(np.sin(theta, out=tmp[1, ...]), theta, lambda m: 1.0 - theta[m] * theta[m] / 6.0)
     np.multiply(v, factor, out=out[1:])
     return out
 
@@ -152,7 +159,7 @@ def _log_unit(q, out=None, tmp=None):
     tmp = np.empty((2,) + np.shape(w)) if tmp is None else tmp  # (2,) + sites
     s = np.sqrt(_dot(q[1:], q[1:], tmp[0, ...], tmp[1, ...]), out=tmp[0, ...])
     theta = np.arctan2(s, w, out=tmp[1, ...])
-    factor = _quotient(theta, s, lambda: 1.0 / np.where(np.abs(w) > 1e-12, w, 1.0))
+    factor = _quotient(theta, s, lambda m: 1.0 / np.where(np.abs(w[m]) > 1e-12, w[m], 1.0))
     return np.multiply(q[1:], factor, out=out)
 
 

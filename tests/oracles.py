@@ -468,14 +468,14 @@ def _ref_norm(q):
     return np.sqrt(np.sum(q * q, axis=-1))
 
 
-def _ref_exp_im(v):
+def ref_exp_im(v):
     theta = np.sqrt(np.sum(v * v, axis=-1))
     small = theta < 1e-12
     factor = np.where(small, 1.0 - theta * theta / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
     return np.concatenate([np.cos(theta)[..., None], v * factor[..., None]], axis=-1)
 
 
-def _ref_log_unit(q):
+def ref_log_unit(q):
     w = q[..., 0]
     v = q[..., 1:]
     s = np.sqrt(np.sum(v * v, axis=-1))
@@ -517,7 +517,7 @@ def ref_qmap(z, lam):
 
 
 def ref_plaquette_deviation(avals, h):
-    t = _ref_exp_im(avals * h)
+    t = ref_exp_im(avals * h)
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
@@ -534,7 +534,7 @@ def ref_holonomy(avals, h):
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
         p = _ONE
-        for s in _ref_exp_im(avals[take + (ax,)] * h):
+        for s in ref_exp_im(avals[take + (ax,)] * h):
             p = ref_mul(p, s)
         out[ax] = p / _ref_norm(p)
     return out
@@ -543,7 +543,7 @@ def ref_holonomy(avals, h):
 def ref_develop(avals, h):
     """Group values with u(origin) = 1 along the lexicographic tree."""
     n = avals.shape[0]
-    t = _ref_exp_im(avals * h)
+    t = ref_exp_im(avals * h)
     u = np.empty((n, n, n, 4))
     u[0, 0, 0] = _ONE
     for i in range(n - 1):
@@ -680,7 +680,7 @@ def ref_connection_of(uvals, h):
         step = ref_mul(uvals * _CONJ, np.roll(uvals, -1, axis=mu))
         if np.any(step[..., 0] <= 0.0):
             raise RefUnresolvable("adjacent sites differ by 90 degrees or more")
-        out[..., mu, :] = _ref_log_unit(step) / h
+        out[..., mu, :] = ref_log_unit(step) / h
     return out
 
 
@@ -700,11 +700,11 @@ def _ref_move(avals, gval, h):
     """Edge logarithms of the transports gval* exp(h a_mu) gval(. + e_mu), site-last."""
     out = np.empty(avals.shape)
     for mu in range(3):
-        step = _ref_exp_im(avals[..., mu, :] * h)
+        step = ref_exp_im(avals[..., mu, :] * h)
         combined = ref_mul(gval * _CONJ, ref_mul(step, np.roll(gval, -1, axis=mu)))
         if np.any(combined[..., 0] <= 0.0):
             raise RefUnresolvable("gauge factor rotates an edge by 90 degrees or more")
-        out[..., mu, :] = _ref_log_unit(combined) / h
+        out[..., mu, :] = ref_log_unit(combined) / h
     return out
 
 

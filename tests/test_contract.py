@@ -1,12 +1,15 @@
 """The public contract: the names the package exports, the field kind each reader
 refuses, the console script, where Fourier transforms, the slab plan and the field
 storage rule live, the one array layout inside the package, one home for each shared
-primitive, and no module importing a name it never uses."""
+primitive, no module importing a name it never uses, and a console script that starts
+without loading secrets."""
 
 import ast
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +174,14 @@ def test_console_script_is_the_cli_main():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, attr = scripts["fdvk"].partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_importing_the_cli_leaves_secrets_unloaded():
+    # the temporary beside a snapshot is named from os.urandom: secrets would pull in hashlib,
+    # hmac, base64 and OpenSSL on every start of the console script
+    code = "import sys, fdvk, fdvk.cli; print('secrets' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr
 
 
 def _unused_imports(path):

@@ -22,8 +22,11 @@ every sweep has several slabs, a short last one and a wrapped shifted
 read, each output is bit-identical to the one-slab sweep and agrees
 with the oracles as above, and a right-angle edge found only in the
 last slab is refused for the same direction as by the whole-field
-check.  quat._hamilton, _exp_im and _log_unit give the same floats into
-out buffers as allocated.
+check.  degree sweeps its slabs with the floats of the whole-field site
+averages, its logs formed or read off a live connection.
+quat._hamilton, _exp_im and _log_unit give the same floats into out
+buffers as allocated, and _exp_im and _log_unit keep the reference's
+floats where zero vectors and identity steps take their fallbacks.
 """
 
 import re
@@ -31,7 +34,7 @@ import re
 import numpy as np
 import pytest
 
-from fdvk import lattice, quat
+from fdvk import fields, invariants, lattice, quat
 from fdvk.errors import NontrivialHolonomy, UnresolvableField
 from fdvk.ansatz import AnsatzSpec, generate, s1_winding
 from fdvk.fields import Connection, GroupField, SphereField, conjugate_field, connection_of, constant_sphere
@@ -49,8 +52,10 @@ from oracles import (
     ref_connection_of,
     ref_degree,
     ref_develop,
+    ref_exp_im,
     ref_fix_gauge,
     ref_holonomy,
+    ref_log_unit,
     ref_mul,
     ref_plaquette_deviation,
     ref_site_values,
@@ -243,6 +248,25 @@ def test_slab_swept_gauge_kernels_independent_of_slab_size(n, monkeypatch):
     _matches_per_pass_reference(g, got["a"], phi.values, got["fixed"], report)
 
 
+@pytest.mark.parametrize("n", [19, 33])
+def test_degree_sweep_independent_of_slab_size_and_of_the_memo(n, monkeypatch):
+    # degree sums the whole-field det of _det3 on the two-edge site averages, as chern_simons
+    # forms them; its slabs change no float, with its logs formed or read off a live connection
+    g = Grid(n)
+    u = _framed_pair(g)[0]
+    whole = invariants._det3(fields._site_logs(g, fields._logs_of(u)))
+    want = float(lattice.integrate(g, whole) / (2 * np.pi**2))
+    for sites in (n**3, 2 * n * n):
+        monkeypatch.setattr(lattice, "SLAB_SITES", sites)
+        assert len(lattice._slabs(n)) == (1 if sites == n**3 else (n + 1) // 2)
+        assert degree(u) == want
+        a = connection_of(u)
+        assert u._connection() is a
+        assert degree(u) == want
+        del a
+        assert u._connection() is None
+
+
 @pytest.mark.parametrize("planes", [2, 19])
 def test_right_angle_edge_in_the_last_slab_is_refused_for_its_direction(planes, monkeypatch):
     # steps along x are exp(i 0.6 pi / 18) except on the wrapped edge
@@ -282,3 +306,14 @@ def test_quaternion_formulas_write_out_buffers_bit_for_bit():
     assert _same_bits(quat._exp_im(v, out, tmp), quat._exp_im(v))
     unit = quat._exp_im(v)
     assert _same_bits(quat._log_unit(unit, out[:3], tmp), quat._log_unit(unit))
+    # exact-zero and tiny vectors among ordinary ones, so identity steps among ordinary steps:
+    # the fallbacks, taken at those sites alone, give the reference's np.where floats
+    w = rng.standard_normal((3, 5, 6, 7))
+    w[:, 1] = 0.0
+    w[:, 2, ::2] *= 1e-13
+    w[:, 3, 0, 0] = -0.0
+    site_last = np.moveaxis(w, 0, -1)
+    steps = quat._exp_im(w)
+    assert _same_bits(np.moveaxis(steps, 0, -1), ref_exp_im(site_last))
+    assert _same_bits(quat._log_unit(steps, out[:3], tmp), np.moveaxis(ref_log_unit(ref_exp_im(site_last)), -1, 0))
+    assert np.all(steps[:, 1] == quat.ONE[:, None, None]) and np.all(quat._log_unit(steps)[:, 1] == 0.0)
