@@ -8,8 +8,8 @@ tube/hopfion/ballmap constructions were fixed once against signed
 preimage counts so that the advertised invariant of each generator comes
 out with a plus sign; do not "simplify" an angle sign without rerunning
 those counts.  A hopfion is its ball lift u rotating the constant field,
-u i u* (fields._conjugate).  Coordinates come from _coords, one axis
-each, shaped to broadcast along its own site axis, so a function of
+u i u* (fields._conjugate).  Coordinates come from Grid._coords, one
+axis each, shaped to broadcast along its own site axis, so a function of
 fewer coordinates is taken on fewer sites: the tube's radius, angle and
 profile on its transverse plane, the ball's azimuth on the (y, z) plane,
 the equator's angle on one line.  Each elementwise function sees the
@@ -111,15 +111,8 @@ def _check_resolved(spec, grid):
         )
 
 
-def _coords(grid):
-    """The coordinates of grid.axes(), each shaped (n, 1, 1), (1, n, 1) or (1, 1, n) to
-    broadcast along its own site axis: a function of fewer coordinates is taken on fewer sites."""
-    c = np.arange(grid.n) * grid.h
-    return c[:, None, None], c[None, :, None], c[None, None, :]
-
-
 def _equator(grid):
-    th = 2 * np.pi * _coords(grid)[0] / grid.l
+    th = 2 * np.pi * grid._coords()[0] / grid.l
     vals = np.zeros((3,) + (grid.n,) * 3)
     vals[0], vals[1] = np.cos(th), np.sin(th)
     return _field(SphereField, grid, vals)
@@ -127,7 +120,7 @@ def _equator(grid):
 
 def _tube(spec, grid):
     _check_resolved(spec, grid)
-    axes = _coords(grid)
+    axes = grid._coords()
     k = spec.axis - 1
     nu, ka = (k + 1) % 3, (k + 2) % 3
     c = grid.l / 2
@@ -155,7 +148,7 @@ def _ball_lift(spec, grid, azimuth_sign):
     separates a prescribed degree from a prescribed Hopf charge.
     """
     _check_resolved(spec, grid)
-    x, y, z = _coords(grid)
+    x, y, z = grid._coords()
     c = grid.l / 2
     d1, d2, d3 = x - c, y - c, z - c
     r = np.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
@@ -219,5 +212,5 @@ def s1_winding(grid: Grid, w) -> GroupField:
     w1, w2, w3 = w = tuple(w)
     if not all(_integer(v) for v in w):
         raise ValueError(f"windings must be integers, got {w}")
-    x, y, z = _coords(grid)
+    x, y, z = grid._coords()
     return circle_field(grid, 2 * np.pi * (w1 * x + w2 * y + w3 * z) / grid.l)

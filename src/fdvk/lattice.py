@@ -86,10 +86,16 @@ class Grid:
     def h(self):
         return self.l / self.n
 
+    def _coords(self):
+        """The coordinates (x, y, z), shaped (n, 1, 1), (1, n, 1) and (1, 1, n) to broadcast
+        along their own site axes."""
+        c = np.arange(self.n) * self.h
+        return np.meshgrid(c, c, c, indexing="ij", sparse=True)
+
     def axes(self):
         """Coordinate arrays (x, y, z) broadcast to grid shape."""
-        c = np.arange(self.n) * self.h
-        return np.meshgrid(c, c, c, indexing="ij")
+        shape = (self.n,) * 3
+        return tuple(np.broadcast_to(c, shape).copy() for c in self._coords())
 
     def same(self, other):
         if self.n != other.n or self.l != other.l:

@@ -54,9 +54,11 @@ def test_trivial_field_invariants():
 
 def test_tube_fluxes_follow_axis_not_twist():
     g = Grid(24, TWO_PI)
-    for axis, expect in ((1, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1))):
-        p, raw = fluxes(generate(AnsatzSpec(kind="tube", charge=1, axis=axis), g))
-        assert p == expect
+    # the charge-2 tube at odd n too: its twist broadcasts along each axis in turn
+    for charge, n in ((1, 24), (2, 33)):
+        for axis in (1, 2, 3):
+            p, raw = fluxes(generate(AnsatzSpec(kind="tube", charge=charge, axis=axis), Grid(n, TWO_PI)))
+            assert p == tuple(int(k == axis) for k in (1, 2, 3))
     # the twist count changes the framing class, never the fluxes
     for t in (0, 2, -1):
         p, raw = fluxes(generate(AnsatzSpec(kind="tube", charge=t), g))
