@@ -34,8 +34,8 @@ them again while it is alive; u keeps no other array.
 
 Both energies, and the descent's slopes, are one slab sweep, _sweep.  It
 takes the undivided differences 2h d_mu psi of lattice._diff_into, adds
-4h ab_mu x phi for energy_conn, ab the site-averaged connection, which
-makes them 2h D_a phi, and reads everything off their Gram matrix
+4h ab_mu x phi for energy_conn, ab the slab's site averages (_site_logs),
+which makes them 2h D_a phi, and reads everything off their Gram matrix
 G_mu_nu = d_mu . d_nu in one routine, _assemble: e2 = tr G; by
 Lagrange's identity e4 = sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the
 largest G_mu_mu of the step ceiling; and the slopes of flow.grad_energy,
@@ -167,11 +167,12 @@ class Connection:
         return np.moveaxis(_site_logs(self.grid, _cf(self)), (0, 1), (3, 4))
 
 
-def _site_logs(grid, logs):
-    """Component-first edge logarithms moved to sites by the two-edge average."""
-    out = np.empty(logs.shape)
+def _site_logs(grid, logs, out=None, a=0, b=None):
+    """Component-first edge logarithms moved to sites by the two-edge average, at planes
+    a .. b - 1 of the first site axis as avg_back reads them; into out when given."""
+    out = np.empty(logs[..., a:b, :, :].shape) if out is None else out
     for mu in range(3):
-        avg_back(grid, logs[mu], mu + 1, out[mu])
+        avg_back(grid, logs[mu], mu + 1, out[mu], a, b)
     return out
 
 
@@ -286,19 +287,22 @@ class _Slopes(NamedTuple):
     g2: np.ndarray
 
 
-def _sweep(grid, v, keep, ab=None):
+def _sweep(grid, v, keep, logs=None):
     """(Energy, _Slopes) of component-first unit values v with keep, else (Energy, None);
-    given ab, the site-averaged connection (3, 3, n, n, n), the energy of D_a v."""
-    # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax)
-    slabs = _slab_sweep(grid.n, (10,), (3, 3))
+    given logs, a connection's edge logarithms (3, 3, n, n, n), the energy of D_a v."""
+    # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax);
+    # each slab's differences dm, then, given logs, its site-averaged connection ab
+    slabs = _slab_sweep(grid.n, (10,), (3 if logs is None else 6, 3))
     e2, e4 = _aligned(v.shape[1:]), _aligned(v.shape[1:])
     P, g2 = (_aligned((3,) + v.shape), np.zeros(3)) if keep else (None, None)
     h = grid.h
-    for a, b, s, dm in slabs:
+    for a, b, s, t in slabs:
+        dm = t[:3]
         _slab_diffs(v, dm, a, b)
-        if ab is not None:
+        if logs is not None:
+            ab = _site_logs(grid, logs, t[3:], a, b)
             for mu in range(3):
-                dm[mu] += np.multiply(4.0 * h, _cross(ab[mu, :, a:b], v[:, a:b], s[:3], s[3]), out=s[:3])
+                dm[mu] += np.multiply(4.0 * h, _cross(ab[mu], v[:, a:b], s[:3], s[3]), out=s[:3])
         _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2, 4.0 * h**2)
     e2, e4 = float(np.sum(e2)) * (h / 4.0), float(np.sum(e4)) * (1.0 / (16.0 * h))
     return Energy(e2, e4, e2 + e4), (_Slopes(P, g2) if keep else None)
@@ -387,7 +391,7 @@ def covariant_derivative(a, phi):
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
     _expect(Connection, a).grid.same(_expect(SphereField, phi).grid)
-    return _sweep(phi.grid, _cf(phi), keep=False, ab=_site_logs(phi.grid, _cf(a)))[0]
+    return _sweep(phi.grid, _cf(phi), keep=False, logs=_cf(a))[0]
 
 
 def decompose(a, phi):

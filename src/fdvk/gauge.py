@@ -11,9 +11,9 @@ Edge data stay component-first: transports exp(h a) are (3, 4, n, n, n),
 (direction, quaternion component), built once per call and shared there
 by the flatness check, the developing map and the canonical gauge.
 Transports, plaquettes and gauge moves sweep lattice._slab_sweep, the
-same floats whatever the slab size; develop walks the first axis in
-Python floats (_line_walk), as holonomy multiplies its loops, then runs
-one walk along a leading axis, _walk, over two views.
+same floats whatever the slab size; _line_walk multiplies one line's
+steps in Python floats for holonomy's loops and develop's first axis,
+which then runs one walk along a leading axis, _walk, over two views.
 
 Fields are immutable, so a Connection's plaquette deviation is computed
 once, by whichever of fix_gauge, develop and plaquette_deviation first
@@ -24,7 +24,6 @@ the life of the Connection.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -87,8 +86,7 @@ def holonomy(a: Connection) -> Holonomy:
     out = np.empty((3, 4))
     for ax in range(3):
         take = tuple(slice(None) if i == ax else 0 for i in range(3))
-        steps = quat._exp_im(logs[(ax, slice(None)) + take] * g.h)
-        p = np.array(reduce(quat._hamilton_floats, steps.T.tolist(), quat.ONE.tolist()))
+        p = _line_walk(quat._exp_im(logs[(ax, slice(None)) + take] * g.h).T)[-1]
         out[ax] = p / quat.norm(p)
     if not np.all(np.isfinite(out)):
         raise NotFlat("holonomy loop transports are not finite")
@@ -162,9 +160,9 @@ def _walk(w, t):
 
 
 def _line_walk(t):
-    """_walk of one line of (n, 4) values t from w[0] = 1, in Python floats: the same floats,
-    without 28 ufunc calls per step."""
-    return np.array(list(accumulate(t[:-1].tolist(), quat._hamilton_floats, initial=quat.ONE.tolist())))
+    """The n + 1 products w[k + 1] = w[k] t[k] along one line of (n, 4) values t from w[0] = 1,
+    in Python floats: _walk's floats, without 28 ufunc calls per step."""
+    return np.array(list(accumulate(t.tolist(), quat._hamilton_floats, initial=quat.ONE.tolist())))
 
 
 def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
@@ -183,7 +181,7 @@ def develop(a: Connection, flat_tol: float = PLAQUETTE_TOL) -> GroupField:
     n = a.grid.n
     # walk axis first, w[k] = u(., ., k): each step along it is one contiguous block
     w = np.empty((n, 4, n, n))
-    w[0, :, :, 0] = _line_walk(t[0, :, :, 0, 0].T).T
+    w[0, :, :, 0] = _line_walk(t[0, :, :, 0, 0].T)[:n].T
     _walk(np.moveaxis(w[0], 2, 0), np.moveaxis(t[1, :, :, :, 0], 2, 0))
     _walk(w, np.ascontiguousarray(np.moveaxis(t[2], -1, 0)))
     u = np.moveaxis(w, 0, -1)  # component-first
@@ -241,7 +239,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
     a.grid.same(phi.grid)
     t = _flat_transports(a, flat_tol)
     g = a.grid
-    x = np.arange(g.n) * g.h
+    x = g._coords()
     # a rotation exp(i theta) shifts the site-averaged longitudinal form
     # by the central-difference symbol i sin(k_j h)/h, not by ik: solving
     # against it cancels every mode at linear order, where the plain
@@ -283,7 +281,7 @@ def fix_gauge(a: Connection, phi: SphereField, flat_tol: float = PLAQUETTE_TOL):
         theta = _irfft3(g, 1j * div / ks)
         for k in range(3):
             if steps[k]:
-                theta = theta + 2.0 * np.pi * steps[k] * x.reshape((-1,) + (1,) * (2 - k)) / g.l
+                theta = theta + 2.0 * np.pi * steps[k] * x[k] / g.l
         angle += theta - theta[0, 0, 0]
         # qmap(phi, exp(i angle)) = cos(angle) + sin(angle) phi
         np.cos(angle, out=gval[0])

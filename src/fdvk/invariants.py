@@ -13,13 +13,12 @@ _read adds the values read and a framing's degree; a group field alone
 frames the constant field.
 Both decide, without raising, which readings a field or framed pair has
 and why the others are missing, and return one record, _Reading, from
-which fluxes, hopf_charge and homotopy_record raise.  The Parseval sums
-are lattice._parseval.
-degree is one slab sweep over the edge logarithms (lattice._slab_sweep):
-each slab takes the two-edge site averages (lattice.avg_back on its
-planes) and their determinant (_det3) into one whole-field array, summed
-once, so the reading does not depend on the slab size and matches the
-whole-field averages chern_simons forms, bit for bit.
+which fluxes, hopf_charge and homotopy_record raise.
+Each integral has one home: w ^ d(w), the Hopf charge and the a ^ da of
+chern_simons, is the Parseval sum (lattice._parseval) of _twist; the
+cubic integral of degree and chern_simons is _volume, one slab sweep
+(lattice._slab_sweep) of the site averages (fields._site_logs) and their
+determinant (_det3) into one whole-field array, summed once.
 """
 
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from .fields import (
     _logs_of,
     _site_logs,
 )
-from .lattice import Grid, _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, _slab_sweep, avg_back, diff, integrate
+from .lattice import Grid, _cross, _dot, _half_spectrum, _parseval, _potential, _rfft3, _slab_sweep, diff, integrate
 
 FLUX_ROUND_TOL = 0.1
 
@@ -72,25 +71,21 @@ class _Reading(NamedTuple):
         return self.hopf_error
 
 
-def _wedge_d(grid, Ah, K, weight):
-    """Integral of alpha ^ d(alpha) by Parseval from alpha's component-first rfftn Ah.
-
-    d(alpha) has the transform i K x Ah; Re(conj(Ah) . dAh) is the volume
-    coefficient of alpha ^ d(alpha).
-    """
-    dAh = 1j * _cross(K, Ah)
-    return _parseval(grid, weight, np.sum((Ah.conj() * dAh).real, axis=0))
+def _twist(K, wh):
+    """K . (x x y) of component-first wh = x + i y, Re(conj(wh) . i K x wh) / 2: twice its
+    Parseval sum is the integral of w ^ d(w), w the real 1-form of transform wh."""
+    return _dot(K, _cross(wh.real, wh.imag))
 
 
 def _helicity(grid, F):
     """Integral of alpha ^ d(alpha) for the coexact potential alpha of component-first F.
 
-    By Parseval on F's guarded spectrum F_hat = x + i y: alpha's transform
-    A = i K x F_hat / k2 is orthogonal to K, so _wedge_d's Re(conj(A) . i K x A)
-    is Re(conj(A) . F_hat) = 2 K . (x x y) / k2, and A is never formed.
+    By Parseval on F's guarded spectrum F_hat: alpha's transform
+    A = i K x F_hat / k2 is orthogonal to K, so Re(conj(A) . i K x A)
+    is Re(conj(A) . F_hat) = 2 _twist(K, F_hat) / k2, and A is never formed.
     """
     Fh, K, k2, weight = _potential(grid, F)
-    return 2.0 * _parseval(grid, weight, _dot(K, _cross(Fh.real, Fh.imag)) / k2)
+    return 2.0 * _parseval(grid, weight, _twist(K, Fh) / k2)
 
 
 def _raw_fluxes(g, v):
@@ -177,6 +172,15 @@ def _det3(a, out=None, s=None):
     return _dot(a[0], _cross(a[1], a[2], *s), out, s[1])
 
 
+def _volume(g, logs):
+    """Integral of det[ab_1 ab_2 ab_3], ab the two-edge site averages of component-first
+    edge logarithms logs, slab by slab into one whole-field array summed once."""
+    det = np.empty(logs.shape[2:])
+    for a, b, ab, s in _slab_sweep(g.n, (3, 3), (4,)):
+        _det3(_site_logs(g, logs, ab, a, b), det[a:b], s)
+    return integrate(g, det)
+
+
 def degree(u: GroupField) -> float:
     """Mapping degree of a group field via its flattening connection.
 
@@ -185,29 +189,22 @@ def degree(u: GroupField) -> float:
     (one term per permutation of three distinct directions); the cross
     check against a signed preimage count lives in the test suite.
     """
-    g, logs = u.grid, _logs_of(u)
-    det = np.empty(logs.shape[2:])
-    for a, b, ab, s in _slab_sweep(g.n, (3, 3), (4,)):
-        for mu in range(3):
-            avg_back(g, logs[mu], mu + 1, ab[mu], a, b)
-        _det3(ab, det[a:b], s)
-    return float(integrate(g, det) / (2 * np.pi**2))
+    return _volume(u.grid, _logs_of(u)) / (2 * np.pi**2)
 
 
 def chern_simons(a: Connection) -> float:
     """Chern--Simons number (1/4 pi^2) integral of Re(a^da + 2/3 a^a^a).
 
-    The derivative term uses the spectral differential so that the flat
-    identity cs(a) = degree holds at second order on developable
-    connections.
+    Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms alpha_c =
+    (ab_1, ab_2, ab_3)_c, ab the two-edge site averages, one quaternion
+    component c at a time; its spectral differential keeps the flat identity
+    cs(a) = degree at second order on developable connections.  The cubic
+    term is degree's _volume.
     """
-    ab = _site_logs(_expect(Connection, a).grid, _cf(a))
-    # Re(a ^ da) sums -alpha_c ^ d(alpha_c) over the real 1-forms
-    # alpha_c = (a_1, a_2, a_3)_c of the three quaternion components c
-    K, weight = _half_spectrum(a.grid)
-    ada = -sum(_wedge_d(a.grid, _rfft3(ab[:, c]), K, weight) for c in range(3))
-    det = _det3(ab)
-    return float((ada - 4.0 * integrate(a.grid, det)) / (4 * np.pi**2))
+    g, logs = _expect(Connection, a).grid, _cf(a)
+    K, weight = _half_spectrum(g)
+    ada = -sum(2.0 * _parseval(g, weight, _twist(K, _rfft3(_site_logs(g, logs[:, c])))) for c in range(3))
+    return (ada - 4.0 * _volume(g, logs)) / (4 * np.pi**2)
 
 
 def modulus(p) -> int:

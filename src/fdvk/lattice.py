@@ -103,8 +103,9 @@ class Grid:
 
 
 def check_direction(mu):
-    if mu not in (1, 2, 3):
-        raise ValueError("direction must be 1, 2 or 3")
+    """ValueError unless mu is the integer 1, 2 or 3: a Python or numpy int, not a bool."""
+    if isinstance(mu, bool) or not isinstance(mu, (int, np.integer)) or mu not in (1, 2, 3):
+        raise ValueError(f"direction must be the integer 1, 2 or 3, got {mu!r}")
 
 
 def diff(grid, f, mu):

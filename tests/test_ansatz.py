@@ -23,6 +23,11 @@ def test_spec_validation():
         AnsatzSpec(kind="tube", radius=0.0)
     with pytest.raises(ValueError):
         AnsatzSpec(kind="tube", axis=4)
+    # a direction is an integer, as generate indexes with it: no float, bool or complex equal to one
+    for bad in (2.0, np.float64(3.0), True, np.True_, 1 + 0j):
+        with pytest.raises(ValueError, match="direction must be the integer 1, 2 or 3"):
+            AnsatzSpec(kind="tube", axis=bad)
+    assert AnsatzSpec(kind="tube", axis=np.int64(2)).axis == 2
     # int() raises OverflowError on inf and numpy's own ValueError text on NaN
     for bad in (1.5, np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="charge must be an integer"):

@@ -142,6 +142,24 @@ def test_one_energy_sweep():
     assert _reads("_assemble") == [("fields.py", "_sweep")]
 
 
+def test_one_home_per_integral():
+    # degree and chern_simons read their cubic integral off invariants._volume, whose slabs
+    # form the site averages with fields._site_logs, as the energy sweep does; fix_gauge
+    # averages one direction at a time for its longitudinal form
+    assert _reads("_det3") == [("invariants.py", "_volume")]
+    assert [r for r in _reads("avg_back") if r[1] != "<module>"] == [("fields.py", "_site_logs"),
+                                                                      ("gauge.py", "fix_gauge")]
+    # the Hopf charge and chern_simons's a ^ da sum by Parseval the one twist K . (x x y)
+    twists = set()
+    for p in sorted(Path(fdvk.__file__).parent.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("imag", "conj"):
+                    twists.add((p.name, getattr(top, "name", "<module>")))
+    assert sorted(twists) == [("invariants.py", "_twist")]
+    assert _reads("_twist") == [("invariants.py", "_helicity"), ("invariants.py", "chern_simons")]
+
+
 def test_one_periodic_neighbour_read():
     # every far edge and halo plane is read by lattice._shifted or _diff_into
     assert _sources_with("np.roll(") == []

@@ -7,8 +7,8 @@ caller's array is copied once unless nothing can write to it and its
 component-first view is C-contiguous.  A Connection keeps its plaquette deviation,
 one float, and compares it with each caller's flat_tol; connection_of(u)
 leaves on u a weak reference to its Connection, whose edge logarithms
-degree(u) reads while it is alive.  develop's first walk runs in Python
-floats and gives _walk's floats.  Fields and Holonomy compare and hash
+degree(u) reads while it is alive.  The Python-float line walk of
+holonomy's loops and develop's first axis gives _walk's floats.  Fields and Holonomy compare and hash
 by identity.
 """
 
@@ -226,7 +226,8 @@ def test_float_walk_equals_the_array_walk(n):
     rng = np.random.default_rng(n)
     t = rng.normal(size=(n, 4))
     t /= np.linalg.norm(t, axis=1, keepdims=True)
-    w = np.empty((n, 4))
+    # all n + 1 products, as holonomy reads its loop off the last
+    w = np.empty((n + 1, 4))
     w[0] = quat.ONE
     gauge._walk(w, t)
     assert np.array_equal(gauge._line_walk(t), w)

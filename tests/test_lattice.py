@@ -105,6 +105,25 @@ def test_diff_is_central():
         diff(g, f, 0)
 
 
+@pytest.mark.parametrize("mu", [0, 4, 2.0, np.float64(1.0), True, np.True_, 3 + 0j, "2", None])
+def test_direction_is_the_integer_1_2_or_3(mu):
+    # an integral float or a bool indexes no axis in _diff_into: refused before any work
+    g = Grid(8, TWO_PI)
+    f = np.zeros((8, 8, 8))
+    F = np.zeros((8, 8, 8, 3))
+    for call in (lambda: diff(g, f, mu), lambda: avg_back(g, f, mu), lambda: slice_flux(g, F, mu, 0)):
+        with pytest.raises(ValueError, match="direction must be the integer 1, 2 or 3"):
+            call()
+
+
+def test_numpy_integer_directions_are_directions():
+    g = Grid(8, TWO_PI)
+    f = np.random.default_rng(2).standard_normal((8, 8, 8))
+    for mu in (1, 2, 3):
+        assert np.array_equal(diff(g, f, np.int64(mu)), diff(g, f, mu))
+        assert np.array_equal(avg_back(g, f, np.int32(mu)), avg_back(g, f, mu))
+
+
 def test_avg_back_two_point_rule():
     g = Grid(12, TWO_PI)
     rng = np.random.default_rng(1)
