@@ -294,13 +294,16 @@ def cmd_minimize(args):
     if not isinstance(psi0, SphereField):
         raise ConfigError(f"init.kind {spec.kind!r} does not generate a sphere field")
     abort = None
-    # the trace replaces out_trace once the descent ends or a guard aborts, not before
+    # the trace replaces out_trace once the descent ends or a guard aborts, not before; a
+    # finished descent's field is renamed first, so a failed write leaves both old files
     with _replacing(out_trace, "x") as trace_fh:
         trace_fh.write(CSV_HEADER + "\n")
         try:
             psi, trace = minimize(psi0, cfg, on_row=lambda row: trace_fh.write(_csv_line(row)))
         except (ChargeDrift, FluxChange) as exc:
             abort = exc
+        else:
+            save_snapshot(out_field, psi)
     if abort is not None:
         # a guard trips only after its row is recorded: the trace has one
         last = abort.trace.last()
@@ -308,7 +311,6 @@ def cmd_minimize(args):
                     "iterations": last.iteration, "energy": last.total})
         print(f"aborted: {abort}", file=sys.stderr)
         return 4
-    save_snapshot(out_field, psi)
     last = trace.last()
     _json_line({"abort": None, "stop_reason": trace.stop_reason, "iterations": last.iteration,
                 "energy": last.total, "grad_norm": last.grad_norm})

@@ -93,7 +93,7 @@ def _raw_fluxes(g, v):
 
     Slot k of pullback_area on the plane x_k = n/2 needs only that
     plane's two in-plane differences, so each flux is the plane's area
-    density, through the same arithmetic, summed as slice_flux sums it.
+    density, through the same arithmetic, summed by np.sum and scaled by h^2.
     """
     mid = slice(g.n // 2, g.n // 2 + 1)
     raw = []

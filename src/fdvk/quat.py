@@ -11,7 +11,7 @@ floats again.  _quotient, the division of _exp_im and _log_unit,
 divides in place and takes its small-angle fallback at the sites with
 a vanishing denominator alone (the identity edges of a ball map, most
 of them), with the floats of the np.where form over every site.  The
-public mul, conj, norm, normalize, embed, exp_im, qmap and hopf take
+public mul, conj, norm, normalize, embed, exp_im and qmap take
 the site-last layout (last axis 4 or 3) and broadcast over leading
 axes, for the acceptance gate, the benchmark workloads and the tests.
 
@@ -167,11 +167,6 @@ def _rotate(u, v):
     """The three components of u v u*, u a component-first quaternion, v an imaginary one."""
     uw, ux, uy, uz = u
     return _hamilton(_hamilton(u, (0.0, *v)), (uw, -ux, -uy, -uz))[1:]
-
-
-def hopf(q):
-    """h(q) = q i q*, the Hopf fibration Sp1 -> S2."""
-    return np.stack(_rotate(np.moveaxis(q, -1, 0), IM_I), axis=-1)
 
 
 def qmap(z, lam):

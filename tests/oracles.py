@@ -7,13 +7,13 @@ containment in a Kuhn triangulation.  Slow and blunt on purpose; these
 routines only ever see plain numpy arrays.
 
 The last two sections are of another kind: site-last reference versions
-of the descent gradient, step ceiling, energy, area form and Hopf
-helicity, and of the quaternion product, edge-logarithm connection, its
-site averages, plaquette transport, holonomy, developing map, Hodge
-split, canonical gauge, degree and Chern-Simons number, and of the
-connection picture (covariant derivative and its energy, frame split,
-plaquette curvature, flatness residuals), in
-the arithmetic the component-first production kernels replaced
+of the descent gradient, step ceiling, energy, area form, slice fluxes
+and Hopf helicity, and of the quaternion product, edge-logarithm
+connection, its site averages, plaquette transport, holonomy,
+developing map, Hodge split, canonical gauge, degree and Chern-Simons
+number, and of the connection picture (covariant derivative and its
+energy, frame split, plaquette curvature, flatness residuals), in the
+arithmetic the component-first production kernels replaced
 (np.cross, last-axis sums, full complex FFTs, per-pass gauge moves with
 a two-chart square root).  The kernels must agree with them bit for bit
 where the arithmetic is the same and within stated tolerances where
@@ -367,6 +367,16 @@ def ref_pullback_area(values, h):
     for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
         out[..., k] = np.sum(values * np.cross(dv[i], dv[j]), axis=-1) / (4.0 * np.pi)
     return out
+
+
+def ref_slice_fluxes(F, h):
+    """Pairings of a dual-vector 2-form (n, n, n, 3) with the tori {x_k = l/2}, k = 1, 2, 3.
+
+    Slot k on the plane n/2 of axis k, summed by np.sum and scaled by h^2, the
+    arithmetic of invariants._raw_fluxes.
+    """
+    n = F.shape[0]
+    return tuple(float(np.sum(np.take(F[..., k], n // 2, axis=k))) * h**2 for k in range(3))
 
 
 def _ref_partial(f, ax, k):

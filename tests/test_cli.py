@@ -490,6 +490,24 @@ def test_trace_is_written_beside_its_path_until_the_descent_ends(tmp_path, monke
     assert (tmp_path / "t.csv").read_bytes() == b"an old trace\n"
 
 
+def test_failed_field_write_leaves_the_old_trace_and_field(tmp_path, monkeypatch, capsys):
+    # the disk fills during the snapshot write: exit 3, both old files as they were, no temporary
+    (tmp_path / "t.csv").write_bytes(b"an old trace\n")
+    (tmp_path / "f.fdk").write_bytes(b"an old field\n")
+
+    def disk_full(path, obj):
+        with cli._replacing(path, "xb") as fh:
+            fh.write(b"FDVK1")
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_snapshot", disk_full)
+    assert main(_run_config(tmp_path, tmp_path / "f.fdk", "flow.max_iters = 2")) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.fdk", "run.cfg", "t.csv"]
+    assert (tmp_path / "t.csv").read_bytes() == b"an old trace\n"
+    assert (tmp_path / "f.fdk").read_bytes() == b"an old field\n"
+
+
 def test_minimize_stall_is_in_the_summary(tmp_path, capsys, nan_candidates):
     nan_candidates()
     assert main(_run_config(tmp_path, tmp_path / "f.fdk", "flow.max_iters = 5")) == 0

@@ -139,7 +139,7 @@ def test_covariant_derivative_of_stabilized_frame_vanishes():
     seed = np.array([1.0, 2.0, -0.5, 0.3])
     u = constant_group(g, seed / np.linalg.norm(seed))
     a = connection_of(u)
-    phi = SphereField(g, np.broadcast_to(quat.hopf(u.values[0, 0, 0]), (8, 8, 8, 3)).copy())
+    phi = SphereField(g, np.broadcast_to(quat._rotate(u.values[0, 0, 0], quat.IM_I), (8, 8, 8, 3)).copy())
     D = covariant_derivative(a, phi)
     assert np.max(np.abs(D)) <= 1e-12
 

@@ -26,8 +26,9 @@ from fdvk.flow import (
     step_ceiling,
 )
 from fdvk.invariants import fluxes, hopf_charge
-from fdvk.lattice import Grid, form_norm, slice_flux
+from fdvk.lattice import Grid, form_norm
 from fieldgen import smooth_sphere_field
+from oracles import ref_slice_fluxes
 
 TWO_PI = 2.0 * np.pi
 
@@ -400,7 +401,7 @@ def _reads(row, psi):
     tori {x_k = l/2}, which fluxes returns unless it refuses to round them.
     """
     g, en = psi.grid, energy(psi)
-    raw = tuple(slice_flux(g, pullback_area(psi), k, g.n // 2) for k in (1, 2, 3))
+    raw = ref_slice_fluxes(pullback_area(psi), g.h)
     try:
         assert fluxes(psi)[1] == raw
         charge = hopf_charge(psi)

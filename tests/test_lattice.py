@@ -21,7 +21,6 @@ from fdvk.lattice import (
     diff,
     form_norm,
     integrate,
-    slice_flux,
 )
 from fieldgen import smooth_sphere_field
 from oracles import ref_codiff, ref_d
@@ -110,8 +109,7 @@ def test_direction_is_the_integer_1_2_or_3(mu):
     # an integral float or a bool indexes no axis in _diff_into: refused before any work
     g = Grid(8, TWO_PI)
     f = np.zeros((8, 8, 8))
-    F = np.zeros((8, 8, 8, 3))
-    for call in (lambda: diff(g, f, mu), lambda: avg_back(g, f, mu), lambda: slice_flux(g, F, mu, 0)):
+    for call in (lambda: diff(g, f, mu), lambda: avg_back(g, f, mu)):
         with pytest.raises(ValueError, match="direction must be the integer 1, 2 or 3"):
             call()
 
@@ -199,17 +197,6 @@ def test_integrate_and_norm():
         assert form_norm(g, big) == np.inf
         big[0, 0, 0] = np.nan
         assert np.isnan(form_norm(g, big))
-
-
-def test_slice_flux_of_constant_form():
-    g = Grid(12, TWO_PI)
-    F = np.zeros((12, 12, 12, 3))
-    F[..., 1] = 0.25
-    for idx in (0, 5, 11):
-        assert slice_flux(g, F, 2, idx) == pytest.approx(0.25 * g.l**2)
-    assert slice_flux(g, F, 1, 3) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        slice_flux(g, F, 2, 12)
 
 
 def test_potential_inverts_d_on_exact_forms():

@@ -40,31 +40,28 @@ def test_relax_ladder_reports_an_aborted_rung(capsys, tmp_path):
     assert rows[-1][0] == row[5] and rows[-1][3] == ""
 
 
+TABLES = [
+    "equator energy vs continuum 8 pi^3 (scaled by box)",
+    "hopfion charge vs 1",
+    "ballmap degree vs 1",
+]
+
+
 def test_convergence_prints_three_tables(capsys):
-    assert _script("convergence").main(["--sizes", "18", "24"]) == 0
+    assert _script("relax_ladder").main(["--ansatz", "--sizes", "18", "24"]) == 0
     out = capsys.readouterr().out
-    titles = re.findall(r"^(\S.*)$", out, flags=re.M)
-    assert titles == [
-        "equator energy vs continuum 8 pi^3 (scaled by box)",
-        "hopfion charge vs 1",
-        "ballmap degree vs 1",
-    ]
+    assert re.findall(r"^(\S.*)$", out, flags=re.M) == TABLES
     # every table has a row per size
     assert len(re.findall(r"^\s+(18|24)\s", out, flags=re.M)) == 6
 
 
-def test_gauge_canonical_script_smoke(capsys):
-    assert _script("gauge_canonical").main(["--n", "12"]) == 0
-    out = capsys.readouterr().out
-
-    def reading(label):
-        return re.search(label + r"\s*:\s*(.+)$", out, flags=re.M).group(1)
-
-    assert float(reading("conjugated field drift")) <= 1e-8
-    # a fixed connection is a fixed point: the second fix moves nothing
-    assert reading("idempotence drift") == "0.000e+00"
-    # the pure unit winding sits on the integer in every direction
-    assert reading("ties") == "(True, True, True)"
+def test_ansatz_tables_drop_sizes_below_18(capsys):
+    # the localized ansatz needs n >= 18: smaller sizes are dropped with a note
+    assert _script("relax_ladder").main(["--ansatz", "--sizes", "12", "18"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: sizes below 18 dropped -> [18]\n"
+    assert re.findall(r"^(\S.*)$", captured.out, flags=re.M) == TABLES
+    assert re.findall(r"^\s+(\d+)\s", captured.out, flags=re.M) == ["18"] * 3
 
 
 def test_identity_digests_agree_on_a_rerun(capsys, tmp_path):
