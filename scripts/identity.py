@@ -29,13 +29,19 @@ The full set (about 10 s and 260 MB of arrays on a 2-core x86-64 machine):
     reason and final field, or the abort message with its partial trace;
   - relax: perfbench relax ops 0-2 (n = 48, seed 1): rows, stop reason
     and final field;
+  - descent: grad_energy and step_ceiling of the n = 24 and n = 48
+    hopfion, and relax_step's field, step and verdict when it accepts at
+    once (the n = 24 hopfion from step 1e-3), after rejected candidates
+    (from step 50, so each rejection's restore sweep is in the field) and
+    when it stalls (the n = 18 equator, a critical point whose gradient is
+    rounding noise, from step 0.03);
   - gauge: every public gauge, invariant and connection-picture output,
     energy_conn included, on the gauge-workload inputs of seeds 1 and 3,
     ops 0-5 (n = 32), and seed 5, ops 0-1 (n = 33);
   - snapshots: bytes, reload, re-save and deepcopy of a sphere, a group
     and a connection.
 --reduced runs a small subset of each in seconds, one abort among the
-endings, for the test suite.
+endings and relax_step after rejected candidates, for the test suite.
 """
 
 import argparse
@@ -56,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 import fdvk
-from fdvk import cli
+from fdvk import cli, flow
 
 ROOT = Path(__file__).resolve().parents[1]
 INLINE = 64
@@ -208,6 +214,21 @@ def relax(rec, wl, reduced):
         rec(f"relax/op{op}", {"rows": trace.rows, "stop_reason": trace.stop_reason, "field": psi})
 
 
+def descent(rec, reduced):
+    hopfion = {n: fdvk.generate(fdvk.AnsatzSpec(kind="hopfion", charge=1), fdvk.Grid(n))
+               for n in ((24,) if reduced else (24, 48))}
+    steps = {"after-rejections": (hopfion[24], 50.0)}
+    if not reduced:
+        for n, psi in hopfion.items():
+            rec(f"descent/n{n}/grad_energy", fdvk.grad_energy(psi))
+            rec(f"descent/n{n}/step_ceiling", flow.step_ceiling(psi))
+        steps["at-once"] = (hopfion[24], 1e-3)
+        steps["stalled"] = (fdvk.generate(fdvk.AnsatzSpec(kind="equator"), fdvk.Grid(18)), 0.03)
+    for name, (psi, step) in steps.items():
+        out, used, accepted = fdvk.relax_step(psi, fdvk.FlowConfig(), step)
+        rec(f"descent/relax_step/{name}", {"field": out, "step": used, "accepted": accepted})
+
+
 def gauge(rec, wl, reduced):
     cases = [(20, 1, 0)] if reduced else [(32, s, op) for s in (1, 3) for op in range(6)] + [(33, 5, 0), (33, 5, 1)]
     for n, seed, op in cases:
@@ -266,6 +287,7 @@ def run(out, reduced=False):
         ci_minimize(rec, tmp, reduced)
         endings(rec, reduced)
         relax(rec, wl, reduced)
+        descent(rec, reduced)
         gauge(rec, wl, reduced)
         snapshots(rec, tmp, wl)
     record = {"host": host(), "reduced": reduced, "entries": rec.entries}

@@ -49,8 +49,8 @@ _KINDS = {
 CSV_HEADER = "iter,e2,e4,energy,grad_norm,flux1,flux2,flux3,hopf,vk_ratio"
 
 # float64 arrays of n^3 x 3 values budgeted per run when refusing grids
-# that cannot fit: minimize and init/report of every ansatz peak at about
-# 13 (tracemalloc, n = 32), numpy temporaries included
+# that cannot fit: minimize peaks at about 10.2 and init/report of every
+# ansatz at 8.3 or less (tracemalloc, n = 32), numpy temporaries included
 WORKING_FIELDS = 24
 
 
@@ -260,7 +260,7 @@ def cmd_report(args):
         r = _read(obj)
         if r.degree is None:
             report["degree_reason"] = "no framing map in a sphere snapshot"
-        en = _sweep(obj.grid, r.v, keep=False)[0]
+        en = _sweep(obj.grid, r.v)
         report["e2"], report["e4"], report["energy"] = en.e2, en.e4, en.total
         block = _class_block(r)
         for key in ("fluxes", "raw_fluxes", "hopf", "degree"):

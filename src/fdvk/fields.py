@@ -32,21 +32,31 @@ connection_of(u) leaves on u a weak reference to the Connection it
 returns, whose edge logarithms _logs_of(u) reads instead of forming
 them again while it is alive; u keeps no other array.
 
-Both energies, and the descent's slopes, are one slab sweep, _sweep.  It
-takes the undivided differences 2h d_mu psi of lattice._diff_into, adds
-4h ab_mu x phi for energy_conn, ab the slab's site averages (_site_logs),
-which makes them 2h D_a phi, and reads everything off their Gram matrix
-G_mu_nu = d_mu . d_nu in one routine, _assemble: e2 = tr G; by
-Lagrange's identity e4 = sum_{mu<nu} G_mu_mu G_nu_nu - G_mu_nu^2; the
-largest G_mu_mu of the step ceiling; and the slopes of flow.grad_energy,
-P_mu = (c + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu} G_mu_nu d_nu.
-No difference is divided by 2h: the Dirichlet weight c is 4h^2, so P_mu
-is 8h^3 times half the density's derivative by d_mu psi, and the sums of
-the densities 4h^2 e2 and 16h^4 e4 take the quadrature weight h^3 as
-h / 4 and 1 / 16h.  The densities are summed once over the whole field,
-in memory order, so the energy does not depend on the slab size, and
-energy_conn(phi, 0) == energy(phi) bit for bit.  The area form divides
-its differences by 2h as lattice.diff does, and keeps diff's floats.
+Both energies, and the descent's gradient, are one slab sweep, _sweep.
+It takes the undivided differences 2h d_mu psi of lattice._diff_into,
+adds 4h ab_mu x phi for energy_conn, ab the slab's site averages
+(_site_logs), which makes them 2h D_a phi, and reads everything off their
+Gram matrix G_mu_nu = d_mu . d_nu, formed in one routine, _assemble:
+e2 = tr G; by Lagrange's identity e4 = sum_{mu<nu} G_mu_mu G_nu_nu -
+G_mu_nu^2; the largest G_mu_mu of the step ceiling; and, through _slope,
+the slopes P_mu = (c + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu}
+G_mu_nu d_nu.  No difference is divided by 2h: the Dirichlet weight c is
+4h^2, so P_mu is 8h^3 times half the density's derivative by d_mu psi,
+and the sums of the densities 4h^2 e2 and 16h^4 e4 take the quadrature
+weight h^3 as h / 4 and 1 / 16h.  The densities are summed once over the
+whole field, in memory order, so the energy does not depend on the slab
+size, and energy_conn(phi, 0) == energy(phi) bit for bit.
+Given a gradient buffer, the sweep writes flow.grad_energy into it,
+-2 / 16h^4 sum_mu A_mu P_mu projected tangent to psi, with no whole-field
+P.  A_2 P_1 and A_3 P_2 are taken within their slab, the first into the
+gradient, the second into a held buffer T; P_0, whose stencil A_1 crosses
+slabs, goes to a window with one halo plane on either side (the ring of
+lattice._slab_sweep).  A slab is finished one slab behind, once the next
+slab's first plane fills its upper halo (_link, _finish): A_1 P_0 added
+to A_2 P_1, the same float as A_1 P_0 + A_2 P_1, then A_3 P_2, the scale
+and the projection.  The first slab waits for plane n - 1 and is finished
+last.  The area form divides its differences by 2h as lattice.diff does,
+and keeps diff's floats.
 _conjugate rotates a SphereField, or one imaginary triple that stands
 for a constant field, which is then never built.
 """
@@ -249,12 +259,12 @@ def pullback_area(psi):
 _GRAM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
-def _assemble(d, e2, e4, s, P=None, g2=None, c=None):
+def _assemble(d, e2, e4, s, g2=None):
     """The Gram densities e2 and e4 of three component-first differences d, into e2 and e4;
-    given P, g2 and c, also the slopes P[mu], and g2[mu] raised to the largest G_mu_mu.
+    given g2, also g2[mu] raised to the largest G_mu_mu.
 
     s is scratch of shape (10,) + e2.shape; its first six slots take the
-    Gram matrix (slots _GRAM).
+    Gram matrix (slots _GRAM), which _slope reads.
     """
     G, t, tv = s[:6], s[6], s[7:]
     for mu in range(3):
@@ -269,43 +279,83 @@ def _assemble(d, e2, e4, s, P=None, g2=None, c=None):
     for i, (mu, nu) in enumerate(((0, 1), (0, 2), (1, 2))):
         np.multiply(G[mu], G[nu], out=t)
         e4 += np.subtract(t, np.multiply(G[3 + i], G[3 + i], out=tv[0]), out=t)
-    if P is None:
-        return
-    for mu, nu, lam in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        g2[mu] = np.maximum(g2[mu], np.max(G[mu]))
-        np.add(G[nu], c, out=t)
-        t += G[lam]
-        np.multiply(t, d[mu], out=P[mu])
-        P[mu] -= np.multiply(G[_GRAM[mu][nu]], d[nu], out=tv)
-        P[mu] -= np.multiply(G[_GRAM[mu][lam]], d[lam], out=tv)
+    if g2 is not None:
+        for mu in range(3):
+            g2[mu] = np.maximum(g2[mu], np.max(G[mu]))
 
 
-class _Slopes(NamedTuple):
-    """The descent's slopes P, (3, 3, n, n, n), and g2[mu], the largest |2h d_(mu+1) v|^2."""
+def _slope(d, s, mu, c, out):
+    """out, holding the slope P_mu = (c + sum_{nu != mu} G_nu_nu) d_mu - sum_{nu != mu} G_mu_nu d_nu
+    from the Gram matrix _assemble left in s; out may be d[mu] itself."""
+    G, t, tv = s[:6], s[6], s[7:]
+    nu, lam = (x for x in range(3) if x != mu)
+    np.add(G[nu], c, out=t)
+    t += G[lam]
+    np.multiply(t, d[mu], out=out)
+    out -= np.multiply(G[_GRAM[mu][nu]], d[nu], out=tv)
+    out -= np.multiply(G[_GRAM[mu][lam]], d[lam], out=tv)
+    return out
 
-    P: np.ndarray
-    g2: np.ndarray
+
+def _link(lo, hi):
+    """Fill the facing halo planes of the P_0 windows of two consecutive slabs, lo then hi."""
+    lo[:, -1] = hi[:, 1]
+    hi[:, 0] = lo[:, -2]
 
 
-def _sweep(grid, v, keep, logs=None):
-    """(Energy, _Slopes) of component-first unit values v with keep, else (Energy, None);
-    given logs, a connection's edge logarithms (3, 3, n, n, n), the energy of D_a v."""
+def _finish(v, grad, scale, slab):
+    """Complete the gradient of slab, an entry (a, b, s, dm, w, T) of _sweep's slabs, whose
+    planes of grad hold A_2 P_1, once its P_0 window w holds both halo planes: A_1 P_0 is
+    added, the same float as A_1 P_0 + A_2 P_1, then A_3 P_2 from T, the scale and the
+    tangent projection.  s is free scratch by then."""
+    a, b, s, _, w, T = slab
+    g, vs, tmp = grad[:, a:b], v[:, a:b], s[7:]
+    g += _diff_into(w, 1, tmp, 1, w.shape[1] - 1)
+    g += T
+    g *= scale
+    g -= np.multiply(_dot(g, vs, s[6], s[0]), vs, out=tmp)
+
+
+def _sweep(grid, v, grad=None, g2=None, logs=None):
+    """The Energy of component-first unit values v; given logs, a connection's edge
+    logarithms (3, 3, n, n, n), that of D_a v.  Given g2, zeros of shape (3,), g2[mu] is
+    raised to the largest |2h d_(mu+1) v|^2; given grad, of v's shape, flow.grad_energy
+    of v is written into it, component-first (not with logs)."""
     # scratch first: after the whole-field arrays it cost 1.8 MB more peak RSS (relax);
-    # each slab's differences dm, then, given logs, its site-averaged connection ab
-    slabs = _slab_sweep(grid.n, (10,), (3 if logs is None else 6, 3))
+    # each slab's differences dm, then, given logs, its site-averaged connection ab;
+    # given grad, each slab's P_0 window w, one halo plane on either side, and T
+    ring = () if grad is None else (((3,), 1), ((3,), 0))
+    slabs = _slab_sweep(grid.n, (10,), (3 if logs is None else 6, 3), ring=ring)
     e2, e4 = _aligned(v.shape[1:]), _aligned(v.shape[1:])
-    P, g2 = (_aligned((3,) + v.shape), np.zeros(3)) if keep else (None, None)
     h = grid.h
-    for a, b, s, t in slabs:
+    c, scale = 4.0 * h**2, -2.0 / (16.0 * h**4)
+    for k, (a, b, s, t, *held) in enumerate(slabs):
         dm = t[:3]
         _slab_diffs(v, dm, a, b)
         if logs is not None:
             ab = _site_logs(grid, logs, t[3:], a, b)
             for mu in range(3):
                 dm[mu] += np.multiply(4.0 * h, _cross(ab[mu], v[:, a:b], s[:3], s[3]), out=s[:3])
-        _assemble(dm, e2[a:b], e4[a:b], s, None if P is None else P[:, :, a:b], g2, 4.0 * h**2)
+        _assemble(dm, e2[a:b], e4[a:b], s, g2)
+        if grad is None:
+            continue
+        # P_1 is held in T until A_2 P_1 is in grad, P_2 in d_2, which nothing reads after
+        w, T = held
+        _slope(dm, s, 0, c, w[:, 1:-1])
+        _diff_into(_slope(dm, s, 1, c, T), 2, grad[:, a:b])
+        _diff_into(_slope(dm, s, 2, c, dm[2]), 3, T)
+        if k:
+            _link(slabs[k - 1][4], w)
+        if k > 1:
+            _finish(v, grad, scale, slabs[k - 1])
+    if grad is not None:
+        # the last slab's upper halo is plane 0, the first slab's lower halo plane n - 1
+        _link(slabs[-1][4], slabs[0][4])
+        if len(slabs) > 1:
+            _finish(v, grad, scale, slabs[-1])
+        _finish(v, grad, scale, slabs[0])
     e2, e4 = float(np.sum(e2)) * (h / 4.0), float(np.sum(e4)) * (1.0 / (16.0 * h))
-    return Energy(e2, e4, e2 + e4), (_Slopes(P, g2) if keep else None)
+    return Energy(e2, e4, e2 + e4)
 
 
 def energy(psi):
@@ -315,7 +365,7 @@ def energy(psi):
     of |d psi^a ^ d psi^b|^2 over the three component pairs, which
     collapses to sum_{mu<nu} |d_mu psi x d_nu psi|^2.
     """
-    return _sweep(_expect(SphereField, psi).grid, _cf(psi), keep=False)[0]
+    return _sweep(_expect(SphereField, psi).grid, _cf(psi))
 
 
 def _edge_logs(grid, right, refusal, mid=None, out=None, left=None):
@@ -391,7 +441,7 @@ def covariant_derivative(a, phi):
 def energy_conn(phi, a):
     """Energy in the connection picture: d psi replaced by D_a phi."""
     _expect(Connection, a).grid.same(_expect(SphereField, phi).grid)
-    return _sweep(phi.grid, _cf(phi), keep=False, logs=_cf(a))[0]
+    return _sweep(phi.grid, _cf(phi), logs=_cf(a))
 
 
 def decompose(a, phi):

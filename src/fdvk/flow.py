@@ -14,15 +14,18 @@ point, classifies the component-first iterate in place and builds,
 records, streams and guards (_guard) every trace row; a run builds one
 SphereField, the one minimize returns.
 
-The kernel, _kernel, is fields._sweep: the energy, the slopes P_mu and
-the largest squared difference in one slab sweep.  _gradient takes
--2 sum_mu A_mu P_mu, three stencils, then the tangent projection, on the
-undivided differences of lattice._diff_into: its stencils are 2h A_mu on
-the slopes 8h^3 P_mu, so the -2 becomes -2 / 16h^4.  Each site's terms
-are taken in one fixed order, so energies, gradients and step ceilings
-do not depend on the slab size, and a lattice translation rolls them
-bit for bit.  The line search's accepted candidate carries its energy
-and slopes into the next iteration.
+The kernel, _kernel, is one fields._sweep: the energy, the largest
+squared difference, which sets the step ceiling, and, into a gradient
+buffer the caller owns, the projected gradient -2 sum_mu A_mu P_mu,
+finished slab by slab within the sweep, with no whole-field slopes.  Its
+stencils are 2h A_mu on the slopes 8h^3 P_mu of the undivided
+differences of lattice._diff_into, so the -2 becomes -2 / 16h^4.  Each
+site's terms are taken in one fixed order, so energies, gradients and
+step ceilings do not depend on the slab size, and a lattice translation
+rolls them bit for bit.  A descent holds one gradient: each candidate's
+sweep writes its own over v's, so the accepted candidate carries its
+energy, ceiling and gradient into the next iteration, and a rejected one
+is followed by a sweep of v that writes v's back.
 """
 
 from dataclasses import dataclass, field, fields
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import ChargeDrift, FluxChange, NonExactForm
 from .fields import SphereField, _cf, _expect, _field, _sweep
 from .invariants import _classify
-from .lattice import _aligned, _diff_into, _dot, _slab_sweep, form_norm
+from .lattice import _aligned, _dot, _slab_sweep, form_norm
 
 # what each mode guards: (the rounded fluxes, the Hopf charge)
 _GUARDED = {"map-class": (True, True), "hopf-class": (False, True), "flux-only": (True, False)}
@@ -120,42 +123,27 @@ class FlowTrace:
         return self.rows[-1]
 
 
-def _kernel(grid, v):
-    """(Energy, _Slopes) of component-first values, which the gradient and the step ceiling share."""
-    return _sweep(grid, v, keep=True)
-
-
-def _gradient(grid, v, slopes):
-    """grad_energy on the component-first layout, from _kernel's slopes; A_1 reads P_0's
-    two neighbouring planes from the whole field."""
-    P = slopes.P
-    grad = _aligned(v.shape)
-    scale = -2.0 / (16.0 * grid.h**4)
-    for a, b, term in _slab_sweep(grid.n, (3,)):
-        g = grad[:, a:b]
-        _diff_into(P[0], 1, g, a, b)
-        g += _diff_into(P[1][:, a:b], 2, term)
-        g += _diff_into(P[2][:, a:b], 3, term)
-        g *= scale
-        vs = v[:, a:b]
-        np.multiply(_dot(g, vs), vs, out=term)
-        g -= term
-    return grad
-
-
-def _ceiling(grid, dv):
-    """step_ceiling from _kernel's slopes, whose g2 is 4h^2 times |d_mu psi|^2."""
-    g2 = max(float(x) for x in dv.g2) / (4.0 * grid.h**2)
-    return grid.h**2 / (3.0 * (1.0 + 4.0 * g2))
+def _kernel(grid, v, grad=None):
+    """(Energy, step ceiling) of component-first values v, in one fields._sweep; given grad,
+    grad_energy of v on the component-first layout is written into it."""
+    g2 = np.zeros(3)
+    en = _sweep(grid, v, grad, g2)
+    # g2 is 4h^2 times the largest |d_mu psi|^2
+    g2 = max(float(x) for x in g2) / (4.0 * grid.h**2)
+    return en, grid.h**2 / (3.0 * (1.0 + 4.0 * g2))
 
 
 def _search(grid, v, e0, grad, step, backtrack):
-    """Backtracking line search from component-first v with energy e0.
+    """Backtracking line search from component-first v with energy e0 and gradient grad.
 
     Returns (step, (candidate, *_kernel output)) for the first
-    normalized candidate whose energy does not exceed e0, or
-    (step, None) once the step cannot change the field at double
-    precision.
+    normalized candidate whose energy does not exceed e0, grad then
+    holding the candidate's gradient, or (step, None) once the step
+    cannot change the field at double precision.  A candidate's sweep
+    writes its gradient into grad, so a rejected one is followed by a
+    sweep of v, which writes v's gradient back, bit for bit, before the
+    next candidate is formed; after (step, None) grad may still hold the
+    last rejected candidate's.
 
     Candidates are unit vectors by construction and are not revalidated.
     The one way construction fails is a squared norm that is not finite:
@@ -166,12 +154,17 @@ def _search(grid, v, e0, grad, step, backtrack):
     # slab by slab, in the whole-field order; a NaN anywhere still ends the search
     gmax = float(np.max([np.max(np.abs(grad[:, a:b], out=tmp)) for a, b, tmp in _slab_sweep(grid.n, (3,))]))
     cand = _aligned(v.shape)
+    stale = False
     with np.errstate(over="ignore", invalid="ignore"):
         while step * gmax > 1e-16:
+            if stale:
+                _sweep(grid, v, grad)
+                stale = False
             if _candidate(grid, v, grad, step, cand):
-                found = _kernel(grid, cand)
+                found = _kernel(grid, cand, grad)
                 if found[0].total <= e0:
                     return step, (cand, *found)
+                stale = True
             step *= backtrack
     return step, None
 
@@ -205,7 +198,9 @@ def grad_energy(psi: SphereField) -> np.ndarray:
     component-first array computed.
     """
     v = _cf(_expect(SphereField, psi))
-    return np.moveaxis(_gradient(psi.grid, v, _kernel(psi.grid, v)[1]), 0, -1)
+    grad = _aligned(v.shape)
+    _kernel(psi.grid, v, grad)
+    return np.moveaxis(grad, 0, -1)
 
 
 def step_ceiling(psi: SphereField) -> float:
@@ -220,7 +215,7 @@ def step_ceiling(psi: SphereField) -> float:
     anti-aligns the classes is invisible to the line search until the
     field is ruined.
     """
-    return _ceiling(_expect(SphereField, psi).grid, _kernel(psi.grid, _cf(psi))[1])
+    return _kernel(_expect(SphereField, psi).grid, _cf(psi))[1]
 
 
 def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
@@ -235,9 +230,8 @@ def relax_step(psi: SphereField, cfg: FlowConfig, step: float):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     g = _expect(SphereField, psi).grid
     v = _cf(psi)
-    en, dv = _kernel(g, v)
-    grad = _gradient(g, v, dv)
-    del dv
+    grad = _aligned(v.shape)
+    en, _ = _kernel(g, v, grad)
     if not np.any(grad):
         return psi, step, True
     step, found = _search(g, v, en.total, grad, step, cfg.backtrack)
@@ -318,12 +312,11 @@ def minimize(
     # a working copy on a cache line, as the kernel's buffers are: psi0's array lies where the heap put it
     v = _aligned(_cf(psi0).shape)
     v[...] = _cf(psi0)
-    en, dv = _kernel(g, v)
+    grad = _aligned(v.shape)
+    en, ceiling = _kernel(g, v, grad)
     step, it, ref, stop = cfg.step0, 0, None, None
     while True:
-        step = min(step, _ceiling(g, dv))
-        grad = _gradient(g, v, dv)
-        del dv
+        step = min(step, ceiling)
         gnorm = form_norm(g, grad)
         if gnorm <= cfg.grad_tol:
             stop = "grad_tol"
@@ -340,10 +333,9 @@ def minimize(
             if trace.last().iteration != it:
                 _observe(cfg, trace, on_row, ref, g, v, it, gnorm, en)
             break
-        # the accepted candidate's energy and slopes carry forward; the
-        # old gradient goes first to keep the peak low
-        v, en, dv = found
-        del found, grad
+        # the accepted candidate's energy and ceiling carry forward, its gradient is in grad
+        v, en, ceiling = found
+        del found
         step /= cfg.backtrack
         it += 1
     trace.stop_reason = stop

@@ -31,8 +31,9 @@ halo planes from the whole field through them, so no result depends on
 the slab size, and whole-field reads (avg_back, the far edges of
 fields.plaquette_curvature) use it too; no module rolls an array.  The
 descent's buffers start on a 64-byte cache line (_aligned): every slab
-scratch, the energy sweep's whole-field densities and slopes, the
-gradient, the line-search candidate and minimize's working copy.
+scratch, the ring buffers that hold the energy sweep's slopes past their
+slab, its whole-field densities, the gradient, the line-search candidate
+and minimize's working copy.
 numpy's SIMD loops (AVX-512 on the benchmark host) ran a multiply up to
 2.2x slower off a cache line, and malloc's 16-byte placement shifts with
 everything allocated before, which moved the relax workload 7% between
@@ -177,12 +178,26 @@ def _aligned(shape):
     return raw[k:k + raw.size - 8].reshape(shape)
 
 
-def _slab_sweep(n, *leads):
-    """(a, b, *s) for each slab a .. b - 1 of _slabs(n), listed: s one scratch buffer per
-    shape in leads, lead + (planes, n, n), allocated here, once, and cut to the slab."""
+def _slab_sweep(n, *leads, ring=()):
+    """(a, b, *s, *r) for each slab a .. b - 1 of _slabs(n), listed: s one scratch buffer per
+    shape in leads, lead + (planes, n, n), allocated here, once, and cut to the slab.
+
+    Given ring, pairs (lead, halo), r holds one buffer per pair for values
+    that outlive their slab, lead + (planes + 2 halo, n, n), cut to the
+    slab and halo planes on either side.  The first slab's r are its own,
+    kept to the end of the sweep; the later slabs take two other sets in
+    turn, so slab k's r are intact until slab k + 2 takes them.
+    """
     slabs = _slabs(n)
-    bufs = [_aligned(lead + (slabs[0][1], n, n)) for lead in leads]
-    return [(a, b, *(s[..., :b - a, :, :] for s in bufs)) for a, b in slabs]
+    t = slabs[0][1]
+    bufs = [_aligned(lead + (t, n, n)) for lead in leads]
+    sets = [[_aligned(lead + (t + 2 * halo, n, n)) for lead, halo in ring] for _ in range(min(len(slabs), 3))]
+    out = []
+    for k, (a, b) in enumerate(slabs):
+        held = sets[0] if k == 0 else sets[1 + (k - 1) % 2]
+        out.append((a, b, *(s[..., :b - a, :, :] for s in bufs),
+                    *(r[..., :b - a + 2 * halo, :, :] for r, (_, halo) in zip(held, ring))))
+    return out
 
 
 def _shifted(f, mu, out, a=0, b=None, step=1):
@@ -359,6 +374,8 @@ def _potential(grid, F):
     only for F closed and with vanishing fluxes, else NonExactForm; its
     transform is i K x F_hat / k2, zero where K is.
     """
+    # F's norm first, so its squares are gone before F's transform exists
+    norm = form_norm(grid, F)
     Fh, div, K, k2, weight = _spectrum(grid, F)
     # the zero mode sums F over all sites: n^3 / l^2 times the slice flux
     # averaged over the parallel slices
@@ -366,6 +383,6 @@ def _potential(grid, F):
     if np.any(np.abs(flux) > 0.5):
         raise NonExactForm(f"fluxes {flux.round(3).tolist()} obstruct a global potential")
     ndF = _parseval_norm(grid, weight, div)
-    if ndF > CLOSED_TOL * (2.0 * np.pi / grid.l) * form_norm(grid, F) + 1e-12:
+    if ndF > CLOSED_TOL * (2.0 * np.pi / grid.l) * norm + 1e-12:
         raise NonExactForm("2-form is not closed")
     return Fh, K, k2, weight

@@ -83,18 +83,20 @@ def nan_candidates(monkeypatch):
     """nan_candidates(after=1): every descent-kernel evaluation after the
     first `after` reads a NaN energy, as a candidate that left the finite
     numbers would; with after=1 that is every line-search candidate.
-    Returns the call log."""
+    The sweep of v that restores its gradient after a rejected candidate
+    is fields._sweep, not flow._kernel, so it is neither counted nor
+    poisoned.  Returns the call log."""
 
     def arm(after=1):
         real = flow._kernel
         calls = []
 
-        def kernel(grid, v):
-            en, slopes = real(grid, v)
+        def kernel(grid, v, grad=None):
+            en, ceiling = real(grid, v, grad)
             calls.append(None)
             if len(calls) > after:
                 en = en._replace(total=float("nan"))
-            return en, slopes
+            return en, ceiling
 
         monkeypatch.setattr(flow, "_kernel", kernel)
         return calls

@@ -1,9 +1,12 @@
-"""Deterministic smooth test fields.
+"""Deterministic smooth test fields, and the benchmark's own input generators.
 
 Convergence checks need the same continuum field sampled at several
 resolutions, so generators are trig polynomials with frozen random
 coefficients: evaluate at any grid, refine at will.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -59,3 +62,12 @@ def smooth_group_field(grid, seed, amp=0.25):
     raw = TrigPoly(seed, 4, amp=amp).sample(grid)
     raw[..., 0] += 1.0
     return GroupField(grid, raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded read-only from its file, for the benchmark's inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

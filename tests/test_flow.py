@@ -8,6 +8,7 @@ they read on the returned field, bit for bit.  scripts/identity.py records the s
 a change that moves their rows or fields shows in its --compare.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -288,9 +289,9 @@ def test_nonfinite_candidate_is_never_accepted(monkeypatch, nan_candidates):
     real = flow._kernel
     seen = []
 
-    def kernel(grid, v):
+    def kernel(grid, v, grad=None):
         seen.append(np.max(np.abs(np.sum(v * v, axis=0) - 1.0)))
-        return real(grid, v)
+        return real(grid, v, grad)
 
     monkeypatch.setattr(flow, "_kernel", kernel)
     # a step this long overflows psi - step * grad, and its squared norm
@@ -308,6 +309,60 @@ def test_nonfinite_candidate_is_never_accepted(monkeypatch, nan_candidates):
     nan_candidates()
     out, _, ok = relax_step(psi, FlowConfig(), 1e-3)
     assert not ok and out is psi
+
+
+def test_rejected_candidates_leave_the_gradient_as_it_was():
+    # each candidate's sweep writes its gradient over psi's and a sweep of psi writes it back,
+    # so after eight rejections the accepted candidate is still psi's own step, bit for bit
+    psi = smooth_sphere_field(Grid(12, TWO_PI), 5)
+    out, used, ok = relax_step(psi, FlowConfig(), 50.0)
+    assert ok and used == 50.0 * 0.5**8
+    v = psi.values - used * grad_energy(psi)
+    assert np.array_equal(out.values, v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+
+def _counted_kernel(monkeypatch, energy_of=None):
+    """Patch flow._kernel to log each sweep's energy, psi's own first, then each candidate's;
+    energy_of(log) replaces the energy it returns.  Returns the log."""
+    real, log = flow._kernel, []
+
+    def kernel(grid, v, grad=None):
+        en, ceiling = real(grid, v, grad)
+        log.append(en.total)
+        return (en if energy_of is None else en._replace(total=energy_of(log))), ceiling
+
+    monkeypatch.setattr(flow, "_kernel", kernel)
+    return log
+
+
+def test_search_accepts_a_candidate_that_keeps_the_energy(monkeypatch):
+    # the test is <= e0: a candidate that reads psi's own energy is taken at the first step
+    psi = smooth_sphere_field(Grid(12, TWO_PI), 5)
+    log = _counted_kernel(monkeypatch, energy_of=lambda log: log[0])
+    out, used, ok = relax_step(psi, FlowConfig(), 1e-3)
+    assert ok and used == 1e-3 and len(log) == 2 and out is not psi
+
+
+def test_search_evaluates_a_step_that_moves_the_field_by_1e_15(monkeypatch):
+    # the search gives up only once step * max|grad| <= 1e-16
+    psi = smooth_sphere_field(Grid(12, TWO_PI), 5)
+    step = 1e-15 / float(np.max(np.abs(grad_energy(psi))))
+    log = _counted_kernel(monkeypatch)
+    relax_step(psi, FlowConfig(), step)
+    assert len(log) >= 2
+
+
+def test_charge_drift_equal_to_the_tolerance_does_not_trip():
+    # the guard trips on a drift above charge_drift_tol: a run whose largest drift is
+    # the tolerance itself ends as the widely guarded run does, with the same rows
+    psi0 = _hopfion20()
+    cfg = FlowConfig(mode="hopf-class", max_iters=10, monitor_every=5, charge_drift_tol=0.3)
+    _, wide = minimize(psi0, cfg)
+    tol = max(abs(r.hopf_charge - 1) for r in wide.rows)
+    assert 0.2 < tol < 0.3
+    _, tight = minimize(psi0, dataclasses.replace(cfg, charge_drift_tol=tol))
+    assert tight.stop_reason == wide.stop_reason == "max_iters"
+    assert repr(tight.rows) == repr(wide.rows)
 
 
 def _hopfion20():

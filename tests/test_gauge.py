@@ -1,8 +1,5 @@
 """Holonomy, developing map, canonical gauge."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -18,7 +15,7 @@ from fdvk.gauge import (
     plaquette_deviation,
 )
 from fdvk.lattice import Grid, codiff, form_norm
-from fieldgen import smooth_group_field, smooth_sphere_field
+from fieldgen import benchmark_workloads, smooth_group_field, smooth_sphere_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -166,20 +163,11 @@ def test_fix_gauge_checks_the_result_of_its_last_pass(monkeypatch):
         fix_gauge(a, phi)
 
 
-def _benchmark_workloads():
-    # the benchmark's input generators, loaded read-only from their file
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_fix_gauge_slow_steady_convergence_is_not_refused():
     # gauge workload seed 976, op 30 (n = 32): the codifferential residual
     # falls by a steady factor of about 0.31 per pass and crosses the
     # 1e-8 gate on pass 18, past the old cap of 16 passes
-    wl = _benchmark_workloads()
+    wl = benchmark_workloads()
     u, phi, _ = wl.gauge_input(Grid(32), wl._rng(976, 30))
     fixed, rep = fix_gauge(connection_of(u), phi)
     assert rep.passes == 18

@@ -259,11 +259,24 @@ def test_d_and_codiff_match_full_spectrum(n):
 
 @pytest.mark.parametrize("shape", [(5,), (3, 7, 9, 9), (10, 7, 48, 48), (3, 3, 33, 33, 33)])
 def test_aligned_buffers_start_on_a_cache_line(shape):
-    # the descent's whole-field buffers and every slab scratch start on a 64-byte line
+    # the descent's whole-field buffers, every slab scratch and ring buffer start on a 64-byte line
     for _ in range(4):
         v = lattice._aligned(shape)
         assert v.shape == shape and v.dtype == float and v.flags.c_contiguous and v.flags.writeable
         assert v.__array_interface__["data"][0] % 64 == 0
     for n in (8, 33, 48):
-        for _, _, *bufs in lattice._slab_sweep(n, (10,), (3, 3)):
+        for _, _, *bufs in lattice._slab_sweep(n, (10,), (3, 3), ring=(((3,), 1), ((3,), 0))):
             assert all(b.__array_interface__["data"][0] % 64 == 0 for b in bufs)
+
+
+def test_slab_ring_keeps_the_first_slab_and_alternates_the_rest(monkeypatch):
+    # the descent sweep finishes slab k's gradient while slab k + 1 is formed, and the
+    # first slab's last of all: their ring buffers must not be handed out again before
+    n = 19
+    monkeypatch.setattr(lattice, "SLAB_SITES", 2 * n * n)
+    windows = [w for *_, w in lattice._slab_sweep(n, (1,), ring=(((3,), 1),))]
+    # two planes and a halo plane on either side; the last slab holds one plane
+    assert [w.shape for w in windows] == [(3, 4, n, n)] * 9 + [(3, 3, n, n)]
+    for j, later in enumerate(windows):
+        for k, earlier in enumerate(windows[:j]):
+            assert np.shares_memory(later, earlier) == (k > 0 and (j - k) % 2 == 0)

@@ -80,6 +80,9 @@ def test_identity_digests_agree_on_a_rerun(capsys, tmp_path):
     assert entries["minimize/flux-change-flux-only/rows/4/iteration"]["values"] == [20.0]
     assert "minimize/flux-change-flux-only/rows/5/iteration" not in entries
     assert "minimize/flux-change-flux-only/field/values" not in entries
+    # relax_step after rejected candidates, whose restore sweeps its field rests on
+    assert entries["descent/relax_step/after-rejections/accepted"]["values"] == [1.0]
+    assert entries["descent/relax_step/after-rejections/step"]["values"] == [50.0 * 0.5**10]
 
 
 def test_identity_compare_names_what_moved(tmp_path):
